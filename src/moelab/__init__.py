@@ -17,18 +17,14 @@ from .model import (
     STUDENT_T,
     Dataset,
     ExpertParams,
-    GateOutput,
     GateParams,
     MixingMeasure,
-    conditional_density,
     conditional_log_density,
-    expert_density,
-    expert_log_density,
-    gate_weights,
+    gate_log_weights,
+    log_joint,
     measure_from_text,
     measure_to_text,
     sample_dataset,
-    topk_select,
     true_measure,
     uniform_box_sampler,
     unit_box,
@@ -52,6 +48,7 @@ from .metrics import (
     loss_d2,
     loss_d3,
     two_gaussian_hellinger,
+    voronoi_loss,
 )
 from .polysys import (
     PolyCandidate,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import em, experiments, metrics, partition, polysys
-from .errors import AssumptionError, MoeError
+from .errors import InvalidArgumentError, MoeError
 from .model import (
     Dataset,
     measure_from_text,
@@ -32,7 +33,12 @@ def _read_measure(path):
 
 
 def _read_dataset(path):
-    data = np.loadtxt(path, delimiter="\t", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter="\t", ndmin=2)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"malformed dataset {path}: {exc}") from exc
+    if data.shape[1] < 2:
+        raise InvalidArgumentError(f"dataset {path} needs x columns and a final y column")
     return Dataset(x=data[:, :-1], y=data[:, -1])
 
 
@@ -45,8 +51,13 @@ def _write_dataset(data: Dataset, path):
 def _parse_bounds(text, d):
     if text is None:
         return unit_box(d)
-    pairs = [tuple(float(v) for v in part.split(",")) for part in text.split(";")]
-    return np.asarray(pairs, dtype=float).reshape(-1, 2)
+    try:
+        bounds = np.array([[float(v) for v in part.split(",")] for part in text.split(";")])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad --bounds {text!r}: {exc}") from exc
+    if bounds.shape != (d, 2):
+        raise InvalidArgumentError(f"--bounds needs one lo,hi pair per dimension (d={d}), got {text!r}")
+    return bounds
 
 
 def cmd_gen(args):
@@ -102,15 +113,10 @@ def cmd_loss(args):
         subsets = partition.positive_mass_subsets(
             truth, args.K, sampler, args.mass_n_mc, seed=args.mass_seed
         )
-    if args.metric == "d1":
-        report = metrics.loss_d1(fitted, truth, args.K, renormalize=args.renormalize, subsets=subsets)
-    elif args.metric == "d2":
-        report = metrics.loss_d2(
-            fitted, truth, args.K, polysys.rbar_fn(args.rbar),
-            renormalize=args.renormalize, subsets=subsets,
-        )
-    else:
-        report = metrics.loss_d3(fitted, truth, args.K, renormalize=args.renormalize, subsets=subsets)
+    report = metrics.voronoi_loss(
+        fitted, truth, args.K, args.metric, rbar_policy=args.rbar,
+        renormalize=args.renormalize, subsets=subsets,
+    )
     print(report.to_json())
     return 0
 
@@ -185,9 +191,9 @@ def _print_residual_table(inst, cand, convention):
 def cmd_sweep(args):
     with open(args.config) as fh:
         cfg = experiments.parse_sweep_config(fh.read())
-    cfg = experiments.replace_config(cfg, base_seed=args.seed)
+    cfg = replace(cfg, base_seed=args.seed)
     if args.jobs is not None:
-        cfg = experiments.replace_config(cfg, parallelism=args.jobs)
+        cfg = replace(cfg, parallelism=args.jobs)
     result = experiments.run_sweep(cfg)
     experiments.emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -311,14 +317,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if name.endswith("seed") and value < 0:
+                raise InvalidArgumentError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
-    except AssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MoeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MoeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

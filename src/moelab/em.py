@@ -29,8 +29,10 @@ from .model import (
     MixingMeasure,
     _masked_logsumexp,
     _selection_mask,
+    conditional_log_density,
     expert_log_density_matrix,
     gate_log_weights,
+    log_joint,
 )
 
 # Monotonicity slack per EM step, in mean log-likelihood units.
@@ -130,16 +132,8 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
     return MixingMeasure(tuple(comps), family=truth.family, dof=truth.dof)
 
 
-def _joint_norm(data: Dataset, G: MixingMeasure, K: int):
-    """(joint, norm): per-sample per-expert log gate*density and its row lse."""
-    logw = gate_log_weights(G, data.x, K)
-    logf = expert_log_density_matrix(G, data.x, data.y)
-    joint = logw + logf
-    return joint, _masked_logsumexp(joint)
-
-
 def mean_log_likelihood(data: Dataset, G: MixingMeasure, K: int) -> float:
-    return float(np.mean(_joint_norm(data, G, K)[1]))
+    return float(np.mean(conditional_log_density(G, K, data.x, data.y)))
 
 
 def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -155,8 +149,8 @@ def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
 def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:
     """Responsibilities r[j, i], rows summing to 1, exactly zero outside the
     top-K selection at x_j."""
-    joint, norm = _joint_norm(data, G, K)
-    return _resp_from_joint(joint, norm)
+    joint = log_joint(G, data.x, data.y, K)
+    return _resp_from_joint(joint, _masked_logsumexp(joint))
 
 
 def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):

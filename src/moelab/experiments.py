@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import em, metrics, partition, polysys
+from . import em, metrics, partition
 from .errors import InsufficientDataError, InvalidArgumentError, MoeError
 from .model import (
     MixingMeasure,
@@ -121,22 +121,10 @@ def _loss_value(cfg: SweepConfig, fitted: MixingMeasure, seed: int, subsets) -> 
             sampler, spec.hellinger_n_mc, grid, seed=seed,
         )
         return est.mean
-    if spec.metric == "d1":
-        terms = frozenset(spec.terms) if spec.terms is not None else metrics.ALL_TERMS
-        report = metrics.loss_d1(
-            fitted, cfg.truth, loss_K,
-            renormalize=spec.renormalize, subsets=subsets, terms=terms,
-        )
-    elif spec.metric == "d2":
-        report = metrics.loss_d2(
-            fitted, cfg.truth, loss_K, polysys.rbar_fn(spec.rbar_policy),
-            renormalize=spec.renormalize, subsets=subsets,
-        )
-    else:
-        report = metrics.loss_d3(
-            fitted, cfg.truth, loss_K, renormalize=spec.renormalize, subsets=subsets,
-        )
-    return report.value
+    return metrics.voronoi_loss(
+        fitted, cfg.truth, loss_K, spec.metric, rbar_policy=spec.rbar_policy,
+        renormalize=spec.renormalize, terms=spec.terms, subsets=subsets,
+    ).value
 
 
 def _positive_mass_subsets(cfg: SweepConfig):
@@ -330,17 +318,7 @@ def parse_csv(path):
 # SVG log-log plot
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 640
-    height: int = 480
-    margin: int = 64
-    marker_color: str = "#1f77b4"
-    line_color: str = "#ff7f0e"
-    axis_color: str = "#222222"
-
-
-def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no_fit: bool = False) -> None:
+def emit_svg_loglog(result: SweepResult, path, allow_no_fit: bool = False) -> None:
     """Self-contained SVG: per-n mean markers with +/-2 std error bars on
     log-log axes and a dashed fitted regression line annotated with the slope.
 
@@ -348,7 +326,6 @@ def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no
     unless allow_no_fit is set, in which case the plot is emitted without the
     line.
     """
-    style = style or PlotStyle()
     ns, means, stds = mean_loss_by_n(result.rows)
     keep = np.isfinite(means) & (means > 0)
     ns, means, stds = ns[keep], means[keep], stds[keep]
@@ -381,7 +358,8 @@ def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no
     x_min, x_max = x_min - pad_x, x_max + pad_x
     y_min, y_max = y_min - pad_y, y_max + pad_y
 
-    m, w, h = style.margin, style.width, style.height
+    m, w, h = 64, 640, 480
+    axis_color, line_color, marker_color = "#222222", "#ff7f0e", "#1f77b4"
 
     def sx(v):
         return m + (v - x_min) / (x_max - x_min) * (w - 2 * m)
@@ -394,17 +372,17 @@ def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no
         f'viewBox="0 0 {w} {h}">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
         f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
-        f'fill="none" stroke="{style.axis_color}"/>',
+        f'fill="none" stroke="{axis_color}"/>',
     ]
     # Decade ticks.
     for t in range(math.ceil(x_min), math.floor(x_max) + 1):
         parts.append(
-            f'<line x1="{sx(t):.2f}" y1="{h - m}" x2="{sx(t):.2f}" y2="{h - m + 6}" stroke="{style.axis_color}"/>'
+            f'<line x1="{sx(t):.2f}" y1="{h - m}" x2="{sx(t):.2f}" y2="{h - m + 6}" stroke="{axis_color}"/>'
             f'<text x="{sx(t):.2f}" y="{h - m + 20}" font-size="12" text-anchor="middle">1e{t}</text>'
         )
     for t in range(math.ceil(y_min), math.floor(y_max) + 1):
         parts.append(
-            f'<line x1="{m - 6}" y1="{sy(t):.2f}" x2="{m}" y2="{sy(t):.2f}" stroke="{style.axis_color}"/>'
+            f'<line x1="{m - 6}" y1="{sy(t):.2f}" x2="{m}" y2="{sy(t):.2f}" stroke="{axis_color}"/>'
             f'<text x="{m - 10}" y="{sy(t) + 4:.2f}" font-size="12" text-anchor="end">1e{t}</text>'
         )
     parts.append(
@@ -418,9 +396,9 @@ def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no
         y1 = (intercept + slope * x_max * math.log(10.0)) / math.log(10.0)
         parts.append(
             f'<line x1="{sx(x_min):.2f}" y1="{sy(y0):.2f}" x2="{sx(x_max):.2f}" y2="{sy(y1):.2f}" '
-            f'stroke="{style.line_color}" stroke-dasharray="6 4" stroke-width="1.5"/>'
+            f'stroke="{line_color}" stroke-dasharray="6 4" stroke-width="1.5"/>'
             f'<text x="{w - m - 6}" y="{m + 18}" font-size="13" text-anchor="end" '
-            f'fill="{style.line_color}">slope = {slope:.3f}</text>'
+            f'fill="{line_color}">slope = {slope:.3f}</text>'
         )
     for i in range(ns.size):
         x = sx(lx[i])
@@ -428,8 +406,8 @@ def emit_svg_loglog(result: SweepResult, path, style: PlotStyle = None, allow_no
         bot = sy(y_low[i]) if math.isfinite(y_low[i]) else (h - m)
         parts.append(
             f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{bot:.2f}" '
-            f'stroke="{style.marker_color}" stroke-width="1"/>'
-            f'<circle cx="{x:.2f}" cy="{sy(ly[i]):.2f}" r="3.5" fill="{style.marker_color}"/>'
+            f'stroke="{marker_color}" stroke-width="1"/>'
+            f'<circle cx="{x:.2f}" cy="{sy(ly[i]):.2f}" r="3.5" fill="{marker_color}"/>'
         )
     parts.append("</svg>")
     try:
@@ -472,50 +450,51 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raise InvalidArgumentError("config is missing the [truth] section")
     truth = measure_from_text("\n".join(truth_lines))
 
-    def geti(key, default=None):
-        return int(kv[key]) if key in kv else default
+    def get(key, convert, default=None):
+        if key not in kv:
+            return default
+        try:
+            return convert(kv[key])
+        except (KeyError, ValueError) as exc:
+            raise InvalidArgumentError(f"config key {key}: bad value {kv[key]!r}") from exc
 
-    def getf(key, default=None):
-        return float(kv[key]) if key in kv else default
+    def to_bool(text):
+        return _BOOL[text.lower()]
 
-    def getb(key, default=False):
-        return _BOOL[kv[key].lower()] if key in kv else default
+    def to_ints(text):
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
 
     required = ("data_k", "fit_k", "fit_big_k", "sample_sizes", "replicates")
     missing = [key for key in required if key not in kv]
     if missing:
         raise InvalidArgumentError(f"config is missing keys: {', '.join(missing)}")
-    sizes = tuple(int(tok) for tok in kv["sample_sizes"].replace(",", " ").split())
-    terms = None
-    if "loss_terms" in kv:
-        terms = tuple(tok for tok in kv["loss_terms"].replace(",", " ").split())
     loss = LossSpec(
         metric=kv.get("metric", "d1"),
         rbar_policy=kv.get("rbar", "exact"),
-        loss_K=geti("loss_k"),
-        renormalize=getb("renormalize"),
-        terms=terms,
-        positive_mass_only=getb("positive_mass_only"),
-        mass_n_mc=geti("mass_n_mc", 20000),
-        hellinger_n_mc=geti("hellinger_n_mc", 200),
-        y_points=geti("y_points", 2001),
+        loss_K=get("loss_k", int),
+        renormalize=get("renormalize", to_bool, False),
+        terms=get("loss_terms", lambda text: tuple(text.replace(",", " ").split())),
+        positive_mass_only=get("positive_mass_only", to_bool, False),
+        mass_n_mc=get("mass_n_mc", int, 20000),
+        hellinger_n_mc=get("hellinger_n_mc", int, 200),
+        y_points=get("y_points", int, 2001),
     )
     return SweepConfig(
         truth=truth,
-        data_K=geti("data_k"),
-        fit_k=geti("fit_k"),
-        fit_K=geti("fit_big_k"),
-        sample_sizes=sizes,
-        replicates=geti("replicates"),
-        base_seed=geti("base_seed", 0),
+        data_K=get("data_k", int),
+        fit_k=get("fit_k", int),
+        fit_K=get("fit_big_k", int),
+        sample_sizes=get("sample_sizes", to_ints),
+        replicates=get("replicates", int),
+        base_seed=get("base_seed", int, 0),
         loss=loss,
-        noise_std=getf("noise_std", 0.05),
-        tol=getf("tol", 1e-6),
-        max_iters=geti("max_iters", 2000),
-        gating_lr=getf("gating_lr", 0.1),
-        gating_steps_per_m=geti("gating_steps_per_m", 5),
-        parallelism=geti("parallelism", 1),
-        record_timing=getb("record_timing"),
+        noise_std=get("noise_std", float, 0.05),
+        tol=get("tol", float, 1e-6),
+        max_iters=get("max_iters", int, 2000),
+        gating_lr=get("gating_lr", float, 0.1),
+        gating_steps_per_m=get("gating_steps_per_m", int, 5),
+        parallelism=get("parallelism", int, 1),
+        record_timing=get("record_timing", to_bool, False),
     )
 
 
@@ -550,7 +529,3 @@ def sweep_config_to_text(cfg: SweepConfig) -> str:
     lines.append("[truth]")
     lines.append(measure_to_text(cfg.truth).rstrip("\n"))
     return "\n".join(lines) + "\n"
-
-
-def replace_config(cfg: SweepConfig, **changes) -> SweepConfig:
-    return replace(cfg, **changes)

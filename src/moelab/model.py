@@ -9,7 +9,9 @@ Conventions used throughout the library:
   ``beta0`` enters only after selection, inside the softmax.
 * Ties in the ranking are broken toward the smaller component index.  Tie
   inputs form a measure-zero set in theory but are reachable in floating point.
-* All density work is done in the log domain with max-subtraction.
+* All density work is done in the log domain with max-subtraction, through
+  one kernel, :func:`log_joint`: log gate weight plus expert log density per
+  component, -inf outside the top-K selection.
 """
 
 from __future__ import annotations
@@ -183,26 +185,6 @@ def true_measure(beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=5.0) -> MixingM
 
 
 @dataclass(frozen=True)
-class GateOutput:
-    """Sparse gate evaluation at one input: selected index set + weights."""
-
-    selected: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        w = self.weights
-        nz = np.nonzero(w)[0]
-        if set(nz.tolist()) != set(self.selected):
-            raise InvalidArgumentError("nonzero weights must sit exactly on the selected set")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"weights must sum to 1, got {w.sum()!r}")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise InvalidArgumentError("weights must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Paired inputs/responses with the bounding box the inputs came from."""
 
@@ -217,6 +199,9 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if x.shape[0] != y.size or y.size < 1:
             raise InvalidArgumentError("need |x| == |y| >= 1")
+        bad = ~(np.all(np.isfinite(x), axis=1) & np.isfinite(y))
+        if np.any(bad):
+            raise InvalidArgumentError(f"non-finite x or y at sample index {int(np.argmax(bad))}")
         bounds = self.bounds
         if bounds is None:
             bounds = np.stack([x.min(axis=0), x.max(axis=0)], axis=1)
@@ -239,22 +224,19 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Gate
+# Gate, expert densities and their log joint
 # ---------------------------------------------------------------------------
 
-def topk_select(logits, K: int) -> np.ndarray:
-    """Indices of the K largest logits, ties broken toward the smaller index.
-
-    Returned sorted ascending.
-    """
-    logits = np.asarray(logits, dtype=float).reshape(-1)
-    k = logits.size
-    if not 1 <= K <= k:
-        raise InvalidArgumentError(f"K must satisfy 1 <= K <= {k}, got {K}")
-    if not np.all(np.isfinite(logits)):
-        raise InvalidArgumentError("logits must be finite")
-    order = np.argsort(-logits, kind="stable")
-    return np.sort(order[:K])
+def _as_rows(X, d: int) -> np.ndarray:
+    """Inputs as an (n, d) array; a 1-D array holds consecutive d-vectors."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1 and X.size % d == 0:
+        X = X.reshape(-1, d)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InvalidArgumentError(f"x must have rows of dimension d={d}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidArgumentError("x must be finite")
+    return X
 
 
 def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
@@ -268,7 +250,7 @@ def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
 
 
 def _masked_logsumexp(scores: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of a score matrix that may hold -inf entries.
+    """Logsumexp over axis 1, the components, of scores that may hold -inf.
 
     Every row must keep at least one finite entry (the gate always selects
     one expert), so the row max is finite and exp(-inf - max) underflows to 0.
@@ -277,17 +259,13 @@ def _masked_logsumexp(scores: np.ndarray) -> np.ndarray:
     return m[:, 0] + np.log(np.sum(np.exp(scores - m), axis=1))
 
 
-def gate_log_weights(G: MixingMeasure, X: np.ndarray, K: int) -> np.ndarray:
+def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     """Log gate weights for a batch of inputs, shape (n, k).
 
     Entries outside the per-row top-K selection are -inf.  The ranking uses
     the slopes only; the bias is added before the softmax.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != G.d:
-        raise InvalidArgumentError(f"x has dimension {X.shape[1]}, measure has d={G.d}")
+    X = _as_rows(X, G.d)
     if not 1 <= K <= G.k:
         raise InvalidArgumentError(f"K must satisfy 1 <= K <= {G.k}, got {K}")
     logits = X @ G.beta1.T
@@ -295,23 +273,6 @@ def gate_log_weights(G: MixingMeasure, X: np.ndarray, K: int) -> np.ndarray:
     scores = np.where(mask, logits + G.beta0[None, :], -np.inf)
     return scores - _masked_logsumexp(scores)[:, None]
 
-
-def gate_weights(G: MixingMeasure, x, K: int) -> GateOutput:
-    """Evaluate the sparse gate at a single input."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != G.d:
-        raise InvalidArgumentError(f"x has dimension {x.size}, measure has d={G.d}")
-    logits = G.beta1 @ x
-    selected = topk_select(logits, K)
-    logw = gate_log_weights(G, x[None, :], K)[0]
-    weights = np.zeros(G.k)
-    weights[selected] = np.exp(logw[selected])
-    return GateOutput(selected=tuple(selected.tolist()), weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# Expert densities
-# ---------------------------------------------------------------------------
 
 def _log_density_from_z(family: str, z: np.ndarray, sigma, dof: float) -> np.ndarray:
     """log f(y | mu, sigma) given z = (y - mu) / sigma."""
@@ -327,68 +288,40 @@ def _log_density_from_z(family: str, z: np.ndarray, sigma, dof: float) -> np.nda
     raise InvalidArgumentError(f"unknown family {family!r}")
 
 
-def expert_log_density(family: str, params: ExpertParams, x, y, dof: float = 5.0):
-    """log f(y | a.x + b, sigma) for the chosen family."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = float(params.a @ x + params.b)
-    z = (np.asarray(y, dtype=float) - mu) / params.sigma
-    return _log_density_from_z(family, z, params.sigma, dof)
+def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
+    """Per-expert log densities log f(y | a_i.x + b_i, sigma_i).
+
+    ``y`` is (n,), one response per row of ``X``, giving shape (n, k); or
+    (n, m) / (1, m), m responses per row, giving (n, k, m).  Components sit
+    on axis 1 either way, so reductions over them run along a long axis.
+    """
+    X = _as_rows(X, G.d)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
+        raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
+    mu, sigma = X @ G.a.T + G.b, G.sigma
+    if y.ndim == 2:
+        mu, sigma = mu[:, :, None], sigma[:, None]
+    z = (y[:, None] - mu) / sigma
+    return _log_density_from_z(G.family, z, sigma, G.dof)
 
 
-def expert_density(family: str, params: ExpertParams, x, y, dof: float = 5.0):
-    """f(y | a.x + b, sigma); see :func:`expert_log_density`."""
-    return np.exp(expert_log_density(family, params, x, y, dof))
+def log_joint(G: MixingMeasure, X, y, K: int) -> np.ndarray:
+    """log gate_i(x) + log f(y | expert i) for every component i, -inf outside
+    the top-K selection at x; shaped as :func:`expert_log_density_matrix`.
 
-
-def expert_log_density_matrix(G: MixingMeasure, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of per-expert log densities log f(y_j | component i)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(y, dtype=float).reshape(-1)
-    mu = X @ G.a.T + G.b[None, :]
-    z = (y[:, None] - mu) / G.sigma[None, :]
-    return _log_density_from_z(G.family, z, G.sigma[None, :], G.dof)
-
-
-# ---------------------------------------------------------------------------
-# Conditional density of the mixture
-# ---------------------------------------------------------------------------
-
-def conditional_log_density_batch(G: MixingMeasure, K: int, X, y) -> np.ndarray:
-    """(n,) vector of log g_G(y_j | x_j) with top-K sparse softmax gating."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    The gate is evaluated once per row of ``X``, so a y grid of shape (1, m)
+    is scored against every row without repeating it.
+    """
     logw = gate_log_weights(G, X, K)
     logf = expert_log_density_matrix(G, X, y)
-    # -inf gate entries knock non-selected experts out of the sum.
-    return _masked_logsumexp(logw + logf)
+    return (logw[:, :, None] if logf.ndim == 3 else logw) + logf
 
 
-def conditional_log_density(G: MixingMeasure, K: int, x, y) -> float:
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(conditional_log_density_batch(G, K, x, np.asarray([y], dtype=float))[0])
-
-
-def conditional_density(G: MixingMeasure, K: int, x, y) -> float:
-    """g_G(y | x) = sum_i gate_i(x) f(y | expert_i).  The same operation serves
-    the true density and the over-specified fit: the sparsity level K is a
-    free parameter."""
-    return math.exp(conditional_log_density(G, K, x, y))
-
-
-def conditional_density_grid(G: MixingMeasure, K: int, x, y_grid: np.ndarray) -> np.ndarray:
-    """g_G(y | x) on a grid of y values at a fixed x, shape (len(y_grid),)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
-    out = gate_weights(G, x, K)
-    mu = G.a @ x + G.b
-    dens = np.zeros_like(y_grid)
-    for i in out.selected:
-        z = (y_grid - mu[i]) / G.sigma[i]
-        dens += out.weights[i] * np.exp(_log_density_from_z(G.family, z, G.sigma[i], G.dof))
-    return dens
+def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:
+    """log g_G(y | x) = log sum_i gate_i(x) f(y | expert i), shape (n,) for
+    paired y or (n, m) for m responses per row."""
+    return _masked_logsumexp(log_joint(G, X, y, K))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +342,6 @@ def uniform_box_sampler(bounds):
         u = rng.random((int(n), bounds.shape[0]))
         return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
-    sample.bounds = bounds
     return sample
 
 
@@ -474,27 +406,27 @@ def measure_from_text(text: str) -> MixingMeasure:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InvalidArgumentError("empty measure document")
-    head = dict(tok.split("=", 1) for tok in lines[0].split())
     try:
-        family = head["family"]
-        d = int(head["d"])
-        k = int(head["k"])
+        head = dict(tok.split("=", 1) for tok in lines[0].split())
+        family, d, k = head["family"], int(head["d"]), int(head["k"])
+        dof = float(head.get("dof", 5.0))
+        rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except KeyError as exc:
         raise InvalidArgumentError(f"measure header missing field {exc}") from exc
-    dof = float(head.get("dof", 5.0))
-    if len(lines) - 1 != k:
-        raise InvalidArgumentError(f"expected {k} component lines, got {len(lines) - 1}")
-    beta0, beta1, a, b, sigma = [], [], [], [], []
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split()]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"malformed measure document: {exc}") from exc
+    if d < 1 or k < 1:
+        raise InvalidArgumentError(f"measure header needs d >= 1 and k >= 1, got d={d}, k={k}")
+    if len(rows) != k:
+        raise InvalidArgumentError(f"expected {k} component lines, got {len(rows)}")
+    for vals in rows:
         if len(vals) != 2 * d + 3:
             raise InvalidArgumentError(f"component line has {len(vals)} fields, expected {2 * d + 3}")
-        beta0.append(vals[0])
-        beta1.append(vals[1 : 1 + d])
-        a.append(vals[1 + d : 1 + 2 * d])
-        b.append(vals[1 + 2 * d])
-        sigma.append(vals[2 + 2 * d])
-    return MixingMeasure.from_arrays(beta0, beta1, a, b, sigma, family=family, dof=dof)
+    v = np.array(rows)
+    return MixingMeasure.from_arrays(
+        v[:, 0], v[:, 1 : 1 + d], v[:, 1 + d : 1 + 2 * d], v[:, 1 + 2 * d], v[:, 2 + 2 * d],
+        family=family, dof=dof,
+    )
 
 
 def _fmt(v: float) -> str:

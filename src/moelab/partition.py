@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _selection_mask, topk_select
+from .model import MixingMeasure, _selection_mask, gate_log_weights
 
 MAX_REGIONS = 10**6
 
@@ -44,10 +44,8 @@ class RegionSpec:
 
 def region_of(G: MixingMeasure, x, K: int) -> RegionSpec:
     """The region spec whose selected set wins the top-K ranking at x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    selected = topk_select(G.beta1 @ x, K)
-    complement = sorted(set(range(G.k)) - set(selected.tolist()))
-    return RegionSpec(selected=tuple(selected.tolist()), complement=tuple(complement))
+    selected = np.isfinite(gate_log_weights(G, np.reshape(x, (1, -1)), K)[0])
+    return RegionSpec(selected=np.flatnonzero(selected), complement=np.flatnonzero(~selected))
 
 
 def enumerate_regions(k: int, K: int):

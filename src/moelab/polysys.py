@@ -173,22 +173,16 @@ def residual(inst: PolySystemInstance, cand: PolyCandidate, eta1, eta2: int, con
     return float(total)
 
 
-def residual_vector(inst, cand, convention: str = SCALE_DOUBLED) -> np.ndarray:
-    return np.array(
-        [residual(inst, cand, eta1, eta2, convention) for eta1, eta2 in enumerate_equations(inst)]
-    )
-
-
-def max_abs_residual(inst, cand, convention: str = SCALE_DOUBLED) -> float:
-    return float(np.max(np.abs(residual_vector(inst, cand, convention))))
-
-
 def residual_table(inst, cand, convention: str = SCALE_DOUBLED):
-    """(eta1, eta2, residual) rows in enumeration order, for the CLI TSV."""
+    """(eta1, eta2, residual) rows in enumeration order."""
     return [
         (eta1, eta2, residual(inst, cand, eta1, eta2, convention))
         for eta1, eta2 in enumerate_equations(inst)
     ]
+
+
+def max_abs_residual(inst, cand, convention: str = SCALE_DOUBLED) -> float:
+    return float(np.max(np.abs([value for _, _, value in residual_table(inst, cand, convention)])))
 
 
 def search_nontrivial(

@@ -7,6 +7,7 @@ Set MOELAB_ACCEPTANCE=skip to exclude this module.
 import itertools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from moelab.experiments import (
     emit_csv,
     fit_slope,
     mean_loss_by_n,
-    replace_config,
     rescore_rows,
     run_sweep,
 )
@@ -337,7 +337,7 @@ def test_criterion_10_determinism(truth, tmp_path):
         noise_std=0.05, max_iters=30, loss=LossSpec(metric="d1"),
     )
     a, b = tmp_path / "p1.csv", tmp_path / "p8.csv"
-    emit_csv(run_sweep(replace_config(cfg, parallelism=1)), a)
-    emit_csv(run_sweep(replace_config(cfg, parallelism=8)), b)
+    emit_csv(run_sweep(replace(cfg, parallelism=1)), a)
+    emit_csv(run_sweep(replace(cfg, parallelism=8)), b)
     ok = a.read_bytes() == b.read_bytes()
     assert report(10, ok, f"sweep CSV byte-identical at parallelism 1 vs 8: {ok}")

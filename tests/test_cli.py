@@ -209,3 +209,63 @@ class TestFitCommand:
     def test_unknown_flag_exits_nonzero(self, capsys):
         code, _, _ = run(["gen", "--nope"], capsys)
         assert code != 0
+
+
+SWEEP_HEAD = "data_k = 2\nfit_k = 2\nfit_big_k = 2\nsample_sizes = 50,100\nreplicates = 1\n"
+
+
+class TestMalformedInput:
+    """Bad input ends in exit 1 and one error line, never a traceback."""
+
+    def assert_clean_error(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "family=gaussian d=1 k2\n-8 25 -20 15 0.3\n",  # header token without '='
+        "family=gaussian d=one k=1\n-8 25 -20 15 0.3\n",  # non-integer d
+        "family=gaussian d=1 k=2.5\n-8 25 -20 15 0.3\n",  # non-integer k
+        "family=gaussian d=1 k=2\n-8 25 -20 15 0.3\n0 0 20 -5 wide\n",  # non-numeric value
+    ])
+    def test_malformed_measure(self, tmp_path, truth_file, text, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        self.assert_clean_error(["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file], capsys)
+
+    @pytest.mark.parametrize("line", ["replicates = two", "tol = small", "renormalize = maybe"])
+    def test_bad_sweep_config_value(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+
+    @pytest.mark.parametrize("bounds", ["0,x", "0,1,2", "0,1;0,1"])
+    def test_bad_bounds(self, tmp_path, truth_file, bounds, capsys):
+        self.assert_clean_error(
+            ["gen", "--truth", truth_file, "--K", 1, "--n", 5, "--seed", 0,
+             "--out", tmp_path / "d.tsv", "--bounds", bounds],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("text", ["0.1\t1.0\n0.2\tfoo\n", "0.1\t1.0\n0.2\n", "0.5\n0.7\n"])
+    def test_malformed_tsv(self, tmp_path, truth_file, text, capsys):
+        data = tmp_path / "d.tsv"
+        data.write_text(text)
+        self.assert_clean_error(
+            ["fit", "--data", data, "--truth", truth_file, "--k", 2, "--K", 2,
+             "--seed", 0, "--out-measure", tmp_path / "m.txt"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--truth", "{truth}", "--K", 1, "--n", 5, "--seed", -1, "--out", "{tmp}/d.tsv"],
+        ["hellinger", "--fit", "{truth}", "--K-fit", 1, "--true", "{truth}", "--K-true", 1, "--seed", -1],
+        ["partition-check", "--truth", "{truth}", "--K", 1, "--seed", -1],
+        ["polysys", "--m", 2, "--r", 3, "--seed", -1],
+        ["loss", "--metric", "d1", "--K", 1, "--fit", "{truth}", "--true", "{truth}",
+         "--positive-mass-only", "--mass-seed", -1],
+    ])
+    def test_negative_seed(self, tmp_path, truth_file, argv, capsys):
+        argv = [str(a).format(truth=truth_file, tmp=tmp_path) for a in argv]
+        self.assert_clean_error(argv, capsys)

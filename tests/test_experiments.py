@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,14 +85,14 @@ class TestRunSweep:
         # seeds are a pure function of (base_seed, n, replicate)
         assert result.rows[0].seed == ex.row_seed(11, 60, 0)
         # adding a sample size never reshuffles existing replicates
-        bigger = ex.replace_config(tiny_cfg, sample_sizes=(60, 120, 240, 480))
+        bigger = replace(tiny_cfg, sample_sizes=(60, 120, 240, 480))
         res2 = ex.run_sweep(bigger)
         assert [r.seed for r in res2.rows[:6]] == [r.seed for r in result.rows]
         assert [r.loss for r in res2.rows[:6]] == [r.loss for r in result.rows]
 
     def test_parallelism_invariance(self, tiny_cfg):
         r1 = ex.run_sweep(tiny_cfg)
-        r8 = ex.run_sweep(ex.replace_config(tiny_cfg, parallelism=8))
+        r8 = ex.run_sweep(replace(tiny_cfg, parallelism=8))
         assert [r.loss for r in r1.rows] == [r.loss for r in r8.rows]
         assert r1.slope == r8.slope
 

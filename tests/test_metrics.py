@@ -182,6 +182,57 @@ class TestRenormalizedTranslationInvariance:
                 assert rep.value == pytest.approx(0.0, abs=1e-12)
 
 
+def offset_measures(offsets):
+    """A truth with well-separated components and a fit that moves each
+    intercept b_j by offsets[j], with unit weights: D1's cell term j is
+    then exactly |offsets[j]|."""
+    k = len(offsets)
+    idx = np.arange(k, dtype=float)
+    truth = ml.MixingMeasure.from_arrays(np.zeros(k), idx[:, None], idx[:, None], 10.0 * idx, np.ones(k))
+    fit = ml.MixingMeasure.from_arrays(np.zeros(k), idx[:, None], idx[:, None], 10.0 * idx + offsets, np.ones(k))
+    return fit, truth
+
+
+def enumerated_max(terms, K):
+    """The first K-subset, in lexicographic order, of largest summed terms."""
+    best_value, best_subset = -np.inf, None
+    for subset in itertools.combinations(range(len(terms)), K):
+        value = float(sum(terms[j] for j in subset))
+        if value > best_value:
+            best_value, best_subset = value, subset
+    return best_value, best_subset
+
+
+class TestOuterMaxOverSubsets:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_enumeration(self, seed, tied):
+        rng = np.random.default_rng(1500 + seed)
+        k_star = int(rng.integers(2, 9))
+        if tied:
+            # few distinct, exactly representable terms: many tied maximizers
+            fit, truth = offset_measures(rng.choice([0.0, 0.25, 0.5], size=k_star))
+        else:
+            truth = random_measure(rng, k_star, 1)
+            fit = perturbed(truth, rng, 0.3)
+        for metric in ("d1", "d2", "d3"):
+            terms = ml.voronoi_loss(fit, truth, k_star, metric, rbar_policy="conjecture").per_cell_terms
+            for K in range(1, k_star + 1):
+                rep = ml.voronoi_loss(fit, truth, K, metric, rbar_policy="conjecture")
+                value, subset = enumerated_max(terms, K)
+                assert rep.value == value
+                assert rep.argmax_subset == subset
+                assert rep.per_cell_terms == tuple(terms[j] for j in subset)
+
+    def test_large_true_order(self):
+        # C(24, 12) = 2.7e6 subsets; the smaller index wins each tie
+        # and there are twelve tied 0.25 terms for six places
+        fit, truth = offset_measures(np.tile([0.5, 0.25, 0.0, 0.25], 6))
+        rep = ml.loss_d1(fit, truth, 12)
+        assert rep.argmax_subset == (0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 16, 20)
+        assert rep.value == 4.5
+
+
 class TestLossD2D3:
     def test_zero_at_truth(self, bench_truth):
         rb = ml.rbar_fn("exact")
@@ -259,6 +310,21 @@ class TestHellinger:
     def test_empty_grid_rejected(self, bench_truth):
         with pytest.raises(ml.InvalidArgumentError):
             ml.hellinger_pointwise(bench_truth, 1, bench_truth, 1, [0.5], [1.0])
+
+    @pytest.mark.parametrize("n_mc", [1, ml.metrics.HELLINGER_BLOCK - 1, ml.metrics.HELLINGER_BLOCK + 1])
+    def test_expected_is_mean_of_pointwise(self, n_mc):
+        rng = np.random.default_rng(n_mc)
+        truth = random_measure(rng, 3, 2)
+        fit = perturbed(truth, rng, 0.2)
+        box = [[-1.0, 1.0], [0.0, 2.0]]
+        sampler = ml.uniform_box_sampler(box)
+        grid = ml.default_y_grid(fit, truth, box)
+        est = ml.expected_hellinger(fit, 3, truth, 2, sampler, n_mc, grid, seed=11)
+        X = sampler(np.random.default_rng(11), n_mc)
+        vals = [ml.hellinger_pointwise(fit, 3, truth, 2, x, grid) for x in X]
+        assert est.mean == pytest.approx(np.mean(vals), abs=1e-12)
+        want_stderr = np.std(vals, ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
+        assert est.stderr == pytest.approx(want_stderr, abs=1e-12)
 
     def test_expected_identical_is_zero(self, bench_truth):
         grid = ml.default_y_grid(bench_truth, bench_truth, [[0, 1]])

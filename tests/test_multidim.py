@@ -24,11 +24,11 @@ def test_sampling_and_density_2d(truth_2d):
     bounds = [[0.0, 1.0], [-1.0, 1.0]]
     data = ml.sample_dataset(truth_2d, 2, 500, seed=0, bounds=bounds)
     assert data.x.shape == (500, 2)
-    out = ml.gate_weights(truth_2d, [0.3, -0.4], 2)
-    assert abs(out.weights.sum() - 1.0) <= 1e-12
+    w = np.exp(ml.gate_log_weights(truth_2d, [0.3, -0.4], 2))
+    assert abs(w.sum() - 1.0) <= 1e-12
     # density normalizes at a 2d input
     ys = np.linspace(-8, 8, 4001)
-    dens = [ml.conditional_density(truth_2d, 2, [0.3, -0.4], y) for y in ys]
+    dens = np.exp(ml.conditional_log_density(truth_2d, 2, [0.3, -0.4], ys[None, :])[0])
     assert np.trapezoid(dens, ys) == pytest.approx(1.0, abs=1e-6)
 
 

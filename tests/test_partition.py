@@ -32,8 +32,9 @@ class TestRegionOf:
         x = rng.normal(size=2)
         K = int(rng.integers(1, 5))
         spec = ml.region_of(G, x, K)
-        out = ml.gate_weights(G, x, K)
-        assert spec.selected == out.selected
+        logw = ml.gate_log_weights(G, [x], K)[0]
+        assert spec.selected == tuple(np.flatnonzero(np.isfinite(logw)))
+        assert spec.selected == tuple(np.sort(np.argsort(-(G.beta1 @ x), kind="stable")[:K]))
 
 
 class TestEnumerateRegions:
