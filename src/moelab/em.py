@@ -140,15 +140,12 @@ def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(norm)
     if np.any(bad):
         raise DegenerateDataError(int(np.nonzero(bad)[0][0]))
-    with np.errstate(invalid="ignore"):
-        resp = np.exp(joint - norm[:, None])
-    resp[np.isneginf(joint)] = 0.0
-    return resp
+    return np.exp(joint - norm)  # exp(-inf) is exactly 0 off the selection
 
 
 def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:
-    """Responsibilities r[j, i], rows summing to 1, exactly zero outside the
-    top-K selection at x_j."""
+    """Responsibilities r[i, j], shape (k, n), columns summing to 1, exactly
+    zero outside the top-K selection at x_j."""
     joint = log_joint(G, data.x, data.y, K)
     return _resp_from_joint(joint, _masked_logsumexp(joint))
 
@@ -176,7 +173,7 @@ def m_step_experts(data: Dataset, resp: np.ndarray, G: MixingMeasure, sigma_floo
     Z = np.column_stack([data.x, np.ones(n)])
     comps = []
     for i, (gate, expert) in enumerate(G.components):
-        w = resp[:, i]
+        w = resp[i]
         s = float(w.sum())
         if s <= 0.0:
             comps.append((gate, expert))
@@ -220,64 +217,56 @@ def _student_expert(Z, w, y, s, d, sigma_floor, dof, sigma_old):
 # Gating M-step
 # ---------------------------------------------------------------------------
 
+def _gating_setup(X, resp, mask):
+    """The surrogate's constants while the gate moves: 0 on the selection and
+    -inf off it (k, n), and, of resp zeroed off the selection, its sums per
+    input (n,) and per component (k,) and resp @ X (k, d)."""
+    resp = np.where(mask, resp, 0.0)
+    return np.where(mask, 0.0, -np.inf), resp.sum(axis=0), resp.sum(axis=1), resp @ X
+
+
+def _gating_pass(X, setup, beta0, beta1):
+    """The surrogate at (beta0, beta1) and the selected softmax weights w (k, n).
+
+    sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus the
+    component sums . beta0, so a proposal costs one masked softmax pass.
+    """
+    off, rsum, colsum, rX = setup
+    scores = beta1 @ X.T + beta0[:, None] + off
+    m = scores.max(axis=0)
+    e = np.exp(scores - m)
+    Z = e.sum(axis=0)
+    q = float((rX * beta1).sum() + colsum @ beta0 - rsum @ (m + np.log(Z)))
+    return q, e / Z
+
+
+def _gating_grads(X, setup, w):
+    """Gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d), given
+    the weights w of :func:`_gating_pass` at the same point."""
+    _, rsum, colsum, rX = setup
+    rw = rsum * w
+    return colsum - rw.sum(axis=1), rX - rw @ X
+
+
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     """Expected complete-data gating log-likelihood with the selection fixed:
-    sum_j sum_{i selected at x_j} r_ji log softmax_i(beta1_i . x_j + beta0_i)."""
-    scores = np.where(mask, X @ beta1.T + beta0[None, :], -np.inf)
-    logZ = _masked_logsumexp(scores)
-    vals = np.where(mask, scores - logZ[:, None], 0.0)
-    return float((resp * vals).sum())
+    sum_j sum_{i selected at x_j} r_ij log softmax_i(beta1_i . x_j + beta0_i).
+
+    ``resp`` and ``mask`` are (k, n); the value is the one
+    :func:`m_step_gating` ascends.
+    """
+    return _gating_pass(X, _gating_setup(X, resp, mask), beta0, beta1)[0]
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
     """Analytic gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d).
 
-    grad_beta0_i = sum_j (r_ji - w_i(x_j)); grad_beta1_i adds the x_j factor.
-    Both vanish identically when K = 1 (singleton softmax weights are 1).
+    grad_beta0_i = sum_j (r_ij - rsum_j w_i(x_j)), with rsum_j the selected
+    responsibility at x_j; grad_beta1_i adds the x_j factor.  Both vanish
+    identically when K = 1 (singleton softmax weights are 1).
     """
-    scores = np.where(mask, X @ beta1.T + beta0[None, :], -np.inf)
-    logZ = _masked_logsumexp(scores)
-    gate_resp = resp.sum(axis=1, keepdims=True)  # rows of resp sum to 1 on the mask
-    with np.errstate(invalid="ignore"):
-        w = np.exp(scores - logZ[:, None])
-    w[~mask] = 0.0
-    diff = resp - gate_resp * w
-    return diff.sum(axis=0), diff.T @ X
-
-
-class _GatingState:
-    """Incremental surrogate evaluation with the selection mask frozen.
-
-    The surrogate splits as sum(resp * scores) - sum_j rsum_j * lse_j, and
-    sum(resp * scores) = sum(resp * base) + colsum . beta0 with base the
-    slope logits; only one masked-softmax pass is paid per proposal, and the
-    base matmul only when the slopes move.
-    """
-
-    def __init__(self, X, resp, mask):
-        self.X = X
-        self.n = X.shape[0]
-        self.dense = bool(mask.all())
-        self.mask = mask
-        self.resp = resp
-        self.rsum = resp.sum(axis=1)
-        self.colsum = resp.sum(axis=0)
-        self.neg = None if self.dense else np.where(mask, 0.0, -np.inf)
-
-    def base_of(self, beta1):
-        base = self.X @ beta1.T
-        if not self.dense:
-            base = base + self.neg  # -inf outside the selection
-        rb = float((self.resp * (base if self.dense else np.where(self.mask, base, 0.0))).sum())
-        return base, rb
-
-    def q_and_w(self, base, rb, beta0):
-        scores = base + beta0[None, :]
-        m = np.max(scores, axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        Z = e.sum(axis=1)
-        q = rb + float(self.colsum @ beta0) - float(self.rsum @ (m[:, 0] + np.log(Z)))
-        return q, e / Z[:, None]
+    setup = _gating_setup(X, resp, mask)
+    return _gating_grads(X, setup, _gating_pass(X, setup, beta0, beta1)[1])
 
 
 def m_step_gating(data: Dataset, resp: np.ndarray, G: MixingMeasure, K: int,
@@ -291,35 +280,23 @@ def m_step_gating(data: Dataset, resp: np.ndarray, G: MixingMeasure, K: int,
     """
     X = data.x
     n = data.n
-    beta0 = G.beta0.copy()
-    beta1 = G.beta1.copy()
-    mask = _selection_mask(X @ G.beta1.T, K)
-    state = _GatingState(X, resp, mask)
-    base, rb = state.base_of(beta1)
-    q, w = state.q_and_w(base, rb, beta0)
+    params = [G.beta0, G.beta1]
+    setup = _gating_setup(X, resp, _selection_mask(G.beta1 @ X.T, K))
+    q, w = _gating_pass(X, setup, *params)
     tol = 1e-12 * max(1.0, abs(q))
     for _ in range(steps):
-        # beta0 block
-        g0 = state.colsum - (state.rsum[:, None] * w).sum(axis=0)
-        step_lr = lr
-        for _ in range(30):
-            cand0 = beta0 + step_lr * g0 / n
-            q_new, w_new = state.q_and_w(base, rb, cand0)
-            if q_new >= q - tol:
-                beta0, q, w = cand0, q_new, w_new
-                break
-            step_lr *= 0.5
-        # beta1 block
-        g1 = resp.T @ X - (state.rsum[:, None] * w).T @ X
-        step_lr = lr
-        for _ in range(30):
-            cand1 = beta1 + step_lr * g1 / n
-            base_new, rb_new = state.base_of(cand1)
-            q_new, w_new = state.q_and_w(base_new, rb_new, beta0)
-            if q_new >= q - tol:
-                beta1, base, rb, q, w = cand1, base_new, rb_new, q_new, w_new
-                break
-            step_lr *= 0.5
+        for block in (0, 1):  # beta0, then beta1
+            grad = _gating_grads(X, setup, w)[block]
+            step_lr = lr
+            for _ in range(30):
+                cand = list(params)
+                cand[block] = params[block] + step_lr * grad / n
+                q_new, w_new = _gating_pass(X, setup, *cand)
+                if q_new >= q - tol:
+                    params, q, w = cand, q_new, w_new
+                    break
+                step_lr *= 0.5
+    beta0, beta1 = params
     comps = tuple(
         (GateParams(beta0[i], beta1[i]), expert)
         for i, (_, expert) in enumerate(G.components)

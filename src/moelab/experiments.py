@@ -47,6 +47,8 @@ class LossSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidArgumentError(f"metric must be one of {METRICS}")
+        if self.terms is not None and self.metric != "d1":
+            raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
 
 
 @dataclass(frozen=True)

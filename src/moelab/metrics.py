@@ -252,7 +252,10 @@ def loss_d3(G_fit, G_true, K, *, renormalize=False, subsets=None) -> LossReport:
 def voronoi_loss(G_fit, G_true, K, metric, *, rbar_policy="exact", renormalize=False,
                  terms=None, subsets=None) -> LossReport:
     """D1, D2 or D3 by name; ``rbar_policy`` sets D2's exponents and ``terms``
-    restricts D1's summands (D2 and D3 take every term)."""
+    restricts D1's summands.  D2 and D3 take every term, so ``terms`` with
+    them is an error."""
+    if terms is not None and metric in ("d2", "d3"):
+        raise InvalidArgumentError(f"loss terms restrict D1 only, not {metric}")
     common = dict(renormalize=renormalize, subsets=subsets)
     if metric == "d1":
         return loss_d1(G_fit, G_true, K, terms=ALL_TERMS if terms is None else terms, **common)
@@ -286,7 +289,7 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
     return np.linspace(lo - 8.0 * sig_max, hi + 8.0 * sig_max, n_points)
 
 
-# x rows scored per pass of expected_hellinger.  Its (rows, k, y points)
+# x rows scored per pass of expected_hellinger.  Its (k, rows, y points)
 # temporaries take about 2 MiB at k = 3 and the default 2001-point grid;
 # blocks of 8 and 32 rows ran slower than 16.
 HELLINGER_BLOCK = 16
@@ -299,8 +302,8 @@ def _hellinger_rows(G_a, K_a, G_b, K_b, X, y_grid) -> np.ndarray:
         raise InvalidArgumentError("y_grid needs at least 2 points")
     if np.any(np.diff(y_grid) <= 0):
         raise InvalidArgumentError("y_grid must be strictly increasing")
-    root_a = np.sqrt(np.exp(log_joint(G_a, X, y_grid[None, :], K_a)).sum(axis=1))
-    root_b = np.sqrt(np.exp(log_joint(G_b, X, y_grid[None, :], K_b)).sum(axis=1))
+    root_a = np.sqrt(np.exp(log_joint(G_a, X, y_grid[None, :], K_a)).sum(axis=0))
+    root_b = np.sqrt(np.exp(log_joint(G_b, X, y_grid[None, :], K_b)).sum(axis=0))
     h2 = 0.5 * np.trapezoid((root_a - root_b) ** 2, y_grid, axis=-1)
     return np.sqrt(np.clip(h2, 0.0, 1.0))
 

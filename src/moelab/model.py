@@ -12,6 +12,10 @@ Conventions used throughout the library:
 * All density work is done in the log domain with max-subtraction, through
   one kernel, :func:`log_joint`: log gate weight plus expert log density per
   component, -inf outside the top-K selection.
+* Components sit on axis 0: an array over components and inputs is (k, n),
+  or (k, n, m) with m responses per input, and sums over components reduce
+  axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
+  k = 3 components takes about 50 times longer on (n, k) than on (k, n).
 """
 
 from __future__ import annotations
@@ -240,38 +244,45 @@ def _as_rows(X, d: int) -> np.ndarray:
 
 
 def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
-    """Row-wise top-K mask for a (n, k) logit matrix, stable tie-break."""
-    if K == logits.shape[1]:
+    """Top-K mask of a (k, n) logit matrix, one selection per input.
+
+    Component i ranks behind every j with a larger logit and every j < i with
+    an equal one, and is selected iff fewer than K rank ahead of it: the
+    order of a stable descending sort, ties to the smaller index.
+    """
+    k = logits.shape[0]
+    if K == k:
         return np.ones(logits.shape, dtype=bool)
-    order = np.argsort(-logits, axis=1, kind="stable")[:, :K]
-    mask = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(mask, order, True, axis=1)
-    return mask
+    ahead = np.zeros(logits.shape, dtype=np.intp)
+    for j in range(k):
+        ahead[:j] += logits[j] > logits[:j]
+        ahead[j + 1 :] += logits[j] >= logits[j + 1 :]
+    return ahead < K
 
 
 def _masked_logsumexp(scores: np.ndarray) -> np.ndarray:
-    """Logsumexp over axis 1, the components, of scores that may hold -inf.
+    """Logsumexp over axis 0, the components, of scores that may hold -inf.
 
-    Every row must keep at least one finite entry (the gate always selects
-    one expert), so the row max is finite and exp(-inf - max) underflows to 0.
+    Every input must keep at least one finite entry (the gate always selects
+    one expert), so the max is finite and exp(-inf - max) underflows to 0.
     """
-    m = np.max(scores, axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(scores - m), axis=1))
+    m = np.max(scores, axis=0)
+    return m + np.log(np.sum(np.exp(scores - m), axis=0))
 
 
 def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
-    """Log gate weights for a batch of inputs, shape (n, k).
+    """Log gate weights for a batch of inputs, shape (k, n).
 
-    Entries outside the per-row top-K selection are -inf.  The ranking uses
-    the slopes only; the bias is added before the softmax.
+    Entries outside the per-input top-K selection are -inf.  The ranking
+    uses the slopes only; the bias is added before the softmax.
     """
     X = _as_rows(X, G.d)
     if not 1 <= K <= G.k:
         raise InvalidArgumentError(f"K must satisfy 1 <= K <= {G.k}, got {K}")
-    logits = X @ G.beta1.T
+    logits = G.beta1 @ X.T
     mask = _selection_mask(logits, K)
-    scores = np.where(mask, logits + G.beta0[None, :], -np.inf)
-    return scores - _masked_logsumexp(scores)[:, None]
+    scores = np.where(mask, logits + G.beta0[:, None], -np.inf)
+    return scores - _masked_logsumexp(scores)
 
 
 def _log_density_from_z(family: str, z: np.ndarray, sigma, dof: float) -> np.ndarray:
@@ -291,24 +302,25 @@ def _log_density_from_z(family: str, z: np.ndarray, sigma, dof: float) -> np.nda
 def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
     """Per-expert log densities log f(y | a_i.x + b_i, sigma_i).
 
-    ``y`` is (n,), one response per row of ``X``, giving shape (n, k); or
-    (n, m) / (1, m), m responses per row, giving (n, k, m).  Components sit
-    on axis 1 either way, so reductions over them run along a long axis.
+    ``y`` is (n,), one response per row of ``X``, giving shape (k, n); or
+    (n, m) / (1, m), m responses per row, giving (k, n, m).  Components sit
+    on axis 0 either way, so a reduction over them adds whole slices.
     """
     X = _as_rows(X, G.d)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
         raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
-    mu, sigma = X @ G.a.T + G.b, G.sigma
+    mu, sigma = G.a @ X.T + G.b[:, None], G.sigma[:, None]
     if y.ndim == 2:
-        mu, sigma = mu[:, :, None], sigma[:, None]
-    z = (y[:, None] - mu) / sigma
+        mu, sigma = mu[:, :, None], sigma[:, :, None]
+    z = (y - mu) / sigma
     return _log_density_from_z(G.family, z, sigma, G.dof)
 
 
 def log_joint(G: MixingMeasure, X, y, K: int) -> np.ndarray:
     """log gate_i(x) + log f(y | expert i) for every component i, -inf outside
-    the top-K selection at x; shaped as :func:`expert_log_density_matrix`.
+    the top-K selection at x; shaped as :func:`expert_log_density_matrix`,
+    components on axis 0: (k, n) for paired y, (k, n, m) for a y grid.
 
     The gate is evaluated once per row of ``X``, so a y grid of shape (1, m)
     is scored against every row without repeating it.
@@ -365,11 +377,9 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     sampler = uniform_box_sampler(bounds)
     rng = np.random.default_rng(seed)
     X = sampler(rng, n)
-    logw = gate_log_weights(G, X, K)
-    w = np.exp(logw)
-    cdf = np.cumsum(w, axis=1)
+    cdf = np.cumsum(np.exp(gate_log_weights(G, X, K)), axis=0)
     u = rng.random(n)
-    idx = np.sum(cdf < u[:, None], axis=1)
+    idx = np.sum(cdf < u, axis=0)
     idx = np.minimum(idx, G.k - 1)
     mu = np.sum(X * G.a[idx], axis=1) + G.b[idx]
     sig = G.sigma[idx]

@@ -44,7 +44,7 @@ class RegionSpec:
 
 def region_of(G: MixingMeasure, x, K: int) -> RegionSpec:
     """The region spec whose selected set wins the top-K ranking at x."""
-    selected = np.isfinite(gate_log_weights(G, np.reshape(x, (1, -1)), K)[0])
+    selected = np.isfinite(gate_log_weights(G, np.reshape(x, (1, -1)), K)[:, 0])
     return RegionSpec(selected=np.flatnonzero(selected), complement=np.flatnonzero(~selected))
 
 
@@ -70,10 +70,10 @@ def region_mass(G: MixingMeasure, spec: RegionSpec, K: int, sampler, n_mc: int, 
         raise InvalidArgumentError("n_mc must be >= 1")
     rng = np.random.default_rng(seed)
     X = np.asarray(sampler(rng, n_mc), dtype=float)
-    mask = _selection_mask(X @ G.beta1.T, K)
+    mask = _selection_mask(G.beta1 @ X.T, K)
     target = np.zeros(G.k, dtype=bool)
     target[list(spec.selected)] = True
-    return float(np.mean(np.all(mask == target[None, :], axis=1)))
+    return float(np.mean(np.all(mask == target[:, None], axis=0)))
 
 
 def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0, threshold=None):
@@ -85,9 +85,9 @@ def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0, 
         threshold = 2.0 / n_mc
     rng = np.random.default_rng(seed)
     X = np.asarray(sampler(rng, n_mc), dtype=float)
-    mask = _selection_mask(X @ G.beta1.T, K)
+    mask = _selection_mask(G.beta1 @ X.T, K)
     counts = {}
-    for row in mask:
+    for row in mask.T:
         key = tuple(np.nonzero(row)[0].tolist())
         counts[key] = counts.get(key, 0) + 1
     return sorted(key for key, cnt in counts.items() if cnt / n_mc >= threshold)
@@ -114,15 +114,15 @@ def partition_match_rate(
         raise InvalidArgumentError("n_mc must be >= 1")
     rng = np.random.default_rng(seed)
     X = np.asarray(sampler(rng, n_mc), dtype=float)
-    true_mask = _selection_mask(X @ G_true.beta1.T, K)
-    fit_mask = _selection_mask(X @ G_fit.beta1.T, K_bar)
+    true_mask = _selection_mask(G_true.beta1 @ X.T, K)
+    fit_mask = _selection_mask(G_fit.beta1 @ X.T, K_bar)
     if assignment is None:
         if G_fit.k != G_true.k or K_bar != K:
             raise InvalidArgumentError("identity comparison needs k'=k* and K_bar=K")
-        return float(np.mean(np.all(fit_mask == true_mask, axis=1)))
+        return float(np.mean(np.all(fit_mask == true_mask, axis=0)))
     cell_matrix = np.zeros((G_true.k, G_fit.k), dtype=bool)
     for j, cell in enumerate(assignment.cells):
         for i in cell:
             cell_matrix[j, i] = True
-    target = true_mask @ cell_matrix  # boolean or over the selected cells
-    return float(np.mean(np.all(fit_mask == target, axis=1)))
+    target = cell_matrix.T @ true_mask  # boolean or over the selected cells
+    return float(np.mean(np.all(fit_mask == target, axis=0)))

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-The two 240-fit rate sweeps dominate the runtime (a few minutes on one core).
+The two 240-fit rate sweeps dominate the runtime: the module takes about
+110 s on a 2-core x86 host, 65 s of it in criterion 1's sweep.
 Set MOELAB_ACCEPTANCE=skip to exclude this module.
 """
 
@@ -291,9 +292,9 @@ def test_criterion_9_em_correctness_suite(truth):
         k, d, n = 3, 2, 50
         G = random_measure(rng, k, d)
         X = rng.uniform(-1, 1, size=(n, d))
-        mask = ml.model._selection_mask(X @ G.beta1.T, 2)
-        resp = np.where(mask, rng.random((n, k)), 0.0)
-        resp /= resp.sum(axis=1, keepdims=True)
+        mask = ml.model._selection_mask(G.beta1 @ X.T, 2)
+        resp = np.where(mask, rng.random((n, k)).T, 0.0)
+        resp /= resp.sum(axis=0)
         g0, g1 = em.gating_gradients(X, resp, mask, G.beta0, G.beta1)
         h = 1e-6
         for i in range(k):

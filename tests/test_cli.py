@@ -240,6 +240,13 @@ class TestMalformedInput:
         cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
         self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
 
+    @pytest.mark.parametrize("metric", ["d2", "d3", "hellinger"])
+    def test_loss_terms_outside_d1(self, tmp_path, metric, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + f"metric = {metric}\nloss_terms = a,b,sigma\n\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("bounds", ["0,x", "0,1,2", "0,1;0,1"])
     def test_bad_bounds(self, tmp_path, truth_file, bounds, capsys):
         self.assert_clean_error(

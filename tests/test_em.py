@@ -11,6 +11,37 @@ def small_data(bench_truth, n=400, K=2, seed=0):
     return ml.sample_dataset(bench_truth, K, n, seed=seed)
 
 
+def reference_block_ascent(X, resp, K, G, lr, steps):
+    """The gating M-step as first-order block ascent on the surrogate with the
+    selection frozen at G: per step a beta0 then a beta1 gradient proposal,
+    each halved up to 30 times until the surrogate does not decrease."""
+    n = X.shape[0]
+    mask = ml.model._selection_mask(G.beta1 @ X.T, K)
+    beta0, beta1 = G.beta0, G.beta1
+    q = em.gating_surrogate(X, resp, mask, beta0, beta1)
+    tol = 1e-12 * max(1.0, abs(q))
+    for _ in range(steps):
+        g0, _ = em.gating_gradients(X, resp, mask, beta0, beta1)
+        step_lr = lr
+        for _ in range(30):
+            cand0 = beta0 + step_lr * g0 / n
+            q_new = em.gating_surrogate(X, resp, mask, cand0, beta1)
+            if q_new >= q - tol:
+                beta0, q = cand0, q_new
+                break
+            step_lr *= 0.5
+        _, g1 = em.gating_gradients(X, resp, mask, beta0, beta1)
+        step_lr = lr
+        for _ in range(30):
+            cand1 = beta1 + step_lr * g1 / n
+            q_new = em.gating_surrogate(X, resp, mask, beta0, cand1)
+            if q_new >= q - tol:
+                beta1, q = cand1, q_new
+                break
+            step_lr *= 0.5
+    return beta0, beta1
+
+
 class TestInitMeasure:
     def test_zero_noise_copies_truth(self, bench_truth):
         spec = em.InitSpec(bench_truth, (0, 1), noise_std=0.0)
@@ -53,7 +84,7 @@ class TestEStep:
         data = small_data(bench_truth, K=1)
         resp = em.e_step(data, bench_truth, 1)
         assert set(np.unique(resp).tolist()) <= {0.0, 1.0}
-        np.testing.assert_array_equal(resp.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(resp.sum(axis=0), 1.0)
 
     def test_identical_experts_split_evenly(self):
         G = ml.MixingMeasure.from_arrays(
@@ -70,7 +101,7 @@ class TestEStep:
         data = small_data(bench_truth, n=200, K=2, seed=seed)
         K = int(rng.integers(1, 5))
         resp = em.e_step(data, G, K)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, atol=1e-12)
         logw = ml.model.gate_log_weights(G, data.x, K)
         assert np.array_equal(resp == 0.0, np.isneginf(logw)) or np.all(
             (resp > 0) <= np.isfinite(logw)
@@ -83,7 +114,7 @@ class TestMStepExperts:
         y = 2.0 * x[:, 0] + 1.0
         data = ml.Dataset(x=x, y=y)
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
-        resp = np.ones((60, 1))
+        resp = np.ones((1, 60))
         out = em.m_step_experts(data, resp, G)
         a, b, sig = out.components[0][1].a[0], out.components[0][1].b, out.components[0][1].sigma
         assert a == pytest.approx(2.0, abs=1e-9)
@@ -93,7 +124,7 @@ class TestMStepExperts:
     def test_two_point_least_squares(self):
         data = ml.Dataset(x=np.array([[0.0], [1.0]]), y=np.array([0.0, 1.0]))
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
-        out = em.m_step_experts(data, np.ones((2, 1)), G)
+        out = em.m_step_experts(data, np.ones((1, 2)), G)
         assert out.components[0][1].a[0] == pytest.approx(1.0, abs=1e-9)
         assert out.components[0][1].b == pytest.approx(0.0, abs=1e-9)
 
@@ -103,14 +134,14 @@ class TestMStepExperts:
         y = np.full(50, 2.0)
         data = ml.Dataset(x=x, y=y, bounds=[[0.0, 1.0]])
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
-        out = em.m_step_experts(data, np.ones((50, 1)), G)
+        out = em.m_step_experts(data, np.ones((1, 50)), G)
         e = out.components[0][1]
         assert e.a[0] * 0.4 + e.b == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_mass_component_unchanged(self, bench_truth):
         data = small_data(bench_truth, n=100)
-        resp = np.zeros((100, 2))
-        resp[:, 0] = 1.0
+        resp = np.zeros((2, 100))
+        resp[0] = 1.0
         out = em.m_step_experts(data, resp, bench_truth)
         assert out.components[1][1] == bench_truth.components[1][1]
 
@@ -169,11 +200,32 @@ class TestMStepGating:
         data = small_data(bench_truth, n=300)
         G = random_measure(rng, 3, 1)
         resp = em.e_step(data, G, 2)
-        mask = ml.model._selection_mask(data.x @ G.beta1.T, 2)
+        mask = ml.model._selection_mask(G.beta1 @ data.x.T, 2)
         q0 = em.gating_surrogate(data.x, resp, mask, G.beta0, G.beta1)
         out = em.m_step_gating(data, resp, G, 2, lr=2.0, steps=5)
         q1 = em.gating_surrogate(data.x, resp, mask, out.beta0, out.beta1)
         assert q1 >= q0 - 1e-9
+
+    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d"])
+    def test_matches_reference_block_ascent(self, case, bench_truth):
+        # m_step_gating runs the first-order block ascent written out below
+        # from the public surrogate and its gradients alone
+        if case == "dense-1d":
+            truth, plan, K, lr, steps, bounds = bench_truth, (0, 1, 1), 3, 2.0, 2, None
+        else:
+            truth = ml.true_measure(
+                [-0.5, 0.3, 0.0], [[4.0, 0.0], [-2.0, 3.5], [0.0, 0.0]],
+                [[2.0, -1.0], [-1.5, 2.0], [0.5, 0.5]], [1.0, -1.0, 0.0], [0.3, 0.4, 0.5],
+            )
+            plan, K, lr, steps, bounds = (0, 1, 2), 2, 0.1, 5, [[-1.0, 1.0], [-1.0, 1.0]]
+        data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
+        G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
+        resp = em.e_step(data, G, K)
+        out = em.m_step_gating(data, resp, G, K, lr=lr, steps=steps)
+        beta0, beta1 = reference_block_ascent(data.x, resp, K, G, lr, steps)
+        assert not np.allclose(out.beta1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
+        np.testing.assert_allclose(out.beta0, beta0, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.beta1, beta1, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
@@ -182,10 +234,10 @@ class TestMStepGating:
         k, d, n = 3, 2, 60
         G = random_measure(rng, k, d)
         X = rng.uniform(-1, 1, size=(n, d))
-        resp_raw = rng.random((n, k))
-        mask = ml.model._selection_mask(X @ G.beta1.T, 2)
+        resp_raw = rng.random((n, k)).T
+        mask = ml.model._selection_mask(G.beta1 @ X.T, 2)
         resp = np.where(mask, resp_raw, 0.0)
-        resp /= resp.sum(axis=1, keepdims=True)
+        resp /= resp.sum(axis=0)
         g0, g1 = em.gating_gradients(X, resp, mask, G.beta0, G.beta1)
         h = 1e-6
         for i in range(k):

@@ -115,6 +115,17 @@ class TestLossD1:
         expert_only = ml.loss_d1(G_fit, bench_truth, 2, terms=("a", "b", "sigma"))
         assert expert_only.value < full.value
 
+    def test_terms_rejected_for_d2_d3(self, bench_truth):
+        # D2 and D3 score every term; a restriction must not be dropped silently
+        rng = np.random.default_rng(3)
+        G_fit = perturbed(bench_truth, rng, 0.1)
+        restricted = ml.voronoi_loss(G_fit, bench_truth, 2, "d1", terms=("a",))
+        assert restricted.value < ml.voronoi_loss(G_fit, bench_truth, 2, "d1").value
+        for metric in ("d2", "d3"):
+            ml.voronoi_loss(G_fit, bench_truth, 2, metric)
+            with pytest.raises(ml.InvalidArgumentError, match="D1 only"):
+                ml.voronoi_loss(G_fit, bench_truth, 2, metric, terms=("a",))
+
     def test_renormalize_removes_common_shift(self, bench_truth):
         # a pure softmax shift of the gating biases is invisible to the
         # renormalized weight terms

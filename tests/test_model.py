@@ -26,8 +26,9 @@ def reference_log_density(family, y, mu, sigma, dof):
 
 def reference_log_joint(G, X, y, K):
     """Component by component: rank the slope logits (ties to the smaller
-    index), softmax over the K selected, add the expert's scipy log density."""
-    out = np.full((len(X), G.k), -np.inf)
+    index), softmax over the K selected, add the expert's scipy log density.
+    Shape (k, n), components first."""
+    out = np.full((G.k, len(X)), -np.inf)
     for j, (x, yj) in enumerate(zip(X, y)):
         logits = [float(gate.beta1 @ x) for gate, _ in G.components]
         selected = sorted(sorted(range(G.k), key=lambda i: (-logits[i], i))[:K])
@@ -37,12 +38,21 @@ def reference_log_joint(G, X, y, K):
         for i in selected:
             expert = G.components[i][1]
             mu = float(expert.a @ x + expert.b)
-            out[j, i] = scores[i] - lse + reference_log_density(G.family, yj, mu, expert.sigma, G.dof)
+            out[i, j] = scores[i] - lse + reference_log_density(G.family, yj, mu, expert.sigma, G.dof)
     return out
 
 
 def gate_probs(G, x, K):
-    return np.exp(ml.gate_log_weights(G, np.reshape(x, (1, -1)), K)[0])
+    return np.exp(ml.gate_log_weights(G, np.reshape(x, (1, -1)), K)[:, 0])
+
+
+def stable_argsort_mask(logits, K):
+    """Top-K of each column of (k, n) logits by a stable descending argsort,
+    so ties go to the smaller index."""
+    order = np.argsort(-logits, axis=0, kind="stable")[:K]
+    mask = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(mask, order, True, axis=0)
+    return mask
 
 
 class TestGateSelection:
@@ -52,8 +62,19 @@ class TestGateSelection:
 
     def test_tie_break_by_index(self):
         G = ml.MixingMeasure.from_arrays([0, 0, 0], [[0], [0], [0]], [[1], [2], [3]], [0, 0, 0], [1, 1, 1])
-        logw = ml.gate_log_weights(G, [[0.4]], 2)[0]
+        logw = ml.gate_log_weights(G, [[0.4]], 2)[:, 0]
         assert np.isfinite(logw).tolist() == [True, True, False]
+        # random logits with forced exact ties, +0.0 against -0.0 among them
+        rng = np.random.default_rng(0)
+        for k in (2, 3, 4, 6, 24):
+            logits = np.concatenate([
+                rng.normal(size=(k, 40)),
+                rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(k, 200)),
+                rng.choice([-0.0, 0.0], size=(k, 40)),
+            ], axis=1)
+            assert np.any(np.signbit(logits) & (logits == 0.0)) and np.any(~np.signbit(logits) & (logits == 0.0))
+            for K in range(1, k + 1):
+                np.testing.assert_array_equal(ml.model._selection_mask(logits, K), stable_argsort_mask(logits, K))
 
     def test_benchmark_gating_logits(self, bench_truth):
         # logits at x=0.5 are (12.5, 0); the steep component wins top-1
@@ -198,7 +219,7 @@ class TestLogJoint:
         # a y grid shared by every row scores each (x, y) pair as paired y does
         grid = np.linspace(-6.0, 6.0, 5)
         got = ml.log_joint(G, X, grid[None, :], K)
-        assert got.shape == (7, k, 5)
+        assert got.shape == (k, 7, 5)
         for m, yv in enumerate(grid):
             np.testing.assert_allclose(got[:, :, m], reference_log_joint(G, X, np.full(7, yv), K),
                                        rtol=1e-12, atol=1e-12)
@@ -208,7 +229,7 @@ class TestLogJoint:
         y = np.array([1.0, 5.0, -3.0])
         joint = ml.log_joint(bench_truth, X, y, 2)
         np.testing.assert_allclose(ml.conditional_log_density(bench_truth, 2, X, y),
-                                   np.log(np.exp(joint).sum(axis=1)), rtol=1e-12)
+                                   np.log(np.exp(joint).sum(axis=0)), rtol=1e-12)
 
 
 class TestConditionalLogDensity:

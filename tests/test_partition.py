@@ -26,15 +26,23 @@ class TestRegionOf:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_gate_support(self, seed):
-        # the region's selected set is exactly the gate's nonzero support
+        # the region's selected set is exactly the gate's nonzero support and
+        # the stable-argsort top-K, also at exactly tied slope logits
         rng = np.random.default_rng(seed)
         G = random_measure(rng, 4, 2)
         x = rng.normal(size=2)
-        K = int(rng.integers(1, 5))
-        spec = ml.region_of(G, x, K)
-        logw = ml.gate_log_weights(G, [x], K)[0]
-        assert spec.selected == tuple(np.flatnonzero(np.isfinite(logw)))
-        assert spec.selected == tuple(np.sort(np.argsort(-(G.beta1 @ x), kind="stable")[:K]))
+        cases = [(G, x, int(rng.integers(1, 5)))]
+        for k in (2, 3, 4, 6, 24):
+            slopes = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(k, 2))
+            G = ml.MixingMeasure.from_arrays(rng.normal(size=k), slopes, rng.normal(size=(k, 2)),
+                                             rng.normal(size=k), np.ones(k))
+            x = rng.choice([0.5, 1.0, 2.0], size=2)
+            cases += [(G, x, K) for K in range(1, k + 1)]
+        for G, x, K in cases:
+            spec = ml.region_of(G, x, K)
+            logw = ml.gate_log_weights(G, [x], K)[:, 0]
+            assert spec.selected == tuple(np.flatnonzero(np.isfinite(logw)))
+            assert spec.selected == tuple(np.sort(np.argsort(-(G.beta1 @ x), kind="stable")[:K]))
 
 
 class TestEnumerateRegions:
