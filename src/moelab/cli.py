@@ -17,13 +17,13 @@ import numpy as np
 
 from . import em, experiments, metrics, partition, polysys
 from .errors import InvalidArgumentError, MoeError
+from .experiments import _parse_bounds
 from .model import (
     Dataset,
     measure_from_text,
     measure_to_text,
     sample_dataset,
     uniform_box_sampler,
-    unit_box,
 )
 
 
@@ -46,18 +46,6 @@ def _write_dataset(data: Dataset, path):
     rows = ["\t".join(format(v, ".17g") for v in (*data.x[i], data.y[i])) for i in range(data.n)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-def _parse_bounds(text, d):
-    if text is None:
-        return unit_box(d)
-    try:
-        bounds = np.array([[float(v) for v in part.split(",")] for part in text.split(";")])
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad --bounds {text!r}: {exc}") from exc
-    if bounds.shape != (d, 2):
-        raise InvalidArgumentError(f"--bounds needs one lo,hi pair per dimension (d={d}), got {text!r}")
-    return bounds
 
 
 def cmd_gen(args):
@@ -160,30 +148,28 @@ def cmd_partition_check(args):
 def cmd_polysys(args):
     inst = polysys.PolySystemInstance(m=args.m, d=args.d, r=args.r)
     if args.search:
-        cand = polysys.search_nontrivial(
-            inst, restarts=args.restarts, seed=args.seed, convention=args.convention
-        )
+        cand = polysys.search_nontrivial(inst, restarts=args.restarts, seed=args.seed)
         if cand is None:
             print(f"no non-trivial solution found (m={args.m}, d={args.d}, r={args.r}, "
                   f"restarts={args.restarts}); absence is not a proof of insolvability")
             return 0
         print(f"verified non-trivial solution, max |residual| = "
-              f"{polysys.max_abs_residual(inst, cand, args.convention):.3e}")
+              f"{polysys.max_abs_residual(inst, cand):.3e}")
         for name in ("z1", "z2", "z3", "z4", "z5"):
             print(f"{name} = {np.asarray(getattr(cand, name)).tolist()}")
-        _print_residual_table(inst, cand, args.convention)
+        _print_residual_table(inst, cand)
         return 0
     if args.m != 2:
         print("the built-in constructive witness exists for m=2 only", file=sys.stderr)
         return 1
     cand = polysys.constructive_witness_m2(c=args.witness_c, d=args.d)
-    _print_residual_table(inst, cand, args.convention)
+    _print_residual_table(inst, cand)
     return 0
 
 
-def _print_residual_table(inst, cand, convention):
+def _print_residual_table(inst, cand):
     print("eta1\teta2\tresidual")
-    for eta1, eta2, value in polysys.residual_table(inst, cand, convention):
+    for eta1, eta2, value in polysys.residual_table(inst, cand):
         eta1_s = ",".join(str(e) for e in eta1)
         print(f"{eta1_s}\t{eta2}\t{format(value, '.17g')}")
 
@@ -287,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--m", type=int, required=True)
     ps.add_argument("--d", type=int, default=1)
     ps.add_argument("--r", type=int, required=True)
-    ps.add_argument("--convention", choices=("scale-doubled", "scale-single"), default="scale-doubled")
     ps.add_argument("--search", action="store_true")
     ps.add_argument("--restarts", type=int, default=50)
     ps.add_argument("--seed", type=int, required=True)

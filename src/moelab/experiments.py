@@ -4,7 +4,7 @@ Reproducibility contract: every per-(n, replicate) seed is a stable 64-bit
 hash of (base_seed, n, replicate, role), so adding sample sizes never
 reshuffles existing replicates and the emitted CSV is byte-identical across
 runs and parallelism levels.  Wall-clock timing is therefore left out of the
-rows unless explicitly requested.
+rows.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class SweepConfig:
     gating_steps_per_m: int = 5
     parallelism: int = 1
     bounds: np.ndarray = None
-    record_timing: bool = False
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sample_sizes)
@@ -90,7 +89,6 @@ class SweepRow:
     loglik: float
     iterations: int
     converged: bool
-    wallclock_ms: float = None
     # the fitted measure itself; kept in memory for re-scoring, never in the CSV
     measure: MixingMeasure = None
 
@@ -165,14 +163,12 @@ def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
             n=n, replicate=rep, seed=seed, loss=loss,
             loglik=float(result.loglik_trace[-1]),
             iterations=result.iterations, converged=result.converged,
-            wallclock_ms=result.wallclock * 1e3 if cfg.record_timing else None,
             measure=result.measure,
         )
     except MoeError:
         return SweepRow(
             n=n, replicate=rep, seed=seed, loss=math.nan, loglik=math.nan,
             iterations=0, converged=False,
-            wallclock_ms=0.0 if cfg.record_timing else None,
         )
 
 
@@ -266,7 +262,7 @@ def fit_slope(rows, per_row: bool = False):
 # CSV
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "n,replicate,seed,loss,loglik,iterations,converged,wallclock_ms"
+CSV_HEADER = "n,replicate,seed,loss,loglik,iterations,converged"
 
 
 def _g17(v: float) -> str:
@@ -275,13 +271,12 @@ def _g17(v: float) -> str:
 
 def emit_csv(result: SweepResult, path) -> None:
     """One row per record under the fixed header; 17 significant digits,
-    LF line endings.  Missing wall-clock values are written as empty fields."""
+    LF line endings."""
     lines = [CSV_HEADER]
     for r in result.rows:
-        wall = "" if r.wallclock_ms is None else _g17(r.wallclock_ms)
         lines.append(
             f"{r.n},{r.replicate},{r.seed},{_g17(r.loss)},{_g17(r.loglik)},"
-            f"{r.iterations},{'true' if r.converged else 'false'},{wall}"
+            f"{r.iterations},{'true' if r.converged else 'false'}"
         )
     text = "\n".join(lines) + "\n"
     try:
@@ -310,7 +305,6 @@ def parse_csv(path):
                 n=int(f[0]), replicate=int(f[1]), seed=int(f[2]),
                 loss=float(f[3]), loglik=float(f[4]), iterations=int(f[5]),
                 converged=f[6] == "true",
-                wallclock_ms=None if f[7] == "" else float(f[7]),
             )
         )
     return tuple(rows)
@@ -426,6 +420,20 @@ def emit_svg_loglog(result: SweepResult, path, allow_no_fit: bool = False) -> No
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
+def _parse_bounds(text, d: int) -> np.ndarray:
+    """A ``lo,hi;lo,hi`` box with one pair per input dimension; None is the
+    unit box."""
+    if text is None:
+        return unit_box(d)
+    try:
+        bounds = np.array([[float(v) for v in part.split(",")] for part in text.split(";")])
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad bounds {text!r}: {exc}") from exc
+    if bounds.shape != (d, 2):
+        raise InvalidArgumentError(f"bounds need one lo,hi pair per dimension (d={d}), got {text!r}")
+    return bounds
+
+
 def parse_sweep_config(text: str) -> SweepConfig:
     """key = value lines, plus a ``[truth]`` section holding a measure document."""
     kv = {}
@@ -496,7 +504,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         gating_lr=get("gating_lr", float, 0.1),
         gating_steps_per_m=get("gating_steps_per_m", int, 5),
         parallelism=get("parallelism", int, 1),
-        record_timing=get("record_timing", to_bool, False),
+        bounds=_parse_bounds(kv.get("bounds"), truth.d),
     )
 
 
@@ -512,21 +520,21 @@ def sweep_config_to_text(cfg: SweepConfig) -> str:
         f"rbar = {cfg.loss.rbar_policy}",
         f"renormalize = {'true' if cfg.loss.renormalize else 'false'}",
         f"positive_mass_only = {'true' if cfg.loss.positive_mass_only else 'false'}",
+        f"mass_n_mc = {cfg.loss.mass_n_mc}",
+        f"hellinger_n_mc = {cfg.loss.hellinger_n_mc}",
+        f"y_points = {cfg.loss.y_points}",
         f"noise_std = {_g17(cfg.noise_std)}",
         f"tol = {_g17(cfg.tol)}",
         f"max_iters = {cfg.max_iters}",
         f"gating_lr = {_g17(cfg.gating_lr)}",
         f"gating_steps_per_m = {cfg.gating_steps_per_m}",
         f"parallelism = {cfg.parallelism}",
-        f"record_timing = {'true' if cfg.record_timing else 'false'}",
+        f"bounds = {';'.join(f'{_g17(lo)},{_g17(hi)}' for lo, hi in cfg.bounds)}",
     ]
     if cfg.loss.loss_K is not None:
         lines.append(f"loss_k = {cfg.loss.loss_K}")
     if cfg.loss.terms is not None:
         lines.append(f"loss_terms = {','.join(cfg.loss.terms)}")
-    if cfg.loss.metric == "hellinger":
-        lines.append(f"hellinger_n_mc = {cfg.loss.hellinger_n_mc}")
-        lines.append(f"y_points = {cfg.loss.y_points}")
     lines.append("")
     lines.append("[truth]")
     lines.append(measure_to_text(cfg.truth).rstrip("\n"))

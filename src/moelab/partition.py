@@ -76,21 +76,22 @@ def region_mass(G: MixingMeasure, spec: RegionSpec, K: int, sampler, n_mc: int, 
     return float(np.mean(np.all(mask == target[:, None], axis=0)))
 
 
-def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0, threshold=None):
-    """Selected sets whose estimated region mass clears the measure-zero flag.
+def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):
+    """Selected sets whose estimated region mass clears the measure-zero flag
+    of 2/n_mc, i.e. sets chosen at two or more of the n_mc sampled inputs.
 
-    Returns sorted index tuples; ``threshold`` defaults to 2/n_mc.
+    Returns sorted index tuples.  Each selection is counted by its bit code
+    in an int64, so k is capped at 63.
     """
-    if threshold is None:
-        threshold = 2.0 / n_mc
+    if n_mc < 1:
+        raise InvalidArgumentError("n_mc must be >= 1")
+    if G.k > 63:
+        raise InvalidArgumentError(f"positive_mass_subsets needs k <= 63, got k={G.k}")
     rng = np.random.default_rng(seed)
     X = np.asarray(sampler(rng, n_mc), dtype=float)
-    mask = _selection_mask(G.beta1 @ X.T, K)
-    counts = {}
-    for row in mask.T:
-        key = tuple(np.nonzero(row)[0].tolist())
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(key for key, cnt in counts.items() if cnt / n_mc >= threshold)
+    bits = 1 << np.arange(G.k)
+    codes, counts = np.unique(bits @ _selection_mask(G.beta1 @ X.T, K), return_counts=True)
+    return sorted(tuple(np.flatnonzero(code & bits).tolist()) for code in codes[counts >= 2])
 
 
 def partition_match_rate(

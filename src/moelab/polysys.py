@@ -7,17 +7,11 @@ pair (eta1, eta2) with 0 <= |eta1| <= r, 0 <= eta2 <= r - |eta1| and
     sum_i sum_{alpha in J(eta1, eta2)}
         z5_i^2 z1_i^a1 z2_i^a2 z3_i^a3 z4_i^a4 / (a1! a2! a3! a4!)  =  0
 
-Two variants of the index set J are in circulation, differing in how the
-scale variable's order is counted:
-
-* ``scale-doubled`` (default): a1 + a2 = eta1 and a3 + 2*a4 = eta2 - |a2|.
-  This is what falls out of the derivative bookkeeping, because the scale
-  derivative of the Gaussian equals half its second intercept derivative,
-  so one scale order is worth two intercept orders.
-* ``scale-single``: a1 + a2 = eta1 and a3 + a4 = eta2 - |a2|.
-
-The doubled convention is the default; the other is kept behind the
-``convention`` flag for comparison.
+where the index set J(eta1, eta2) is scale-doubled: it holds every alpha with a1 + a2 = eta1 and
+a3 + 2*a4 = eta2 - |a2|.  One scale order counts as two intercept orders
+because the scale derivative of the Gaussian density equals half its second
+intercept derivative.  So the (eta1, eta2) residual is the coefficient of
+u^eta1 s^eta2 in sum_i z5_i^2 exp(z1_i.u + (z2_i.u) s + z3_i s + z4_i s^2).
 
 A solution is non-trivial when every z5_i is nonzero and at least one z3_i is
 nonzero.  rbar(m) is the smallest order r at which no non-trivial solution
@@ -28,16 +22,14 @@ to find a solution proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import factorial, prod
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import InvalidArgumentError, UnsupportedValueError
-
-SCALE_DOUBLED = "scale-doubled"
-SCALE_SINGLE = "scale-single"
 
 EXACT_RBAR = {2: 4, 3: 6}
 
@@ -103,86 +95,88 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _equations(d: int, r: int) -> list:
+    pure_gate = [(eta1, 0) for s in range(1, r + 1) for eta1 in _compositions(s, d)]
+    pure_expert = [(tuple([0] * d), eta2) for eta2 in range(1, r + 1)]
+    mixed = [
+        (eta1, eta2)
+        for s in range(1, r + 1)
+        for eta1 in _compositions(s, d)
+        for eta2 in range(1, r - s + 1)
+    ]
+    return pure_gate + pure_expert + mixed
+
+
 def enumerate_equations(inst: PolySystemInstance):
     """All (eta1, eta2) pairs of the system, in a fixed deterministic order.
 
     eta1 is a d-tuple.  Order: the pure-eta1 equations by degree, then the
     pure-eta2 ones, then the mixed ones by (|eta1|, eta1, eta2).
     """
-    pure_gate = [
-        (eta1, 0)
-        for s in range(1, inst.r + 1)
-        for eta1 in _compositions(s, inst.d)
-    ]
-    pure_expert = [(tuple([0] * inst.d), eta2) for eta2 in range(1, inst.r + 1)]
-    mixed = [
-        (eta1, eta2)
-        for s in range(1, inst.r + 1)
-        for eta1 in _compositions(s, inst.d)
-        for eta2 in range(1, inst.r - s + 1)
-    ]
-    return pure_gate + pure_expert + mixed
+    return _equations(inst.d, inst.r)
 
 
-def _index_set(eta1, eta2: int, convention: str):
-    """Yield (alpha1, alpha2, alpha3, alpha4) tuples of J(eta1, eta2)."""
-    eta1 = tuple(int(e) for e in eta1)
-    ranges = [range(e + 1) for e in eta1]
-    for alpha2 in product(*ranges):
-        alpha1 = tuple(e - a for e, a in zip(eta1, alpha2))
-        rem = eta2 - sum(alpha2)
-        if rem < 0:
-            continue
-        if convention == SCALE_DOUBLED:
+@lru_cache(maxsize=None)
+def _coefficient_table(d: int, r: int):
+    """The order-r system in dimension d as one row per term of J.
+
+    Returns ({(eta1, eta2): equation number}, the (2d + 2, terms) exponents
+    of (z1_1, z2_1, ..., z1_d, z2_d, z3, z4), each term's alpha! and each
+    term's equation number.  Equations run in enumerate_equations order, the
+    terms of each in index-set order.  The table does not depend on m.
+    """
+    eqs = _equations(d, r)
+    exps, denoms, rows = [], [], []
+    for row, (eta1, eta2) in enumerate(eqs):
+        for alpha2 in product(*(range(e + 1) for e in eta1)):
+            alpha1 = tuple(e - a for e, a in zip(eta1, alpha2))
+            rem = eta2 - sum(alpha2)
             for alpha4 in range(rem // 2 + 1):
-                yield alpha1, alpha2, rem - 2 * alpha4, alpha4
-        elif convention == SCALE_SINGLE:
-            for alpha4 in range(rem + 1):
-                yield alpha1, alpha2, rem - alpha4, alpha4
-        else:
-            raise InvalidArgumentError(f"unknown convention {convention!r}")
+                alpha3 = rem - 2 * alpha4
+                exps.append((*chain.from_iterable(zip(alpha1, alpha2)), alpha3, alpha4))
+                denoms.append(prod(map(factorial, (*alpha1, *alpha2, alpha3, alpha4))))
+                rows.append(row)
+    index = {eq: i for i, eq in enumerate(eqs)}
+    return index, np.array(exps).T, np.array(denoms, dtype=float), np.array(rows)
 
 
-def residual(inst: PolySystemInstance, cand: PolyCandidate, eta1, eta2: int, convention: str = SCALE_DOUBLED) -> float:
-    """Exact left-hand side of the (eta1, eta2) equation at the candidate."""
+def _residuals(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
+    """Every equation's residual, in enumerate_equations order.
+
+    Rounds exactly as summing one equation's terms at a time does: each power
+    is ``column ** p`` with an int p, a term multiplies z5^2 by its factors in
+    table order, sums over components and is divided by alpha!, and an
+    equation adds its terms in index-set order.
+    """
     if cand.m != inst.m or cand.d != inst.d:
         raise InvalidArgumentError("candidate dimensions do not match the instance")
-    eta1 = tuple(int(e) for e in np.atleast_1d(eta1))
-    if len(eta1) != inst.d:
-        raise InvalidArgumentError(f"eta1 must have length d={inst.d}")
-    total = 0.0
-    w = cand.z5**2
-    for alpha1, alpha2, alpha3, alpha4 in _index_set(eta1, eta2, convention):
-        denom = (
-            prod(factorial(c) for c in alpha1)
-            * prod(factorial(c) for c in alpha2)
-            * factorial(alpha3)
-            * factorial(alpha4)
+    _, exps, denoms, rows = _coefficient_table(inst.d, inst.r)
+    cols = np.column_stack([np.dstack([cand.z1, cand.z2]).reshape(inst.m, -1), cand.z3, cand.z4]).T
+    powers = np.stack([np.ones_like(cols)] + [cols**p for p in range(1, inst.r + 1)])
+    powers[:, 0] *= cand.z5**2  # every product starts with z5^2 times its first factor
+    terms = np.prod(powers[exps, np.arange(len(cols))[:, None]], axis=0)
+    return np.bincount(rows, weights=terms.sum(axis=1) / denoms)
+
+
+def residual(inst: PolySystemInstance, cand: PolyCandidate, eta1, eta2: int) -> float:
+    """Exact left-hand side of the (eta1, eta2) equation at the candidate."""
+    eq = (tuple(np.atleast_1d(eta1).tolist()), eta2)
+    index = _coefficient_table(inst.d, inst.r)[0]
+    if eq not in index:
+        raise InvalidArgumentError(
+            f"(eta1, eta2) = {eq} is not an equation of the order-{inst.r} system in d={inst.d}"
         )
-        term = w.copy()
-        for c in range(inst.d):
-            if alpha1[c]:
-                term = term * cand.z1[:, c] ** alpha1[c]
-            if alpha2[c]:
-                term = term * cand.z2[:, c] ** alpha2[c]
-        if alpha3:
-            term = term * cand.z3**alpha3
-        if alpha4:
-            term = term * cand.z4**alpha4
-        total += term.sum() / denom
-    return float(total)
+    return float(_residuals(inst, cand)[index[eq]])
 
 
-def residual_table(inst, cand, convention: str = SCALE_DOUBLED):
+def residual_table(inst, cand):
     """(eta1, eta2, residual) rows in enumeration order."""
-    return [
-        (eta1, eta2, residual(inst, cand, eta1, eta2, convention))
-        for eta1, eta2 in enumerate_equations(inst)
-    ]
+    values = _residuals(inst, cand)
+    return [(eta1, eta2, float(v)) for (eta1, eta2), v in zip(enumerate_equations(inst), values)]
 
 
-def max_abs_residual(inst, cand, convention: str = SCALE_DOUBLED) -> float:
-    return float(np.max(np.abs([value for _, _, value in residual_table(inst, cand, convention)])))
+def max_abs_residual(inst, cand) -> float:
+    return float(np.max(np.abs(_residuals(inst, cand))))
 
 
 def search_nontrivial(
@@ -190,7 +184,6 @@ def search_nontrivial(
     restarts: int,
     seed,
     *,
-    convention: str = SCALE_DOUBLED,
     tol: float = 1e-10,
     z3_floor: float = 0.3,
 ):
@@ -205,7 +198,6 @@ def search_nontrivial(
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
     m, d = inst.m, inst.d
-    eqs = enumerate_equations(inst)
     n_gate = m * d
 
     def unpack(vec):
@@ -218,10 +210,8 @@ def search_nontrivial(
 
     def objective(vec):
         cand = unpack(vec)
-        res = [residual(inst, cand, eta1, eta2, convention) for eta1, eta2 in eqs]
         slack = z3_floor**2 - float(np.sum(cand.z3**2))
-        res.append(np.sqrt(max(slack, 0.0)))
-        return np.array(res)
+        return np.append(_residuals(inst, cand), np.sqrt(max(slack, 0.0)))
 
     n_vars = 2 * n_gate + 2 * m + m
     lo = np.full(n_vars, -6.0)
@@ -241,7 +231,7 @@ def search_nontrivial(
         )
         sol = least_squares(objective, x0, bounds=(lo, hi), xtol=1e-15, ftol=1e-15, gtol=1e-15)
         cand = unpack(sol.x)
-        if max_abs_residual(inst, cand, convention) <= tol and cand.is_nontrivial(tol=z3_floor * 0.5):
+        if max_abs_residual(inst, cand) <= tol and cand.is_nontrivial(tol=z3_floor * 0.5):
             return cand
     # every restart failed verification; report nothing rather than a bad candidate
     return None
@@ -282,12 +272,6 @@ def rbar(m: int, policy: str = "exact") -> int:
     if policy == "conjecture":
         return 2 * m
     raise InvalidArgumentError(f"unknown rbar policy {policy!r}")
-
-
-def rbar_provenance(m: int, policy: str = "exact") -> str:
-    """"exact" if the value comes from the published table, else "conjecture"."""
-    rbar(m, policy)
-    return "exact" if policy == "exact" or m in EXACT_RBAR else "conjecture"
 
 
 def rbar_fn(policy: str = "exact"):

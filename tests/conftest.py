@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import moelab as ml
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; deadlines are off because numpy's first calls are slow.
+settings.register_profile("moelab", derandomize=True, deadline=None)
+settings.load_profile("moelab")
 
 
 @pytest.fixture

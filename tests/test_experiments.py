@@ -1,8 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import moelab as ml
 from moelab import experiments as ex
@@ -126,16 +129,6 @@ class TestCsv:
         ex.emit_csv(res, path)
         assert ex.parse_csv(path) == rows
 
-    def test_round_trip_with_timing(self, tmp_path):
-        rows = (
-            ex.SweepRow(n=10, replicate=0, seed=1, loss=0.5, loglik=-1.0,
-                        iterations=3, converged=False, wallclock_ms=12.25),
-        )
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
-        path = tmp_path / "t.csv"
-        ex.emit_csv(res, path)
-        assert ex.parse_csv(path) == rows
-
     def test_two_by_two_has_four_rows(self, tmp_path):
         rows = tuple(synthetic_rows(-1.0, sizes=(10, 100), reps=2))
         res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
@@ -193,14 +186,76 @@ class TestSvg:
         assert "href" not in text  # no external assets
 
 
+def assert_same_config(got, want):
+    """Every SweepConfig field equal; arrays and the truth compared exactly."""
+    for f in fields(ex.SweepConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "truth":
+            assert ml.measure_to_text(a) == ml.measure_to_text(b)
+        elif f.name == "bounds":
+            assert np.array_equal(a, b)
+        else:
+            assert a == b, f.name
+
+
+TRUTHS = (
+    ml.true_measure(beta0=[-8.0, 0.0], beta1=[[25.0], [0.0]], a=[[-20.0], [20.0]],
+                    b=[15.0, -5.0], sigma=[0.3, 0.4]),
+    ml.true_measure(beta0=[0.5, 0.0], beta1=[[1.0, -2.0], [0.0, 0.0]],
+                    a=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 1.0], sigma=[0.5, 1.0]),
+)
+
+
+@st.composite
+def sweep_configs(draw):
+    truth = draw(st.sampled_from(TRUTHS))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    positive = st.floats(1e-12, 1e3, allow_nan=False)
+    metric = draw(st.sampled_from(ex.METRICS))
+    lows = draw(arrays(float, truth.d, elements=finite))
+    loss = ex.LossSpec(
+        metric=metric,
+        rbar_policy=draw(st.sampled_from(("exact", "conjecture"))),
+        loss_K=draw(st.none() | st.integers(1, 5)),
+        renormalize=draw(st.booleans()),
+        terms=draw(st.none() | st.sampled_from((("a",), ("b", "sigma")))) if metric == "d1" else None,
+        positive_mass_only=draw(st.booleans()),
+        mass_n_mc=draw(st.integers(1, 10**6)),
+        hellinger_n_mc=draw(st.integers(1, 10**4)),
+        y_points=draw(st.integers(2, 10**4)),
+    )
+    sizes = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))
+    return ex.SweepConfig(
+        truth=truth, data_K=draw(st.integers(1, 2)), fit_k=draw(st.integers(1, 6)),
+        fit_K=draw(st.integers(1, 6)), sample_sizes=tuple(sizes),
+        replicates=draw(st.integers(1, 50)), base_seed=draw(st.integers(0, 2**63)),
+        loss=loss, noise_std=draw(positive), tol=draw(positive),
+        max_iters=draw(st.integers(1, 10**5)), gating_lr=draw(positive),
+        gating_steps_per_m=draw(st.integers(1, 20)), parallelism=draw(st.integers(1, 8)),
+        bounds=np.column_stack([lows, lows + draw(arrays(float, truth.d, elements=positive))]),
+    )
+
+
 class TestConfigDocument:
     def test_round_trip(self, tiny_cfg):
-        text = ex.sweep_config_to_text(tiny_cfg)
-        cfg2 = ex.parse_sweep_config(text)
-        assert cfg2.sample_sizes == tiny_cfg.sample_sizes
-        assert cfg2.loss == tiny_cfg.loss
-        assert np.array_equal(cfg2.truth.beta1, tiny_cfg.truth.beta1)
-        assert cfg2.base_seed == tiny_cfg.base_seed
+        cfg = replace(
+            tiny_cfg,
+            loss=ex.LossSpec(metric="d1", rbar_policy="conjecture", loss_K=1, renormalize=True,
+                             terms=("a", "b"), positive_mass_only=True, mass_n_mc=5000,
+                             hellinger_n_mc=17, y_points=33),
+            noise_std=0.125, tol=3e-7, max_iters=77, gating_lr=0.3, gating_steps_per_m=2,
+            parallelism=3, bounds=[[-1.0, 1.0]],
+        )
+        assert_same_config(ex.parse_sweep_config(ex.sweep_config_to_text(cfg)), cfg)
+
+    @given(sweep_configs())
+    def test_round_trip_property(self, cfg):
+        assert_same_config(ex.parse_sweep_config(ex.sweep_config_to_text(cfg)), cfg)
+
+    def test_bounds_checked_against_truth(self, tiny_cfg):
+        text = ex.sweep_config_to_text(tiny_cfg).replace("bounds = 0,1", "bounds = 0,1;0,1")
+        with pytest.raises(ml.InvalidArgumentError, match="per dimension"):
+            ex.parse_sweep_config(text)
 
     def test_missing_truth_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import moelab as ml
@@ -338,6 +341,26 @@ class TestSerialization:
         G2 = ml.measure_from_text(ml.measure_to_text(G))
         assert G2.family == ml.STUDENT_T
         assert G2.dof == 7.5
+
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        k, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        family = data.draw(st.sampled_from(ml.FAMILIES))
+        dof = data.draw(st.floats(2.0, 1e6, exclude_min=True)) if family == ml.STUDENT_T else 5.0
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        G = ml.MixingMeasure.from_arrays(
+            data.draw(arrays(float, k, elements=finite)),
+            data.draw(arrays(float, (k, d), elements=finite)),
+            data.draw(arrays(float, (k, d), elements=finite)),
+            data.draw(arrays(float, k, elements=finite)),
+            data.draw(arrays(float, k, elements=st.floats(0.0, exclude_min=True, allow_infinity=False))),
+            family=family, dof=dof,
+        )
+        G2 = ml.measure_from_text(ml.measure_to_text(G))
+        assert (G2.family, G2.dof, G2.k, G2.d) == (G.family, dof, k, d)
+        for name in ("beta0", "beta1", "a", "b", "sigma"):
+            # bit patterns, so that -0.0 must come back as -0.0
+            assert getattr(G2, name).tobytes() == getattr(G, name).tobytes()
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):

@@ -90,6 +90,26 @@ class TestRegionMass:
         subsets = ml.positive_mass_subsets(bench_truth, 1, UNIT, 20_000, seed=5)
         assert subsets == [(0,)]
 
+    @pytest.mark.parametrize("k, K, d", [(4, 2, 1), (5, 2, 2), (9, 3, 2), (63, 5, 3), (63, 62, 1)])
+    def test_positive_mass_subsets_match_counting_loop(self, k, K, d):
+        rng = np.random.default_rng(k * 100 + K)
+        G = random_measure(rng, k, d)
+        box = ml.uniform_box_sampler(np.tile([[-1.0, 1.0]], (d, 1)))
+        X = box(np.random.default_rng(8), 5000)
+        counts = {}
+        for x in X:
+            key = ml.region_of(G, x, K).selected
+            counts[key] = counts.get(key, 0) + 1
+        want = sorted(key for key, c in counts.items() if c >= 2)
+        assert ml.positive_mass_subsets(G, K, box, 5000, seed=8) == want
+
+    def test_positive_mass_subsets_k_cap(self):
+        G = random_measure(np.random.default_rng(0), 64)
+        with pytest.raises(ml.InvalidArgumentError, match="k <= 63"):
+            ml.positive_mass_subsets(G, 2, UNIT, 100)
+        with pytest.raises(ml.InvalidArgumentError, match="n_mc"):
+            ml.positive_mass_subsets(G, 2, UNIT, 0)
+
 
 class TestPartitionMatchRate:
     def test_identical_measures(self, bench_truth):

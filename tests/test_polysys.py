@@ -1,8 +1,55 @@
+from itertools import product
+from math import factorial, prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import moelab as ml
-from moelab.polysys import SCALE_SINGLE, PolyCandidate, residual_table, rbar_provenance
+from moelab.polysys import PolyCandidate, _residuals, residual_table
+
+
+def reference_residual(cand, eta1, eta2):
+    """One equation's residual, one term of J(eta1, eta2) at a time."""
+    total = 0.0
+    w = cand.z5**2
+    for alpha2 in product(*(range(e + 1) for e in eta1)):
+        alpha1 = tuple(e - a for e, a in zip(eta1, alpha2))
+        rem = eta2 - sum(alpha2)
+        if rem < 0:
+            continue
+        for alpha4 in range(rem // 2 + 1):
+            alpha3 = rem - 2 * alpha4
+            denom = (
+                prod(factorial(c) for c in alpha1)
+                * prod(factorial(c) for c in alpha2)
+                * factorial(alpha3)
+                * factorial(alpha4)
+            )
+            term = w.copy()
+            for c in range(cand.d):
+                if alpha1[c]:
+                    term = term * cand.z1[:, c] ** alpha1[c]
+                if alpha2[c]:
+                    term = term * cand.z2[:, c] ** alpha2[c]
+            if alpha3:
+                term = term * cand.z3**alpha3
+            if alpha4:
+                term = term * cand.z4**alpha4
+            total += term.sum() / denom
+    return float(total)
+
+
+@st.composite
+def systems(draw):
+    m = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((1, 2)))
+    r = draw(st.integers(1, 6))
+    values = st.floats(-4.0, 4.0, allow_nan=False)
+    z = [draw(arrays(float, shape, elements=values)) for shape in ((m, d), (m, d), m, m, m)]
+    return ml.PolySystemInstance(m, d, r), PolyCandidate(*z)
 
 
 @pytest.fixture
@@ -99,19 +146,28 @@ class TestResidual:
                 sign * base, rel=1e-12, abs=1e-15
             )
 
-    def test_single_scale_convention_differs(self, inst_r4):
-        w = ml.constructive_witness_m2()
-        # with single-counted scale orders the same witness misses at (0, 2):
-        # J contains (0,0,1,1) pairing z3 z4 at first order
-        doubled = ml.residual(inst_r4, w, (0,), 2)
-        single = ml.residual(inst_r4, w, (0,), 2, convention=SCALE_SINGLE)
-        assert doubled == pytest.approx(0.0, abs=1e-15)
-        assert single != pytest.approx(0.0, abs=1e-6)
-
     def test_residual_table_covers_all_equations(self, inst_r4):
         w = ml.constructive_witness_m2()
         table = residual_table(inst_r4, w)
         assert len(table) == len(ml.enumerate_equations(inst_r4))
+
+    @pytest.mark.parametrize(
+        "eta1, eta2", [((0,), 0), ((5,), 0), ((0,), 5), ((2,), 3), ((1, 0), 0), ((0,), 1.5)]
+    )
+    def test_pair_outside_the_system_rejected(self, inst_r4, eta1, eta2):
+        with pytest.raises(ml.InvalidArgumentError, match="not an equation"):
+            ml.residual(inst_r4, ml.constructive_witness_m2(), eta1, eta2)
+
+    def test_candidate_dimensions_checked(self, inst_r4):
+        with pytest.raises(ml.InvalidArgumentError, match="dimensions"):
+            ml.max_abs_residual(inst_r4, ml.constructive_witness_m2(d=2))
+
+    @settings(max_examples=300)
+    @given(systems())
+    def test_vector_matches_reference_loop_bit_for_bit(self, system):
+        inst, cand = system
+        want = [reference_residual(cand, eta1, eta2) for eta1, eta2 in ml.enumerate_equations(inst)]
+        assert np.array_equal(_residuals(inst, cand), want)
 
 
 class TestSearchNontrivial:
@@ -154,10 +210,6 @@ class TestRbar:
     def test_conjecture_is_2m(self):
         for m in (2, 3, 5, 9):
             assert ml.rbar(m, "conjecture") == 2 * m
-
-    def test_provenance(self):
-        assert rbar_provenance(2, "conjecture") == "exact"
-        assert rbar_provenance(5, "conjecture") == "conjecture"
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):
