@@ -96,11 +96,25 @@ class FitConfig:
             raise InvalidArgumentError(f"need 1 <= K <= k, got K={self.K}, k={self.k}")
         if self.init.k != self.k:
             raise InvalidArgumentError("init cell plan length must equal k")
-        # max_iters = 0 returns the initialization untouched (pipeline checks)
-        if self.tol <= 0 or self.max_iters < 0:
-            raise InvalidArgumentError("tol must be > 0 and max_iters >= 0")
-        if self.gating_lr <= 0 or self.gating_steps_per_m < 1:
-            raise InvalidArgumentError("gating_lr > 0 and gating_steps_per_m >= 1 required")
+        _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
+                            self.sigma_floor)
+
+
+def _check_fit_settings(tol, max_iters, gating_lr, gating_steps_per_m, sigma_floor) -> None:
+    """Reject EM settings that would stall or corrupt a fit instead of failing it.
+
+    A NaN tol never stops EM, a NaN gating_lr freezes the gate, and a negative
+    tol or sigma_floor turns fits into NaN; max_iters = 0 is allowed and
+    returns the initialization untouched (pipeline checks).
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    if not (np.isfinite(gating_lr) and gating_lr > 0):
+        raise InvalidArgumentError(f"gating_lr must be finite and > 0, got {gating_lr}")
+    if not sigma_floor > 0:
+        raise InvalidArgumentError(f"sigma_floor must be > 0, got {sigma_floor}")
+    if max_iters < 0 or gating_steps_per_m < 1:
+        raise InvalidArgumentError("max_iters >= 0 and gating_steps_per_m >= 1 required")
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ class SweepConfig:
             raise InvalidArgumentError("sample_sizes must be strictly increasing")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
+        # every row fits at FitConfig's sigma_floor
+        em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
+                               em.FitConfig.sigma_floor)
         object.__setattr__(self, "sample_sizes", sizes)
         bounds = self.bounds if self.bounds is not None else unit_box(self.truth.d)
         object.__setattr__(self, "bounds", np.asarray(bounds, dtype=float).reshape(-1, 2))

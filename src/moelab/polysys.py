@@ -17,6 +17,11 @@ A solution is non-trivial when every z5_i is nonzero and at least one z3_i is
 nonzero.  rbar(m) is the smallest order r at which no non-trivial solution
 exists; the numerical searcher here is an empirical aid only and its failure
 to find a solution proves nothing.
+
+The system is held as one coefficient table per (d, r).  The residual vector
+is one array evaluation over it, and the search's least-squares solver gets
+the exact Jacobian, built from the same table with each exponent lowered in
+turn.
 """
 
 from __future__ import annotations
@@ -140,6 +145,36 @@ def _coefficient_table(d: int, r: int):
     return index, np.array(exps).T, np.array(denoms, dtype=float), np.array(rows)
 
 
+@lru_cache(maxsize=None)
+def _derivative_table(d: int, r: int):
+    """The table's derivatives, one slot per differentiation variable.
+
+    Returns (lowered, factors, weights).  Slot c < 2d + 2 is the derivative by
+    column c of _coefficient_table: column c's exponent lowered by one (kept
+    at 0 where it was 0) and that exponent as the term's multiplier.  The last
+    slot is t = log z5, since d(z5^2)/dt = 2 z5^2: exponents unchanged,
+    multiplier 2.  lowered is (slots, 2d + 2, terms) and factors (slots,
+    terms); weights is the (equations, terms) matrix holding 1 / alpha! where
+    the term belongs to the equation and 0 elsewhere.
+    """
+    _, exps, denoms, rows = _coefficient_table(d, r)
+    n_cols, n_terms = exps.shape
+    lowered = np.repeat(exps[None], n_cols + 1, axis=0)
+    lowered[np.arange(n_cols), np.arange(n_cols)] = np.maximum(exps - 1, 0)
+    factors = np.vstack([exps, np.full(n_terms, 2)]).astype(float)
+    weights = np.zeros((rows[-1] + 1, n_terms))
+    weights[rows, np.arange(n_terms)] = 1.0 / denoms
+    return lowered, factors, weights
+
+
+def _powers(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
+    """(r + 1, 2d + 2, m): every power 0..r of each table column, as ``column ** p``."""
+    if cand.m != inst.m or cand.d != inst.d:
+        raise InvalidArgumentError("candidate dimensions do not match the instance")
+    cols = np.column_stack([np.dstack([cand.z1, cand.z2]).reshape(inst.m, -1), cand.z3, cand.z4]).T
+    return np.stack([np.ones_like(cols)] + [cols**p for p in range(1, inst.r + 1)])
+
+
 def _residuals(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
     """Every equation's residual, in enumerate_equations order.
 
@@ -148,13 +183,10 @@ def _residuals(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
     table order, sums over components and is divided by alpha!, and an
     equation adds its terms in index-set order.
     """
-    if cand.m != inst.m or cand.d != inst.d:
-        raise InvalidArgumentError("candidate dimensions do not match the instance")
+    powers = _powers(inst, cand)
     _, exps, denoms, rows = _coefficient_table(inst.d, inst.r)
-    cols = np.column_stack([np.dstack([cand.z1, cand.z2]).reshape(inst.m, -1), cand.z3, cand.z4]).T
-    powers = np.stack([np.ones_like(cols)] + [cols**p for p in range(1, inst.r + 1)])
     powers[:, 0] *= cand.z5**2  # every product starts with z5^2 times its first factor
-    terms = np.prod(powers[exps, np.arange(len(cols))[:, None]], axis=0)
+    terms = np.prod(powers[exps, np.arange(powers.shape[1])[:, None]], axis=0)
     return np.bincount(rows, weights=terms.sum(axis=1) / denoms)
 
 
@@ -179,6 +211,41 @@ def max_abs_residual(inst, cand) -> float:
     return float(np.max(np.abs(_residuals(inst, cand))))
 
 
+def _unpack(inst: PolySystemInstance, vec: np.ndarray) -> PolyCandidate:
+    """The candidate at the search vector (z1, z2, z3, z4, t), with z5 = exp(t)."""
+    m, d = inst.m, inst.d
+    z1, z2, z3, z4, t = np.split(vec, np.cumsum([m * d, m * d, m, m]))
+    return PolyCandidate(z1=z1.reshape(m, d), z2=z2.reshape(m, d), z3=z3, z4=z4, z5=np.exp(t))
+
+
+def _objective(vec: np.ndarray, inst: PolySystemInstance, z3_floor: float) -> np.ndarray:
+    """The search's residual vector: every equation, then the z3-floor penalty
+    sqrt(max(z3_floor^2 - ||z3||^2, 0))."""
+    cand = _unpack(inst, vec)
+    slack = z3_floor**2 - float(np.sum(cand.z3**2))
+    return np.append(_residuals(inst, cand), np.sqrt(max(slack, 0.0)))
+
+
+def _jacobian(vec: np.ndarray, inst: PolySystemInstance, z3_floor: float) -> np.ndarray:
+    """Exact Jacobian of _objective: (equations + 1, search variables)."""
+    cand = _unpack(inst, vec)
+    powers = _powers(inst, cand)
+    lowered, factors, weights = _derivative_table(inst.d, inst.r)
+    # slots[s, j, i]: term j's z5-free product, differentiated by slot s, at component i
+    slots = factors[:, :, None] * np.prod(powers[lowered, np.arange(powers.shape[1])[:, None]], axis=1)
+    grad = (weights @ slots) * cand.z5**2  # (slots, equations, m)
+    n_eqs, m, d = weights.shape[0], inst.m, inst.d
+    # slots 0..2d-1 alternate z1_c, z2_c; the search vector holds all of z1,
+    # then all of z2, each (m, d) row-major, then z3, z4 and t
+    gate = grad[: 2 * d].reshape(d, 2, n_eqs, m).transpose(1, 2, 3, 0).reshape(2, n_eqs, m * d)
+    jac = np.zeros((n_eqs + 1, len(vec)))
+    jac[:-1] = np.hstack([gate[0], gate[1], grad[2 * d :].transpose(1, 0, 2).reshape(n_eqs, 3 * m)])
+    slack = z3_floor**2 - float(np.sum(cand.z3**2))
+    if slack > 0.0:
+        jac[-1, 2 * m * d : 2 * m * d + m] = -cand.z3 / np.sqrt(slack)
+    return jac
+
+
 def search_nontrivial(
     inst: PolySystemInstance,
     restarts: int,
@@ -191,29 +258,16 @@ def search_nontrivial(
 
     z5 is parameterized as exp(t) so it can never vanish (only z5^2 enters the
     equations, so the sign is irrelevant); a penalty keeps ||z3|| above a floor
-    so the minimizer cannot retreat to the trivial z3 = 0 family.  Returns the
-    first candidate whose exact max |residual| is <= tol, or None.  Absence of
-    a returned candidate is NOT a proof that the system is unsolvable.
+    so the minimizer cannot retreat to the trivial z3 = 0 family.  Each restart
+    runs a bounded trust-region least-squares solve with the exact Jacobian
+    from the coefficient table.  Returns the first candidate whose exact max
+    |residual| is <= tol, or None.  Absence of a returned candidate is NOT a
+    proof that the system is unsolvable.
     """
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
-    m, d = inst.m, inst.d
-    n_gate = m * d
-
-    def unpack(vec):
-        z1 = vec[:n_gate].reshape(m, d)
-        z2 = vec[n_gate : 2 * n_gate].reshape(m, d)
-        z3 = vec[2 * n_gate : 2 * n_gate + m]
-        z4 = vec[2 * n_gate + m : 2 * n_gate + 2 * m]
-        z5 = np.exp(vec[2 * n_gate + 2 * m :])
-        return PolyCandidate(z1=z1, z2=z2, z3=z3, z4=z4, z5=z5)
-
-    def objective(vec):
-        cand = unpack(vec)
-        slack = z3_floor**2 - float(np.sum(cand.z3**2))
-        return np.append(_residuals(inst, cand), np.sqrt(max(slack, 0.0)))
-
-    n_vars = 2 * n_gate + 2 * m + m
+    m, n_gate = inst.m, inst.m * inst.d
+    n_vars = 2 * n_gate + 3 * m
     lo = np.full(n_vars, -6.0)
     hi = np.full(n_vars, 6.0)
     lo[2 * n_gate + 2 * m :] = -2.0
@@ -229,8 +283,11 @@ def search_nontrivial(
                 rng.uniform(-1.0, 1.0, size=m),
             ]
         )
-        sol = least_squares(objective, x0, bounds=(lo, hi), xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        cand = unpack(sol.x)
+        sol = least_squares(
+            _objective, x0, jac=_jacobian, bounds=(lo, hi), args=(inst, z3_floor),
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        cand = _unpack(inst, sol.x)
         if max_abs_residual(inst, cand) <= tol and cand.is_nontrivial(tol=z3_floor * 0.5):
             return cand
     # every restart failed verification; report nothing rather than a bad candidate

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-The two 240-fit rate sweeps dominate the runtime: the module takes about
-110 s on a 2-core x86 host, 65 s of it in criterion 1's sweep.
+The rate sweeps dominate the runtime: the module takes about 25 s on a
+2-core x86 host, 16 s of it in criterion 1's 240-fit sweep.
 Set MOELAB_ACCEPTANCE=skip to exclude this module.
 """
 

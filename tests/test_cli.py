@@ -221,6 +221,7 @@ class TestMalformedInput:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
@@ -239,6 +240,22 @@ class TestMalformedInput:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
         self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+
+    @pytest.mark.parametrize("line", ["tol = -1", "tol = nan"])
+    def test_bad_sweep_fit_setting(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fit_tol_nan(self, tmp_path, truth_file, capsys):
+        data = tmp_path / "d.tsv"
+        assert run(["gen", "--truth", truth_file, "--K", 1, "--n", 50, "--seed", 0, "--out", data], capsys)[0] == 0
+        self.assert_clean_error(
+            ["fit", "--data", data, "--truth", truth_file, "--k", 2, "--K", 2,
+             "--seed", 0, "--out-measure", tmp_path / "m.txt", "--tol", "nan"],
+            capsys,
+        )
 
     @pytest.mark.parametrize("metric", ["d2", "d3", "hellinger"])
     def test_loss_terms_outside_d1(self, tmp_path, metric, capsys):

@@ -260,6 +260,28 @@ class TestMStepGating:
                 assert g1[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+BAD_SETTINGS = [
+    dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0), dict(tol=-1.0),
+    dict(gating_lr=float("nan")), dict(gating_lr=float("inf")), dict(gating_lr=0.0),
+    dict(max_iters=-1), dict(gating_steps_per_m=0),
+]
+
+
+class TestFitSettings:
+    @pytest.mark.parametrize(
+        "bad", BAD_SETTINGS + [dict(sigma_floor=-1.0), dict(sigma_floor=0.0), dict(sigma_floor=float("nan"))]
+    )
+    def test_fit_config_rejects(self, bench_truth, bad):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.FitConfig(k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), **bad)
+
+    @pytest.mark.parametrize("bad", BAD_SETTINGS)
+    def test_sweep_config_rejects(self, bench_truth, bad):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.SweepConfig(truth=bench_truth, data_K=2, fit_k=2, fit_K=2, sample_sizes=(50,),
+                           replicates=1, base_seed=0, **bad)
+
+
 class TestFit:
     def test_single_expert_recovery(self):
         truth = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[2.0]], [-1.0], [0.5])

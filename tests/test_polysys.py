@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moelab as ml
-from moelab.polysys import PolyCandidate, _residuals, residual_table
+from moelab.polysys import PolyCandidate, _jacobian, _objective, _residuals, residual_table
 
 
 def reference_residual(cand, eta1, eta2):
@@ -50,6 +50,22 @@ def systems(draw):
     values = st.floats(-4.0, 4.0, allow_nan=False)
     z = [draw(arrays(float, shape, elements=values)) for shape in ((m, d), (m, d), m, m, m)]
     return ml.PolySystemInstance(m, d, r), PolyCandidate(*z)
+
+
+@st.composite
+def search_points(draw):
+    """A search vector (z1, z2, z3, z4, t) with ||z3|| clear of the 0.3 floor,
+    inside it (penalty active) or outside it (penalty zero)."""
+    m = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from((1, 2)))
+    r = draw(st.integers(1, 7))
+    inside = draw(st.booleans())
+    gate = draw(arrays(float, 2 * m * d, elements=st.floats(-1.5, 1.5)))
+    z3 = draw(arrays(float, m, elements=st.floats(0.01, 0.1) if inside else st.floats(0.4, 1.5)))
+    z3 *= draw(arrays(float, m, elements=st.sampled_from((-1.0, 1.0))))
+    z4 = draw(arrays(float, m, elements=st.floats(-1.5, 1.5)))
+    t = draw(arrays(float, m, elements=st.floats(-1.0, 1.0)))
+    return ml.PolySystemInstance(m, d, r), np.concatenate([gate, z3, z4, t]), inside
 
 
 @pytest.fixture
@@ -170,6 +186,25 @@ class TestResidual:
         assert np.array_equal(_residuals(inst, cand), want)
 
 
+class TestJacobian:
+    @settings(max_examples=200)
+    @given(search_points())
+    def test_matches_central_differences(self, point):
+        # At step h the central difference errs by about eps / h + h^2 times
+        # the entries' scale, near 1e-10 at h = 1e-6; 1e-7 leaves margin.
+        inst, x, inside = point
+        h, floor = 1e-6, 0.3
+        steps = h * np.eye(len(x))
+        want = np.column_stack(
+            [(_objective(x + e, inst, floor) - _objective(x - e, inst, floor)) / (2 * h) for e in steps]
+        )
+        got = _jacobian(x, inst, floor)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+        # the penalty row is live exactly when ||z3|| is inside the floor
+        assert np.any(got[-1] != 0.0) == inside
+
+
 class TestSearchNontrivial:
     def test_m2_r3_finds_solution(self):
         inst = ml.PolySystemInstance(m=2, d=1, r=3)
@@ -182,6 +217,19 @@ class TestSearchNontrivial:
         # consistent with the known threshold for two components
         inst = ml.PolySystemInstance(m=2, d=1, r=4)
         assert ml.search_nontrivial(inst, restarts=20, seed=1) is None
+
+    def test_m3_r6_finds_nothing(self):
+        # consistent with the known threshold for three components
+        inst = ml.PolySystemInstance(m=3, d=1, r=6)
+        assert ml.search_nontrivial(inst, restarts=20, seed=1) is None
+
+    def test_m4_r7_finds_solution(self):
+        # a verified solution shows rbar(4) > 7, consistent with rbar(m) = 2m
+        inst = ml.PolySystemInstance(m=4, d=1, r=7)
+        cand = ml.search_nontrivial(inst, restarts=20, seed=1)
+        assert cand is not None
+        assert ml.max_abs_residual(inst, cand) <= 1e-10
+        assert cand.is_nontrivial(tol=1e-3)
 
     def test_m3_r5_finds_solution(self):
         inst = ml.PolySystemInstance(m=3, d=1, r=5)
