@@ -79,6 +79,9 @@ def cmd_fit(args):
         "loglik": float(result.loglik_trace[-1]),
         "iterations": result.iterations,
         "converged": result.converged,
+        "reverted_experts": result.reverted_experts,
+        "reverted_gating": result.reverted_gating,
+        "backtracks": result.backtracks,
         "wallclock_s": result.wallclock,
         "trace_head": [float(v) for v in result.loglik_trace[:5]],
     }

@@ -10,28 +10,39 @@ almost everywhere.  Selections are refreshed at the next E-step.  A selection
 flip between iterations can in principle lower the data log-likelihood, so the
 gating update is reverted outright in that (rare) case; the worst case is an
 accepted zero step, which keeps the EM ascent property intact.
+
+:func:`fit` holds the parameters as stacked arrays, beta0 (k,), beta1 (k, d),
+a (k, d), b (k,) and sigma (k,), from the initialization to the returned
+measure, which it builds once.  The gate is a :class:`GatePass`, one
+evaluation of the selected softmax that keeps its masked logits, logsumexp and
+weights.  Every gating proposal makes one; the last accepted one is both the
+next iteration's gate (its log weights equal
+:func:`~moelab.model.gate_log_weights` bit for bit) and the first pass of the
+next gating M-step, as long as the new slopes select what it was computed
+under.  When the selection flips, the gate is recomputed under the new one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDataError, InvalidArgumentError
 from .model import (
+    GAUSSIAN,
     LAPLACE,
     STUDENT_T,
     Dataset,
     ExpertParams,
     GateParams,
     MixingMeasure,
+    _log_density_from_z,
     _masked_logsumexp,
     _selection_mask,
     conditional_log_density,
-    expert_log_density_matrix,
-    gate_log_weights,
     log_joint,
 )
 
@@ -119,10 +130,20 @@ def _check_fit_settings(tol, max_iters, gating_lr, gating_steps_per_m, sigma_flo
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted measure and what EM did to reach it.
+
+    ``reverted_experts`` and ``reverted_gating`` count the iterations whose
+    expert or gating update the ascent guard undid; ``backtracks`` counts the
+    step halvings of the gating line search.
+    """
+
     measure: MixingMeasure
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
+    reverted_experts: int
+    reverted_gating: int
+    backtracks: int
     wallclock: float
 
 
@@ -180,32 +201,42 @@ def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):
     return beta
 
 
-def m_step_experts(data: Dataset, resp: np.ndarray, G: MixingMeasure, sigma_floor: float = 1e-3):
-    """Closed-form expert updates; components with zero responsibility mass
-    are left unchanged.  Returns the measure with updated expert parameters."""
-    n, d = data.x.shape
-    Z = np.column_stack([data.x, np.ones(n)])
-    comps = []
-    for i, (gate, expert) in enumerate(G.components):
-        w = resp[i]
+def _expert_log_density(X, y, a, b, sigma, family, dof) -> np.ndarray:
+    """:func:`~moelab.model.expert_log_density_matrix` (k, n) at stacked
+    expert arrays, for inputs already checked to be finite (n, d) rows."""
+    s = sigma[:, None]
+    return _log_density_from_z(family, (y - (a @ X.T + b[:, None])) / s, s, dof)
+
+
+def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=5.0, sigma_floor=1e-3):
+    """Closed-form expert updates on the design Z = [X, 1] (n, d + 1).
+
+    ``resp`` is (k, n); components with zero responsibility mass are left
+    unchanged.  Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
+    :class:`InvalidArgumentError` unless all are finite and sigma > 0.
+    """
+    d = Z.shape[1] - 1
+    a, b, sigma = a.copy(), b.copy(), sigma.copy()
+    for i, w in enumerate(resp):
         s = float(w.sum())
         if s <= 0.0:
-            comps.append((gate, expert))
             continue
-        if G.family == LAPLACE:
-            expert_new = _laplace_expert(Z, w, data.y, s, d, sigma_floor)
-        elif G.family == STUDENT_T:
-            expert_new = _student_expert(Z, w, data.y, s, d, sigma_floor, G.dof, expert.sigma)
+        if family == LAPLACE:
+            beta, sigma[i] = _laplace_expert(Z, w, y, s, sigma_floor)
+        elif family == STUDENT_T:
+            beta, sigma[i] = _student_expert(Z, w, y, s, sigma_floor, dof, sigma[i])
         else:
-            beta = _wls_solve(Z, w, data.y)
-            resid = data.y - Z @ beta
-            sigma = max(np.sqrt(float(w @ resid**2) / s), sigma_floor)
-            expert_new = ExpertParams(a=beta[:d], b=beta[d], sigma=sigma)
-        comps.append((gate, expert_new))
-    return MixingMeasure(tuple(comps), family=G.family, dof=G.dof)
+            beta = _wls_solve(Z, w, y)
+            resid = y - Z @ beta
+            sigma[i] = max(np.sqrt(float(w @ resid**2) / s), sigma_floor)
+        a[i], b[i] = beta[:d], beta[d]
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
+            and (sigma > 0.0).all()):
+        raise InvalidArgumentError(f"expert step left a={a}, b={b}, sigma={sigma}")
+    return a, b, sigma
 
 
-def _laplace_expert(Z, w, y, s, d, sigma_floor, n_irls: int = 10):
+def _laplace_expert(Z, w, y, s, sigma_floor, n_irls: int = 10):
     """Weighted median regression via IRLS, then the Laplace scale MLE."""
     beta = _wls_solve(Z, w, y)
     for _ in range(n_irls):
@@ -213,53 +244,81 @@ def _laplace_expert(Z, w, y, s, d, sigma_floor, n_irls: int = 10):
         u = w / np.maximum(np.abs(resid), 1e-8)
         beta = _wls_solve(Z, u, y)
     resid = y - Z @ beta
-    sigma = max(float(w @ np.abs(resid)) / s, sigma_floor)
-    return ExpertParams(a=beta[:d], b=beta[d], sigma=sigma)
+    return beta, max(float(w @ np.abs(resid)) / s, sigma_floor)
 
 
-def _student_expert(Z, w, y, s, d, sigma_floor, dof, sigma_old):
+def _student_expert(Z, w, y, s, sigma_floor, dof, sigma_old):
     """One ECM pass at fixed dof: robustness weights, WLS, scale update."""
     resid0 = y - Z @ _wls_solve(Z, w, y)
     u = (dof + 1.0) / (dof + (resid0 / sigma_old) ** 2)
     beta = _wls_solve(Z, w * u, y)
     resid = y - Z @ beta
     sigma2 = float(w @ (u * resid**2)) / s
-    return ExpertParams(a=beta[:d], b=beta[d], sigma=max(np.sqrt(sigma2), sigma_floor))
+    return beta, max(np.sqrt(sigma2), sigma_floor)
 
 
 # ---------------------------------------------------------------------------
 # Gating M-step
 # ---------------------------------------------------------------------------
 
-def _gating_setup(X, resp, mask):
-    """The surrogate's constants while the gate moves: 0 on the selection and
-    -inf off it (k, n), and, of resp zeroed off the selection, its sums per
-    input (n,) and per component (k,) and resp @ X (k, d)."""
-    resp = np.where(mask, resp, 0.0)
-    return np.where(mask, 0.0, -np.inf), resp.sum(axis=0), resp.sum(axis=1), resp @ X
+class GatePass(NamedTuple):
+    """The top-K softmax gate at fixed (beta0, beta1) on fixed inputs.
 
-
-def _gating_pass(X, setup, beta0, beta1):
-    """The surrogate at (beta0, beta1) and the selected softmax weights w (k, n).
-
-    sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus the
-    component sums . beta0, so a proposal costs one masked softmax pass.
+    ``mask`` is the (k, n) selection the pass was computed under, None when
+    K == k selects every component; ``logits`` are beta1 . x (k, n), -inf off
+    the selection; ``lse`` is the logsumexp over components of logits + beta0
+    (n,), and ``w`` the selected softmax weights (k, n).
     """
-    off, rsum, colsum, rX = setup
-    scores = beta1 @ X.T + beta0[:, None] + off
-    m = scores.max(axis=0)
-    e = np.exp(scores - m)
+
+    beta0: np.ndarray
+    beta1: np.ndarray
+    mask: np.ndarray | None
+    logits: np.ndarray
+    lse: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def at(cls, X, beta0, beta1, K: int) -> GatePass:
+        """The gate at (beta0, beta1) under the top-K selection of beta1."""
+        logits = beta1 @ X.T
+        mask = None if K == len(beta0) else _selection_mask(logits, K)
+        return _softmax_pass(beta0, beta1, mask, _masked(logits, mask))
+
+    def log_weights(self) -> np.ndarray:
+        """Log gate weights (k, n), -inf off the selection: bit for bit
+        :func:`~moelab.model.gate_log_weights` at the same parameters."""
+        return (self.logits + self.beta0[:, None]) - self.lse
+
+
+def _masked(logits, mask):
+    """The logits with -inf off the selection (the logits when there is none)."""
+    return logits if mask is None else np.where(mask, logits, -np.inf)
+
+
+def _softmax_pass(beta0, beta1, mask, logits) -> GatePass:
+    """The masked softmax of logits + beta0 over the components."""
+    e = logits + beta0[:, None]
+    m = e.max(axis=0)
+    np.subtract(e, m, out=e)
+    np.exp(e, out=e)
     Z = e.sum(axis=0)
-    q = float((rX * beta1).sum() + colsum @ beta0 - rsum @ (m + np.log(Z)))
-    return q, e / Z
+    return GatePass(beta0, beta1, mask, logits, m + np.log(Z), np.divide(e, Z, out=e))
 
 
-def _gating_grads(X, setup, w):
-    """Gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d), given
-    the weights w of :func:`_gating_pass` at the same point."""
-    _, rsum, colsum, rX = setup
-    rw = rsum * w
-    return colsum - rw.sum(axis=1), rX - rw @ X
+def _gating_setup(X, resp, mask):
+    """The surrogate's constants while the gate moves: of resp zeroed off the
+    selection, its sums per input (n,) and per component (k,) and resp @ X
+    (k, d)."""
+    if mask is not None:
+        resp = np.where(mask, resp, 0.0)
+    return resp.sum(axis=0), resp.sum(axis=1), resp @ X
+
+
+def _surrogate(setup, gate: GatePass) -> float:
+    """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
+    the component sums . beta0, so the surrogate needs only the pass's lse."""
+    rsum, colsum, rX = setup
+    return float((rX * gate.beta1).sum() + colsum @ gate.beta0 - rsum @ gate.lse)
 
 
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
@@ -269,7 +328,8 @@ def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     ``resp`` and ``mask`` are (k, n); the value is the one
     :func:`m_step_gating` ascends.
     """
-    return _gating_pass(X, _gating_setup(X, resp, mask), beta0, beta1)[0]
+    gate = _softmax_pass(beta0, beta1, mask, _masked(beta1 @ X.T, mask))
+    return _surrogate(_gating_setup(X, resp, mask), gate)
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
@@ -279,43 +339,54 @@ def gating_gradients(X, resp, mask, beta0, beta1):
     responsibility at x_j; grad_beta1_i adds the x_j factor.  Both vanish
     identically when K = 1 (singleton softmax weights are 1).
     """
-    setup = _gating_setup(X, resp, mask)
-    return _gating_grads(X, setup, _gating_pass(X, setup, beta0, beta1)[1])
+    rsum, colsum, rX = _gating_setup(X, resp, mask)
+    rw = rsum * _softmax_pass(beta0, beta1, mask, _masked(beta1 @ X.T, mask)).w
+    return colsum - rw.sum(axis=1), rX - rw @ X
 
 
-def m_step_gating(data: Dataset, resp: np.ndarray, G: MixingMeasure, K: int,
-                  lr: float = 0.1, steps: int = 1):
+def m_step_gating(X, resp, gate: GatePass, K: int, lr: float = 0.1, steps: int = 1):
     """Coordinate (block) gradient ascent on the gating surrogate.
 
-    The per-input top-K selection is frozen at its value under the incoming
-    parameters.  Each block proposal is backtracked (halving the step) until
-    the surrogate does not decrease; the worst case accepts a zero step.
-    Returns the measure with updated gating parameters.
+    ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
+    selection stays frozen while the blocks move.  Each block proposal is
+    backtracked (halving the step) until the surrogate does not decrease; the
+    worst case accepts a zero step.  Returns the gate at the updated
+    parameters, under their own selection, and the number of halvings.
     """
-    X = data.x
-    n = data.n
-    params = [G.beta0, G.beta1]
-    setup = _gating_setup(X, resp, _selection_mask(G.beta1 @ X.T, K))
-    q, w = _gating_pass(X, setup, *params)
+    n = X.shape[0]
+    setup = _gating_setup(X, resp, gate.mask)
+    rsum, colsum, rX = setup
+    q = _surrogate(setup, gate)
     tol = 1e-12 * max(1.0, abs(q))
+    backtracks = 0
     for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
-            grad = _gating_grads(X, setup, w)[block]
+            if block == 0:
+                grad = colsum - (rsum * gate.w).sum(axis=1)
+            else:
+                grad = rX - (rsum * gate.w) @ X
             step_lr = lr
             for _ in range(30):
-                cand = list(params)
-                cand[block] = params[block] + step_lr * grad / n
-                q_new, w_new = _gating_pass(X, setup, *cand)
+                if block == 0:  # the masked logits do not depend on beta0
+                    cand = _softmax_pass(gate.beta0 + step_lr * grad / n, gate.beta1,
+                                         gate.mask, gate.logits)
+                else:
+                    beta1 = gate.beta1 + step_lr * grad / n
+                    cand = _softmax_pass(gate.beta0, beta1, gate.mask, _masked(beta1 @ X.T, gate.mask))
+                q_new = _surrogate(setup, cand)
                 if q_new >= q - tol:
-                    params, q, w = cand, q_new, w_new
+                    gate, q = cand, q_new
                     break
                 step_lr *= 0.5
-    beta0, beta1 = params
-    comps = tuple(
-        (GateParams(beta0[i], beta1[i]), expert)
-        for i, (_, expert) in enumerate(G.components)
-    )
-    return MixingMeasure(comps, family=G.family, dof=G.dof)
+                backtracks += 1
+    if not (np.isfinite(gate.beta0).all() and np.isfinite(gate.beta1).all()):
+        raise InvalidArgumentError(f"gating step left beta0={gate.beta0}, beta1={gate.beta1}")
+    if gate.mask is not None:
+        logits = gate.beta1 @ X.T
+        mask = _selection_mask(logits, K)
+        if not np.array_equal(mask, gate.mask):
+            gate = _softmax_pass(gate.beta0, gate.beta1, mask, np.where(mask, logits, -np.inf))
+    return gate, backtracks
 
 
 def fit(data: Dataset, cfg: FitConfig) -> FitResult:
@@ -323,51 +394,77 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     log-likelihood moves by less than tol or max_iters is hit.
 
     Deterministic given (data, cfg).  The trace is nondecreasing within
-    1e-9 per step: the gating update is reverted whenever a selection flip
-    would lower the data log-likelihood.
+    1e-9 per step: the expert or gating update is reverted whenever it would
+    lower the data log-likelihood (a degenerate WLS fallback, a selection
+    flip).
+
+    The state between iterations is the stacked expert arrays, the
+    :class:`GatePass` at the gating parameters, and the log gate weights,
+    expert log densities, log joint and its logsumexp over the components.
+    The expert step leaves the gate part of the joint untouched and the
+    gating step leaves the expert part untouched, so each half is reused.
+    The last accepted gating pass is the next gate, so no gate is computed
+    from scratch except on a selection flip or a revert; a revert recomputes
+    the old gate, which is deterministic and so equal to the one replaced.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
     t0 = time.perf_counter()
     G = init_measure(cfg.init, cfg.seed)
-    # The expert step leaves the gate part of the joint untouched and the
-    # gating step leaves the expert part untouched, so each half is reused.
-    logw = gate_log_weights(G, data.x, cfg.K)
-    logf = expert_log_density_matrix(G, data.x, data.y)
+    family, dof, K = G.family, G.dof, cfg.K
+    X, y = data.x, data.y
+    Z = np.column_stack([X, np.ones(data.n)])
+    a, b, sigma = G.a, G.b, G.sigma
+    gate = GatePass.at(X, G.beta0, G.beta1, K)
+    logw = gate.log_weights()
+    logf = _expert_log_density(X, y, a, b, sigma, family, dof)
     joint = logw + logf
     norm = _masked_logsumexp(joint)
     trace = [float(norm.mean())]
     converged = False
-    iterations = 0
+    iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
-        G_experts = m_step_experts(data, resp, G, cfg.sigma_floor)
-        logf_e = expert_log_density_matrix(G_experts, data.x, data.y)
-        joint_e = logw + logf_e
-        norm_e = _masked_logsumexp(joint_e)
+        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, family, dof, cfg.sigma_floor)
+        logf_e = _expert_log_density(X, y, a_e, b_e, sigma_e, family, dof)
+        joint = logw + logf_e
+        norm_e = _masked_logsumexp(joint)
         ll_experts = float(norm_e.mean())
         if ll_experts < trace[-1] - ASCENT_SLACK:
-            # degenerate WLS fallback produced a worse point; keep the old experts
-            G_experts, logf_e, joint_e, norm_e = G, logf, joint, norm
-            ll_experts = trace[-1]
-        G_next = m_step_gating(data, resp, G_experts, cfg.K, cfg.gating_lr, cfg.gating_steps_per_m)
-        logw_n = gate_log_weights(G_next, data.x, cfg.K)
-        joint_n = logw_n + logf_e
-        norm_n = _masked_logsumexp(joint_n)
-        ll_next = float(norm_n.mean())
+            # a degenerate WLS fallback, or a fixed-count IRLS or ECM pass,
+            # produced a worse point; keep the old experts
+            norm_e, ll_experts = norm, trace[-1]
+            reverted_experts += 1
+        else:
+            a, b, sigma, logf = a_e, b_e, sigma_e, logf_e
+        # The gating step needs none of these; a gating revert recomputes them.
+        del logw, joint, norm, logf_e
+        beta0, beta1 = gate.beta0, gate.beta1
+        gate, halvings = m_step_gating(X, resp, gate, K, cfg.gating_lr, cfg.gating_steps_per_m)
+        del resp
+        backtracks += halvings
+        logw = gate.log_weights()
+        joint = logw + logf
+        norm = _masked_logsumexp(joint)
+        ll_next = float(norm.mean())
         if ll_next < ll_experts - ASCENT_SLACK:
             # selection flip hurt the data likelihood; accept a zero gating step
-            G_next, logw_n, joint_n, norm_n = G_experts, logw, joint_e, norm_e
-            ll_next = ll_experts
-        G, logw, logf, joint, norm = G_next, logw_n, logf_e, joint_n, norm_n
+            gate = GatePass.at(X, beta0, beta1, K)
+            logw = gate.log_weights()
+            joint = logw + logf
+            norm, ll_next = norm_e, ll_experts
+            reverted_gating += 1
         trace.append(ll_next)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break
     return FitResult(
-        measure=G,
+        measure=MixingMeasure.from_arrays(gate.beta0, gate.beta1, a, b, sigma, family=family, dof=dof),
         loglik_trace=np.array(trace),
         iterations=iterations,
         converged=converged,
+        reverted_experts=reverted_experts,
+        reverted_gating=reverted_gating,
+        backtracks=backtracks,
         wallclock=time.perf_counter() - t0,
     )

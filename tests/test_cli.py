@@ -204,7 +204,10 @@ class TestFitCommand:
         fitted = ml.measure_from_text(out_m.read_text())
         assert fitted.k == 2
         summary = json.loads(out_s.read_text())
-        assert {"loglik", "iterations", "converged"} <= set(summary)
+        assert {"loglik", "iterations", "converged", "reverted_experts", "reverted_gating",
+                "backtracks"} <= set(summary)
+        assert all(isinstance(summary[key], int) and summary[key] >= 0
+                   for key in ("reverted_experts", "reverted_gating", "backtracks"))
 
     def test_unknown_flag_exits_nonzero(self, capsys):
         code, _, _ = run(["gen", "--nope"], capsys)

@@ -7,19 +7,44 @@ from moelab import em
 from conftest import random_measure
 
 
+TRUTH_2D = dict(
+    beta0=[-0.5, 0.3, 0.0], beta1=[[4.0, 0.0], [-2.0, 3.5], [0.0, 0.0]],
+    a=[[2.0, -1.0], [-1.5, 2.0], [0.5, 0.5]], b=[1.0, -1.0, 0.0], sigma=[0.3, 0.4, 0.5],
+)
+BOX_2D = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
 def small_data(bench_truth, n=400, K=2, seed=0):
     return ml.sample_dataset(bench_truth, K, n, seed=seed)
+
+
+def design(x):
+    """The expert step's design matrix [X, 1]."""
+    return np.column_stack([x, np.ones(len(x))])
+
+
+def experts_step(data, resp, G, **kw):
+    """em.m_step_experts on G's stacked expert arrays: (a, b, sigma)."""
+    return em.m_step_experts(design(data.x), data.y, resp, G.a, G.b, G.sigma, G.family, G.dof, **kw)
+
+
+def gating_step(X, resp, G, K, lr, steps):
+    """em.m_step_gating from the gate at G's gating parameters."""
+    gate, _ = em.m_step_gating(X, resp, em.GatePass.at(X, G.beta0, G.beta1, K), K, lr=lr, steps=steps)
+    return gate
 
 
 def reference_block_ascent(X, resp, K, G, lr, steps):
     """The gating M-step as first-order block ascent on the surrogate with the
     selection frozen at G: per step a beta0 then a beta1 gradient proposal,
-    each halved up to 30 times until the surrogate does not decrease."""
+    each halved up to 30 times until the surrogate does not decrease.
+    Returns beta0, beta1 and the number of halvings."""
     n = X.shape[0]
     mask = ml.model._selection_mask(G.beta1 @ X.T, K)
     beta0, beta1 = G.beta0, G.beta1
     q = em.gating_surrogate(X, resp, mask, beta0, beta1)
     tol = 1e-12 * max(1.0, abs(q))
+    halvings = 0
     for _ in range(steps):
         g0, _ = em.gating_gradients(X, resp, mask, beta0, beta1)
         step_lr = lr
@@ -30,6 +55,7 @@ def reference_block_ascent(X, resp, K, G, lr, steps):
                 beta0, q = cand0, q_new
                 break
             step_lr *= 0.5
+            halvings += 1
         _, g1 = em.gating_gradients(X, resp, mask, beta0, beta1)
         step_lr = lr
         for _ in range(30):
@@ -39,7 +65,98 @@ def reference_block_ascent(X, resp, K, G, lr, steps):
                 beta1, q = cand1, q_new
                 break
             step_lr *= 0.5
-    return beta0, beta1
+            halvings += 1
+    return beta0, beta1, halvings
+
+
+def reference_wls(Z, w, y):
+    """Weighted least squares with a ridge fallback on singular systems."""
+    A = Z.T @ (w[:, None] * Z)
+    rhs = Z.T @ (w * y)
+    try:
+        beta = np.linalg.solve(A, rhs)
+        if not np.all(np.isfinite(beta)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        lam = 1e-8 * np.trace(A) / A.shape[0]
+        if not lam > 0:
+            lam = 1e-12
+        beta = np.linalg.solve(A + lam * np.eye(A.shape[0]), rhs)
+    return beta
+
+
+def reference_expert_step(data, resp, G, sigma_floor):
+    """The expert M-step one component at a time on MixingMeasure components:
+    Gaussian WLS, Laplace IRLS median regression, or one Student-t ECM pass."""
+    Z, y, d = design(data.x), data.y, data.d
+    comps = []
+    for (gate, expert), w in zip(G.components, resp):
+        s = float(w.sum())
+        if s <= 0.0:
+            comps.append((gate, expert))
+            continue
+        if G.family == ml.LAPLACE:
+            beta = reference_wls(Z, w, y)
+            for _ in range(10):
+                beta = reference_wls(Z, w / np.maximum(np.abs(y - Z @ beta), 1e-8), y)
+            sigma = max(float(w @ np.abs(y - Z @ beta)) / s, sigma_floor)
+        elif G.family == ml.STUDENT_T:
+            resid0 = y - Z @ reference_wls(Z, w, y)
+            u = (G.dof + 1.0) / (G.dof + (resid0 / expert.sigma) ** 2)
+            beta = reference_wls(Z, w * u, y)
+            sigma = max(np.sqrt(float(w @ (u * (y - Z @ beta) ** 2)) / s), sigma_floor)
+        else:
+            beta = reference_wls(Z, w, y)
+            sigma = max(np.sqrt(float(w @ (y - Z @ beta) ** 2) / s), sigma_floor)
+        comps.append((gate, ml.ExpertParams(beta[:d], beta[d], sigma)))
+    return ml.MixingMeasure(tuple(comps), family=G.family, dof=G.dof)
+
+
+def reference_fit(data, cfg):
+    """EM as a loop over MixingMeasures and the model's public kernels: the
+    E-step, the reference expert step with its ascent guard, the reference
+    block ascent, and the guard that reverts a gating step (after a
+    selection flip) that lowers the log-likelihood.  Returns the measure, the
+    trace, iterations, converged and the counts of reverts, halvings and
+    selection flips."""
+    X, y, K = data.x, data.y, cfg.K
+    gate_log_weights = ml.model.gate_log_weights
+    densities = ml.model.expert_log_density_matrix
+    lse = ml.model._masked_logsumexp
+    G = em.init_measure(cfg.init, cfg.seed)
+    logw, logf = gate_log_weights(G, X, K), densities(G, X, y)
+    joint = logw + logf
+    norm = lse(joint)
+    trace = [float(norm.mean())]
+    counts = dict(reverted_experts=0, reverted_gating=0, backtracks=0, flips=0)
+    converged, iterations = False, 0
+    for iterations in range(1, cfg.max_iters + 1):
+        resp = np.exp(joint - norm)
+        G_e = reference_expert_step(data, resp, G, cfg.sigma_floor)
+        logf_e = densities(G_e, X, y)
+        joint_e = logw + logf_e
+        norm_e = lse(joint_e)
+        ll_e = float(norm_e.mean())
+        if ll_e < trace[-1] - em.ASCENT_SLACK:
+            G_e, logf_e, joint_e, norm_e, ll_e = G, logf, joint, norm, trace[-1]
+            counts["reverted_experts"] += 1
+        beta0, beta1, halvings = reference_block_ascent(X, resp, K, G_e, cfg.gating_lr, cfg.gating_steps_per_m)
+        counts["backtracks"] += halvings
+        G_n = ml.MixingMeasure.from_arrays(beta0, beta1, G_e.a, G_e.b, G_e.sigma, family=G.family, dof=G.dof)
+        logw_n = gate_log_weights(G_n, X, K)
+        counts["flips"] += not np.array_equal(np.isfinite(logw_n), np.isfinite(logw))
+        joint_n = logw_n + logf_e
+        norm_n = lse(joint_n)
+        ll_n = float(norm_n.mean())
+        if ll_n < ll_e - em.ASCENT_SLACK:
+            G_n, logw_n, joint_n, norm_n, ll_n = G_e, logw, joint_e, norm_e, ll_e
+            counts["reverted_gating"] += 1
+        G, logw, logf, joint, norm = G_n, logw_n, logf_e, joint_n, norm_n
+        trace.append(ll_n)
+        if abs(trace[-1] - trace[-2]) < cfg.tol:
+            converged = True
+            break
+    return G, np.array(trace), iterations, converged, counts
 
 
 class TestInitMeasure:
@@ -115,18 +232,17 @@ class TestMStepExperts:
         data = ml.Dataset(x=x, y=y)
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
         resp = np.ones((1, 60))
-        out = em.m_step_experts(data, resp, G)
-        a, b, sig = out.components[0][1].a[0], out.components[0][1].b, out.components[0][1].sigma
-        assert a == pytest.approx(2.0, abs=1e-9)
-        assert b == pytest.approx(1.0, abs=1e-9)
-        assert sig == pytest.approx(1e-3)  # floored
+        a, b, sig = experts_step(data, resp, G)
+        assert a[0, 0] == pytest.approx(2.0, abs=1e-9)
+        assert b[0] == pytest.approx(1.0, abs=1e-9)
+        assert sig[0] == pytest.approx(1e-3)  # floored
 
     def test_two_point_least_squares(self):
         data = ml.Dataset(x=np.array([[0.0], [1.0]]), y=np.array([0.0, 1.0]))
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
-        out = em.m_step_experts(data, np.ones((1, 2)), G)
-        assert out.components[0][1].a[0] == pytest.approx(1.0, abs=1e-9)
-        assert out.components[0][1].b == pytest.approx(0.0, abs=1e-9)
+        a, b, _ = experts_step(data, np.ones((1, 2)), G)
+        assert a[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert b[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_design_ridge_fallback(self):
         # all x identical: slope must collapse toward 0, intercept to the mean
@@ -134,16 +250,16 @@ class TestMStepExperts:
         y = np.full(50, 2.0)
         data = ml.Dataset(x=x, y=y, bounds=[[0.0, 1.0]])
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
-        out = em.m_step_experts(data, np.ones((1, 50)), G)
-        e = out.components[0][1]
-        assert e.a[0] * 0.4 + e.b == pytest.approx(2.0, abs=1e-6)
+        a, b, _ = experts_step(data, np.ones((1, 50)), G)
+        assert a[0, 0] * 0.4 + b[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_mass_component_unchanged(self, bench_truth):
         data = small_data(bench_truth, n=100)
         resp = np.zeros((2, 100))
         resp[0] = 1.0
-        out = em.m_step_experts(data, resp, bench_truth)
-        assert out.components[1][1] == bench_truth.components[1][1]
+        a, b, sigma = experts_step(data, resp, bench_truth)
+        assert np.array_equal(a[1], bench_truth.a[1])
+        assert (b[1], sigma[1]) == (bench_truth.b[1], bench_truth.sigma[1])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_local_maximum_property(self, seed, bench_truth):
@@ -152,35 +268,29 @@ class TestMStepExperts:
         data = small_data(bench_truth, n=300, seed=seed)
         G0 = random_measure(rng, 2, 1)
         resp = em.e_step(data, G0, 2)
-        out = em.m_step_experts(data, resp, G0)
+        out = experts_step(data, resp, G0)
 
-        def weighted_ll(G):
+        def weighted_ll(a, b, sigma):
+            G = ml.MixingMeasure.from_arrays(G0.beta0, G0.beta1, a, b, sigma)
             logf = ml.model.expert_log_density_matrix(G, data.x, data.y)
             return float((resp * logf).sum())
 
-        base = weighted_ll(out)
+        base = weighted_ll(*out)
         for i in range(2):
-            if out.components[i][1].sigma <= 1e-3:  # floored: boundary, not interior
+            if out[2][i] <= 1e-3:  # floored: boundary, not interior
                 continue
-            for field in ("a", "b", "sigma"):
+            for field in range(3):  # a, b, sigma
                 for delta in (-1e-4, 1e-4):
-                    gate, e = out.components[i]
-                    kw = {"a": e.a.copy(), "b": e.b, "sigma": e.sigma}
-                    if field == "a":
-                        kw["a"] = kw["a"] + delta
-                    else:
-                        kw[field] = kw[field] + delta
-                    comps = list(out.components)
-                    comps[i] = (gate, ml.ExpertParams(**kw))
-                    G_pert = ml.MixingMeasure(tuple(comps))
-                    assert weighted_ll(G_pert) <= base + 1e-9
+                    pert = [v.copy() for v in out]
+                    pert[field][i] += delta
+                    assert weighted_ll(*pert) <= base + 1e-9
 
 
 class TestMStepGating:
     def test_k1_gradients_zero(self, bench_truth):
         data = small_data(bench_truth, K=1)
         resp = em.e_step(data, bench_truth, 1)
-        out = em.m_step_gating(data, resp, bench_truth, 1, lr=0.5, steps=3)
+        out = gating_step(data.x, resp, bench_truth, 1, lr=0.5, steps=3)
         assert np.array_equal(out.beta0, bench_truth.beta0)
         assert np.array_equal(out.beta1, bench_truth.beta1)
 
@@ -191,7 +301,7 @@ class TestMStepGating:
         x = np.linspace(0, 1, 80)[:, None]
         data = ml.Dataset(x=x, y=np.zeros(80))
         resp = np.exp(ml.model.gate_log_weights(G, x, 2))
-        out = em.m_step_gating(data, resp, G, 2, lr=0.5, steps=4)
+        out = gating_step(data.x, resp, G, 2, lr=0.5, steps=4)
         np.testing.assert_allclose(out.beta0, G.beta0, atol=1e-9)
         np.testing.assert_allclose(out.beta1, G.beta1, atol=1e-9)
 
@@ -202,7 +312,7 @@ class TestMStepGating:
         resp = em.e_step(data, G, 2)
         mask = ml.model._selection_mask(G.beta1 @ data.x.T, 2)
         q0 = em.gating_surrogate(data.x, resp, mask, G.beta0, G.beta1)
-        out = em.m_step_gating(data, resp, G, 2, lr=2.0, steps=5)
+        out = gating_step(data.x, resp, G, 2, lr=2.0, steps=5)
         q1 = em.gating_surrogate(data.x, resp, mask, out.beta0, out.beta1)
         assert q1 >= q0 - 1e-9
 
@@ -213,19 +323,39 @@ class TestMStepGating:
         if case == "dense-1d":
             truth, plan, K, lr, steps, bounds = bench_truth, (0, 1, 1), 3, 2.0, 2, None
         else:
-            truth = ml.true_measure(
-                [-0.5, 0.3, 0.0], [[4.0, 0.0], [-2.0, 3.5], [0.0, 0.0]],
-                [[2.0, -1.0], [-1.5, 2.0], [0.5, 0.5]], [1.0, -1.0, 0.0], [0.3, 0.4, 0.5],
-            )
-            plan, K, lr, steps, bounds = (0, 1, 2), 2, 0.1, 5, [[-1.0, 1.0], [-1.0, 1.0]]
+            truth = ml.true_measure(**TRUTH_2D)
+            plan, K, lr, steps, bounds = (0, 1, 2), 2, 0.1, 5, BOX_2D
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
         G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
         resp = em.e_step(data, G, K)
-        out = em.m_step_gating(data, resp, G, K, lr=lr, steps=steps)
-        beta0, beta1 = reference_block_ascent(data.x, resp, K, G, lr, steps)
+        out = gating_step(data.x, resp, G, K, lr=lr, steps=steps)
+        beta0, beta1, _ = reference_block_ascent(data.x, resp, K, G, lr, steps)
         assert not np.allclose(out.beta1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
         np.testing.assert_allclose(out.beta0, beta0, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.beta1, beta1, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["top2-flip", "top2-still", "dense"])
+    def test_returns_gate_at_its_parameters(self, case, bench_truth):
+        # the returned pass is the gate at the new parameters under their own
+        # selection, bit for bit, whether or not the selection flipped
+        if case == "dense":
+            truth, plan, K, lr, steps, bounds = bench_truth, (0, 1, 1), 3, 2.0, 2, None
+        else:
+            truth, plan, K, steps, bounds = ml.true_measure(**TRUTH_2D), (0, 1, 2), 2, 5, BOX_2D
+            lr = 0.1 if case == "top2-flip" else 1e-4
+        data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
+        G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
+        start = em.GatePass.at(data.x, G.beta0, G.beta1, K)
+        out, _ = em.m_step_gating(data.x, em.e_step(data, G, K), start, K, lr=lr, steps=steps)
+        fresh = em.GatePass.at(data.x, out.beta0, out.beta1, K)
+        assert not np.array_equal(out.beta1, G.beta1)
+        if case == "dense":
+            assert out.mask is None
+        else:
+            assert np.array_equal(out.mask, fresh.mask)
+            assert np.array_equal(out.mask, start.mask) == (case == "top2-still")
+        for got, want in zip(out[3:], fresh[3:]):  # logits, lse, w
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
@@ -260,6 +390,20 @@ class TestMStepGating:
                 assert g1[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+class TestGatePass:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_log_weights_equal_gate_log_weights(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        k, d = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        K = int(rng.integers(1, k + 1))
+        G = random_measure(rng, k, d)
+        X = rng.uniform(-1, 1, size=(300, d))
+        gate = em.GatePass.at(X, G.beta0, G.beta1, K)
+        assert (gate.mask is None) == (K == k)
+        assert np.array_equal(gate.log_weights(), ml.model.gate_log_weights(G, X, K))
+        np.testing.assert_allclose(gate.w, np.exp(gate.log_weights()), rtol=1e-12, atol=1e-300)
+
+
 BAD_SETTINGS = [
     dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0), dict(tol=-1.0),
     dict(gating_lr=float("nan")), dict(gating_lr=float("inf")), dict(gating_lr=0.0),
@@ -282,7 +426,61 @@ class TestFitSettings:
                            replicates=1, base_seed=0, **bad)
 
 
+def reference_case(case, bench_truth):
+    """Data and fit settings of the reference-loop cases."""
+    if case == "dense-1d":
+        # overspec-k3's row at n = 1000, replicate 0
+        seed = lambda tag: ml.experiments.row_seed(303, 1000, 0, tag)  # noqa: E731
+        data = ml.sample_dataset(bench_truth, 2, 1000, seed=seed("data"))
+        plan = em.random_cell_plan(3, 2, np.random.default_rng(seed("plan")))
+        return data, ml.FitConfig(k=3, K=3, init=em.InitSpec(bench_truth, plan, 0.05), seed=seed("init"),
+                                  gating_lr=2.0, gating_steps_per_m=2)
+    if case == "top2-2d":
+        # sparse-2d's truth and settings on a draw with selection flips
+        truth = ml.true_measure(**TRUTH_2D)
+        data = ml.sample_dataset(truth, 2, 400, seed=5, bounds=BOX_2D)
+        return data, ml.FitConfig(k=3, K=2, init=em.InitSpec(truth, (0, 1, 2), 0.05), seed=205)
+    # a step so long that the line search halves it, and an expert step
+    # whose fixed-count IRLS or ECM pass the ascent guard often undoes
+    family = ml.LAPLACE if case == "laplace" else ml.STUDENT_T
+    truth = ml.true_measure(bench_truth.beta0, bench_truth.beta1, bench_truth.a, bench_truth.b,
+                            bench_truth.sigma, family=family, dof=5.0)
+    data = ml.sample_dataset(truth, 2, 500, seed=1)
+    return data, ml.FitConfig(k=3, K=2, init=em.InitSpec(truth, (1, 0, 0), 0.05), seed=3,
+                              gating_lr=50.0, gating_steps_per_m=2, max_iters=300)
+
+
 class TestFit:
+    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "laplace", "student-t"])
+    def test_matches_reference_em_loop(self, case, bench_truth):
+        data, cfg = reference_case(case, bench_truth)
+        G, trace, iterations, converged, counts = reference_fit(data, cfg)
+        res = ml.fit(data, cfg)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert (res.reverted_experts, res.reverted_gating, res.backtracks) == (
+            counts["reverted_experts"], counts["reverted_gating"], counts["backtracks"])
+        np.testing.assert_allclose(res.loglik_trace, trace, rtol=1e-12, atol=0.0)
+        for field in ("beta0", "beta1", "a", "b", "sigma"):
+            np.testing.assert_allclose(getattr(res.measure, field), getattr(G, field), rtol=1e-12, atol=0.0)
+        if case == "top2-2d":
+            assert counts["flips"] >= 1 and counts["reverted_gating"] >= 1
+        elif case != "dense-1d":
+            assert counts["backtracks"] >= 1 and counts["reverted_experts"] >= 1
+
+    def test_invalid_expert_step_fails_the_fit(self, bench_truth, monkeypatch):
+        # a non-finite expert update is an error, never a silent NaN fit, and
+        # a sweep turns it into a failed row
+        monkeypatch.setattr(em, "_wls_solve", lambda Z, w, y: np.full(Z.shape[1], np.nan))
+        data = small_data(bench_truth, n=200, K=2, seed=4)
+        cfg = ml.FitConfig(k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05))
+        with pytest.raises(ml.MoeError):
+            ml.fit(data, cfg)
+        sweep = ml.run_sweep(ml.SweepConfig(truth=bench_truth, data_K=2, fit_k=2, fit_K=2,
+                                            sample_sizes=(200,), replicates=1, base_seed=0))
+        (row,) = sweep.rows
+        assert np.isnan(row.loss) and np.isnan(row.loglik) and not row.converged
+        assert sweep.n_failures == 1
+
     def test_single_expert_recovery(self):
         truth = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[2.0]], [-1.0], [0.5])
         data = ml.sample_dataset(
