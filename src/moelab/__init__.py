@@ -16,8 +16,6 @@ from .model import (
     LAPLACE,
     STUDENT_T,
     Dataset,
-    ExpertParams,
-    GateParams,
     MixingMeasure,
     conditional_log_density,
     gate_log_weights,
@@ -70,7 +68,6 @@ from .em import (
     init_measure,
     m_step_experts,
     m_step_gating,
-    mean_log_likelihood,
     random_cell_plan,
 )
 from .experiments import (

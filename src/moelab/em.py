@@ -11,22 +11,22 @@ flip between iterations can in principle lower the data log-likelihood, so the
 gating update is reverted outright in that (rare) case; the worst case is an
 accepted zero step, which keeps the EM ascent property intact.
 
-:func:`fit` holds the parameters as stacked arrays, beta0 (k,), beta1 (k, d),
-a (k, d), b (k,) and sigma (k,), from the initialization to the returned
-measure, which it builds once.  The gate is a :class:`GatePass`, one
-evaluation of the selected softmax that keeps its masked logits, logsumexp and
-weights.  Every gating proposal makes one; the last accepted one is both the
-next iteration's gate (its log weights equal
-:func:`~moelab.model.gate_log_weights` bit for bit) and the first pass of the
-next gating M-step, as long as the new slopes select what it was computed
-under.  When the selection flips, the gate is recomputed under the new one.
+EM and :func:`~moelab.model.log_joint` share one gate and one expert
+density: :func:`fit` works on a measure's stacked arrays, beta0 (k,),
+beta1 (k, d), a (k, d), b (k,) and sigma (k,), from the initialization to
+the returned measure, which it builds once.  Its gate is a
+:class:`~moelab.model.GatePass`, one evaluation of the selected softmax that
+keeps its masked logits, logsumexp and weights.  Every gating proposal makes
+one; the last accepted one is both the next iteration's gate and the first
+pass of the next gating M-step, as long as the new slopes select what it was
+computed under.  When the selection flips, the gate is recomputed under the
+new one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +36,11 @@ from .model import (
     LAPLACE,
     STUDENT_T,
     Dataset,
-    ExpertParams,
-    GateParams,
+    GatePass,
     MixingMeasure,
-    _log_density_from_z,
+    _expert_log_densities,
     _masked_logsumexp,
     _selection_mask,
-    conditional_log_density,
     log_joint,
 )
 
@@ -154,21 +152,14 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
     the pinning convention of the truth is NOT enforced on the fitted measure.
     """
     rng = np.random.default_rng(seed)
-    truth = spec.truth
-    comps = []
-    for j in spec.cell_plan:
-        gate, expert = truth.components[j]
-        beta0 = gate.beta0 + spec.noise_std * rng.standard_normal()
-        beta1 = gate.beta1 + spec.noise_std * rng.standard_normal(truth.d)
-        a = expert.a + spec.noise_std * rng.standard_normal(truth.d)
-        b = expert.b + spec.noise_std * rng.standard_normal()
-        sigma = expert.sigma * np.exp(spec.noise_std * rng.standard_normal())
-        comps.append((GateParams(beta0, beta1), ExpertParams(a, b, sigma)))
-    return MixingMeasure(tuple(comps), family=truth.family, dof=truth.dof)
-
-
-def mean_log_likelihood(data: Dataset, G: MixingMeasure, K: int) -> float:
-    return float(np.mean(conditional_log_density(G, K, data.x, data.y)))
+    t, s = spec.truth, spec.noise_std
+    # one component at a time, in the order beta0, beta1, a, b, sigma
+    rows = [(t.beta0[j] + s * rng.standard_normal(),
+             t.beta1[j] + s * rng.standard_normal(t.d),
+             t.a[j] + s * rng.standard_normal(t.d),
+             t.b[j] + s * rng.standard_normal(),
+             t.sigma[j] * np.exp(s * rng.standard_normal())) for j in spec.cell_plan]
+    return MixingMeasure(*map(np.array, zip(*rows)), family=t.family, dof=t.dof)
 
 
 def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -201,18 +192,14 @@ def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):
     return beta
 
 
-def _expert_log_density(X, y, a, b, sigma, family, dof) -> np.ndarray:
-    """:func:`~moelab.model.expert_log_density_matrix` (k, n) at stacked
-    expert arrays, for inputs already checked to be finite (n, d) rows."""
-    s = sigma[:, None]
-    return _log_density_from_z(family, (y - (a @ X.T + b[:, None])) / s, s, dof)
-
-
 def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=5.0, sigma_floor=1e-3):
     """Closed-form expert updates on the design Z = [X, 1] (n, d + 1).
 
     ``resp`` is (k, n); components with zero responsibility mass are left
-    unchanged.  Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
+    unchanged.  The Laplace IRLS and the Student-t ECM pass start from the
+    current expert, so neither lowers its weighted log-likelihood (up to the
+    IRLS residual clamp).
+    Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
     :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
     d = Z.shape[1] - 1
@@ -222,9 +209,9 @@ def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=5.0, sigma_floo
         if s <= 0.0:
             continue
         if family == LAPLACE:
-            beta, sigma[i] = _laplace_expert(Z, w, y, s, sigma_floor)
+            beta, sigma[i] = _laplace_expert(Z, w, y, s, sigma_floor, np.append(a[i], b[i]))
         elif family == STUDENT_T:
-            beta, sigma[i] = _student_expert(Z, w, y, s, sigma_floor, dof, sigma[i])
+            beta, sigma[i] = _student_expert(Z, w, y, s, sigma_floor, dof, np.append(a[i], b[i]), sigma[i])
         else:
             beta = _wls_solve(Z, w, y)
             resid = y - Z @ beta
@@ -236,9 +223,9 @@ def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=5.0, sigma_floo
     return a, b, sigma
 
 
-def _laplace_expert(Z, w, y, s, sigma_floor, n_irls: int = 10):
-    """Weighted median regression via IRLS, then the Laplace scale MLE."""
-    beta = _wls_solve(Z, w, y)
+def _laplace_expert(Z, w, y, s, sigma_floor, beta, n_irls: int = 10):
+    """Weighted median regression via IRLS from the current coefficients
+    beta = [a_i, b_i], then the Laplace scale MLE."""
     for _ in range(n_irls):
         resid = y - Z @ beta
         u = w / np.maximum(np.abs(resid), 1e-8)
@@ -247,10 +234,10 @@ def _laplace_expert(Z, w, y, s, sigma_floor, n_irls: int = 10):
     return beta, max(float(w @ np.abs(resid)) / s, sigma_floor)
 
 
-def _student_expert(Z, w, y, s, sigma_floor, dof, sigma_old):
-    """One ECM pass at fixed dof: robustness weights, WLS, scale update."""
-    resid0 = y - Z @ _wls_solve(Z, w, y)
-    u = (dof + 1.0) / (dof + (resid0 / sigma_old) ** 2)
+def _student_expert(Z, w, y, s, sigma_floor, dof, beta_old, sigma_old):
+    """One ECM pass at fixed dof: robustness weights from the current expert's
+    residuals, WLS, scale update."""
+    u = (dof + 1.0) / (dof + ((y - Z @ beta_old) / sigma_old) ** 2)
     beta = _wls_solve(Z, w * u, y)
     resid = y - Z @ beta
     sigma2 = float(w @ (u * resid**2)) / s
@@ -260,50 +247,6 @@ def _student_expert(Z, w, y, s, sigma_floor, dof, sigma_old):
 # ---------------------------------------------------------------------------
 # Gating M-step
 # ---------------------------------------------------------------------------
-
-class GatePass(NamedTuple):
-    """The top-K softmax gate at fixed (beta0, beta1) on fixed inputs.
-
-    ``mask`` is the (k, n) selection the pass was computed under, None when
-    K == k selects every component; ``logits`` are beta1 . x (k, n), -inf off
-    the selection; ``lse`` is the logsumexp over components of logits + beta0
-    (n,), and ``w`` the selected softmax weights (k, n).
-    """
-
-    beta0: np.ndarray
-    beta1: np.ndarray
-    mask: np.ndarray | None
-    logits: np.ndarray
-    lse: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def at(cls, X, beta0, beta1, K: int) -> GatePass:
-        """The gate at (beta0, beta1) under the top-K selection of beta1."""
-        logits = beta1 @ X.T
-        mask = None if K == len(beta0) else _selection_mask(logits, K)
-        return _softmax_pass(beta0, beta1, mask, _masked(logits, mask))
-
-    def log_weights(self) -> np.ndarray:
-        """Log gate weights (k, n), -inf off the selection: bit for bit
-        :func:`~moelab.model.gate_log_weights` at the same parameters."""
-        return (self.logits + self.beta0[:, None]) - self.lse
-
-
-def _masked(logits, mask):
-    """The logits with -inf off the selection (the logits when there is none)."""
-    return logits if mask is None else np.where(mask, logits, -np.inf)
-
-
-def _softmax_pass(beta0, beta1, mask, logits) -> GatePass:
-    """The masked softmax of logits + beta0 over the components."""
-    e = logits + beta0[:, None]
-    m = e.max(axis=0)
-    np.subtract(e, m, out=e)
-    np.exp(e, out=e)
-    Z = e.sum(axis=0)
-    return GatePass(beta0, beta1, mask, logits, m + np.log(Z), np.divide(e, Z, out=e))
-
 
 def _gating_setup(X, resp, mask):
     """The surrogate's constants while the gate moves: of resp zeroed off the
@@ -328,8 +271,7 @@ def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     ``resp`` and ``mask`` are (k, n); the value is the one
     :func:`m_step_gating` ascends.
     """
-    gate = _softmax_pass(beta0, beta1, mask, _masked(beta1 @ X.T, mask))
-    return _surrogate(_gating_setup(X, resp, mask), gate)
+    return _surrogate(_gating_setup(X, resp, mask), GatePass.under(X, beta0, beta1, mask))
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
@@ -340,7 +282,7 @@ def gating_gradients(X, resp, mask, beta0, beta1):
     identically when K = 1 (singleton softmax weights are 1).
     """
     rsum, colsum, rX = _gating_setup(X, resp, mask)
-    rw = rsum * _softmax_pass(beta0, beta1, mask, _masked(beta1 @ X.T, mask)).w
+    rw = rsum * GatePass.under(X, beta0, beta1, mask).w
     return colsum - rw.sum(axis=1), rX - rw @ X
 
 
@@ -368,11 +310,10 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float = 0.1, steps: int =
             step_lr = lr
             for _ in range(30):
                 if block == 0:  # the masked logits do not depend on beta0
-                    cand = _softmax_pass(gate.beta0 + step_lr * grad / n, gate.beta1,
-                                         gate.mask, gate.logits)
+                    cand = GatePass.softmax(gate.beta0 + step_lr * grad / n, gate.beta1,
+                                            gate.mask, gate.logits)
                 else:
-                    beta1 = gate.beta1 + step_lr * grad / n
-                    cand = _softmax_pass(gate.beta0, beta1, gate.mask, _masked(beta1 @ X.T, gate.mask))
+                    cand = GatePass.under(X, gate.beta0, gate.beta1 + step_lr * grad / n, gate.mask)
                 q_new = _surrogate(setup, cand)
                 if q_new >= q - tol:
                     gate, q = cand, q_new
@@ -382,10 +323,9 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float = 0.1, steps: int =
     if not (np.isfinite(gate.beta0).all() and np.isfinite(gate.beta1).all()):
         raise InvalidArgumentError(f"gating step left beta0={gate.beta0}, beta1={gate.beta1}")
     if gate.mask is not None:
-        logits = gate.beta1 @ X.T
-        mask = _selection_mask(logits, K)
+        mask = _selection_mask(gate.beta1 @ X.T, K)
         if not np.array_equal(mask, gate.mask):
-            gate = _softmax_pass(gate.beta0, gate.beta1, mask, np.where(mask, logits, -np.inf))
+            gate = GatePass.under(X, gate.beta0, gate.beta1, mask)
     return gate, backtracks
 
 
@@ -417,7 +357,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logw = gate.log_weights()
-    logf = _expert_log_density(X, y, a, b, sigma, family, dof)
+    logf = _expert_log_densities(X, y, a, b, sigma, family, dof)
     joint = logw + logf
     norm = _masked_logsumexp(joint)
     trace = [float(norm.mean())]
@@ -426,13 +366,13 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
         a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, family, dof, cfg.sigma_floor)
-        logf_e = _expert_log_density(X, y, a_e, b_e, sigma_e, family, dof)
+        logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e, family, dof)
         joint = logw + logf_e
         norm_e = _masked_logsumexp(joint)
         ll_experts = float(norm_e.mean())
         if ll_experts < trace[-1] - ASCENT_SLACK:
-            # a degenerate WLS fallback, or a fixed-count IRLS or ECM pass,
-            # produced a worse point; keep the old experts
+            # a degenerate WLS fallback, or a scale floor above the current
+            # scale, produced a worse point; keep the old experts
             norm_e, ll_experts = norm, trace[-1]
             reverted_experts += 1
         else:

@@ -3,6 +3,10 @@ and synthetic data generation.
 
 Conventions used throughout the library:
 
+* A mixing measure is its stacked component arrays: gating biases beta0 (k,)
+  and slopes beta1 (k, d), expert slopes a (k, d), intercepts b (k,) and
+  scales sigma (k,), row i being component i.  Every estimator (EM, the
+  Voronoi losses, Hellinger) works on these arrays directly.
 * ``sigma`` is a standard deviation / scale, never a variance.  One convention
   is applied consistently everywhere; rate experiments are invariant to it.
 * The gate ranks experts by the gating slopes alone (``beta1 . x``); the bias
@@ -11,7 +15,9 @@ Conventions used throughout the library:
   inputs form a measure-zero set in theory but are reachable in floating point.
 * All density work is done in the log domain with max-subtraction, through
   one kernel, :func:`log_joint`: log gate weight plus expert log density per
-  component, -inf outside the top-K selection.
+  component, -inf outside the top-K selection.  Its two halves, the
+  :class:`GatePass` and :func:`_expert_log_densities`, are also the gate and
+  the expert density of EM.
 * Components sit on axis 0: an array over components and inputs is (k, n),
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,132 +43,73 @@ FAMILIES = (GAUSSIAN, LAPLACE, STUDENT_T)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_vector(v, name):
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} must be finite, got {arr}")
-    return arr
-
-
-@dataclass(frozen=True)
-class ExpertParams:
-    """Linear-expert parameters: mean a.x + b, scale sigma > 0."""
-
-    a: np.ndarray
-    b: float
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_vector(self.a, "a"))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not math.isfinite(self.b) or not math.isfinite(self.sigma):
-            raise InvalidArgumentError("b and sigma must be finite")
-        if self.sigma <= 0.0:
-            raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class GateParams:
-    """Gating parameters of one component: bias beta0, slope vector beta1."""
-
-    beta0: float
-    beta1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta1", _as_vector(self.beta1, "beta1"))
-        object.__setattr__(self, "beta0", float(self.beta0))
-        if not math.isfinite(self.beta0):
-            raise InvalidArgumentError("beta0 must be finite")
-
-
-@dataclass(frozen=True)
+# eq=False: arrays have no single truth value, so measures compare by identity
+@dataclass(frozen=True, eq=False)
 class MixingMeasure:
-    """An ordered list of gated-expert components plus the expert family.
+    """k gated-expert components as stacked arrays, plus the expert family.
 
-    The component weight exp(beta0_i) is always derived from the gating bias,
-    never stored separately.
+    Row i of beta0 (k,), beta1 (k, d), a (k, d), b (k,) and sigma (k,) is
+    component i.  The arrays are stored as read-only float copies; a flat
+    beta1 or a holding k * d values is read row by row.  The component weight
+    exp(beta0_i) is always derived from the gating bias, never stored
+    separately.
     """
 
-    components: tuple
+    beta0: np.ndarray
+    beta1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    sigma: np.ndarray
     family: str = GAUSSIAN
     dof: float = 5.0
 
     def __post_init__(self):
-        comps = tuple(
-            (gate, expert) if isinstance(gate, GateParams) else (GateParams(*gate), ExpertParams(*expert))
-            for gate, expert in self.components
-        )
-        object.__setattr__(self, "components", comps)
-        if len(comps) < 1:
-            raise InvalidArgumentError("a mixing measure needs at least one component")
+        names = ("beta0", "beta1", "a", "b", "sigma")
+        try:
+            arrays = [np.array(getattr(self, name), dtype=float) for name in names]
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"measure parameters must be numeric arrays: {exc}") from exc
+        k = arrays[0].size
+        d = arrays[1].size // max(k, 1)
+        if k < 1 or d < 1:
+            raise InvalidArgumentError(f"a measure needs k >= 1 and d >= 1, got k={k}, d={d}")
+        for name, arr, shape in zip(names, arrays, ((k,), (k, d), (k, d), (k,), (k,))):
+            if arr.size != math.prod(shape) or arr.ndim > len(shape) or (arr.ndim == 2 and arr.shape != shape):
+                raise InvalidArgumentError(f"{name} of shape {arr.shape} does not fit k={k}, d={d}")
+            arr = arr.reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise InvalidArgumentError(f"{name} must be finite, got {arr}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if not np.all(self.sigma > 0.0):
+            raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma}")
         if self.family not in FAMILIES:
             raise InvalidArgumentError(f"unknown family {self.family!r}")
-        if self.family == STUDENT_T and not self.dof > 2.0:
-            raise InvalidArgumentError("student-t requires dof > 2")
-        d = comps[0][0].beta1.size
-        for gate, expert in comps:
-            if gate.beta1.size != d or expert.a.size != d:
-                raise InvalidArgumentError("all components must share the input dimension")
+        if self.family == STUDENT_T and not 2.0 < self.dof < math.inf:
+            raise InvalidArgumentError(f"student-t requires finite dof > 2, got {self.dof}")
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return self.beta0.size
 
     @property
     def d(self) -> int:
-        return self.components[0][0].beta1.size
-
-    # Stacked parameter views, shaped (k,) or (k, d).
-    @property
-    def beta0(self) -> np.ndarray:
-        return np.array([g.beta0 for g, _ in self.components])
-
-    @property
-    def beta1(self) -> np.ndarray:
-        return np.stack([g.beta1 for g, _ in self.components])
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.stack([e.a for _, e in self.components])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([e.b for _, e in self.components])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.array([e.sigma for _, e in self.components])
+        return self.beta1.shape[1]
 
     @classmethod
     def from_arrays(cls, beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=5.0):
-        beta0 = np.asarray(beta0, dtype=float).reshape(-1)
-        k = beta0.size
-        beta1 = np.asarray(beta1, dtype=float).reshape(k, -1)
-        a = np.asarray(a, dtype=float).reshape(k, -1)
-        b = np.asarray(b, dtype=float).reshape(-1)
-        sigma = np.asarray(sigma, dtype=float).reshape(-1)
-        comps = tuple(
-            (GateParams(beta0[i], beta1[i]), ExpertParams(a[i], b[i], sigma[i]))
-            for i in range(k)
-        )
-        return cls(comps, family=family, dof=dof)
+        """The measure with these arrays; the same as the constructor."""
+        return cls(beta0, beta1, a, b, sigma, family=family, dof=dof)
 
     # -- assumption checks ------------------------------------------------
     def is_pinned(self, tol: float = 0.0) -> bool:
         """Last component has beta1 == 0 and beta0 == 0 (identifiability)."""
-        gate = self.components[-1][0]
-        return bool(np.all(np.abs(gate.beta1) <= tol) and abs(gate.beta0) <= tol)
+        return bool(np.all(np.abs(self.beta1[-1]) <= tol) and abs(self.beta0[-1]) <= tol)
 
     def has_distinct_experts(self) -> bool:
         """All (a_i, b_i, sigma_i) triples are pairwise distinct."""
-        seen = set()
-        for _, e in self.components:
-            key = (tuple(e.a.tolist()), e.b, e.sigma)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        rows = np.column_stack([self.a, self.b, self.sigma]).tolist()
+        return len(set(map(tuple, rows))) == self.k
 
     def is_input_dependent(self) -> bool:
         """At least one gating slope is nonzero."""
@@ -270,6 +218,53 @@ def _masked_logsumexp(scores: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(scores - m), axis=0))
 
 
+class GatePass(NamedTuple):
+    """The top-K softmax gate at fixed (beta0, beta1) on fixed inputs.
+
+    ``mask`` is the (k, n) selection the pass was computed under, None when
+    K == k selects every component; ``logits`` are beta1 . x (k, n), -inf off
+    the selection; ``lse`` is the logsumexp over components of logits + beta0
+    (n,), and ``w`` the selected softmax weights (k, n).
+    """
+
+    beta0: np.ndarray
+    beta1: np.ndarray
+    mask: np.ndarray | None
+    logits: np.ndarray
+    lse: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def at(cls, X, beta0, beta1, K: int) -> GatePass:
+        """The gate at (beta0, beta1) under the top-K selection of beta1."""
+        logits = beta1 @ X.T
+        if K == len(beta0):
+            return cls.softmax(beta0, beta1, None, logits)
+        mask = _selection_mask(logits, K)
+        return cls.softmax(beta0, beta1, mask, np.where(mask, logits, -np.inf))
+
+    @classmethod
+    def under(cls, X, beta0, beta1, mask) -> GatePass:
+        """The gate at (beta0, beta1) under a given selection (None: all)."""
+        logits = beta1 @ X.T
+        return cls.softmax(beta0, beta1, mask, logits if mask is None else np.where(mask, logits, -np.inf))
+
+    @classmethod
+    def softmax(cls, beta0, beta1, mask, logits) -> GatePass:
+        """The masked softmax of logits + beta0 over the components, from
+        logits already -inf off the selection."""
+        e = logits + beta0[:, None]
+        m = e.max(axis=0)
+        np.subtract(e, m, out=e)
+        np.exp(e, out=e)
+        Z = e.sum(axis=0)
+        return cls(beta0, beta1, mask, logits, m + np.log(Z), np.divide(e, Z, out=e))
+
+    def log_weights(self) -> np.ndarray:
+        """Log gate weights (k, n), -inf off the selection."""
+        return (self.logits + self.beta0[:, None]) - self.lse
+
+
 def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     """Log gate weights for a batch of inputs, shape (k, n).
 
@@ -279,24 +274,25 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     X = _as_rows(X, G.d)
     if not 1 <= K <= G.k:
         raise InvalidArgumentError(f"K must satisfy 1 <= K <= {G.k}, got {K}")
-    logits = G.beta1 @ X.T
-    mask = _selection_mask(logits, K)
-    scores = np.where(mask, logits + G.beta0[:, None], -np.inf)
-    return scores - _masked_logsumexp(scores)
+    return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
 
 
-def _log_density_from_z(family: str, z: np.ndarray, sigma, dof: float) -> np.ndarray:
-    """log f(y | mu, sigma) given z = (y - mu) / sigma."""
+def _expert_log_densities(X, y, a, b, sigma, family: str, dof: float) -> np.ndarray:
+    """log f(y | a_i.x + b_i, sigma_i) at stacked expert arrays, on inputs
+    already checked to be finite (n, d) rows: (k, n) for y (n,), (k, n, m)
+    for y (n, m) or (1, m)."""
+    mu, sigma = a @ X.T + b[:, None], sigma[:, None]
+    if y.ndim == 2:
+        mu, sigma = mu[:, :, None], sigma[:, :, None]
+    z = (y - mu) / sigma
     log_sig = np.log(sigma)
     if family == GAUSSIAN:
         return -0.5 * z * z - log_sig - 0.5 * _LOG_2PI
     if family == LAPLACE:
         return -np.abs(z) - log_sig - math.log(2.0)
-    if family == STUDENT_T:
-        nu = dof
-        c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-        return c - log_sig - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
-    raise InvalidArgumentError(f"unknown family {family!r}")
+    nu = dof
+    c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    return c - log_sig - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
 
 
 def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
@@ -310,11 +306,7 @@ def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
         raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
-    mu, sigma = G.a @ X.T + G.b[:, None], G.sigma[:, None]
-    if y.ndim == 2:
-        mu, sigma = mu[:, :, None], sigma[:, :, None]
-    z = (y - mu) / sigma
-    return _log_density_from_z(G.family, z, sigma, G.dof)
+    return _expert_log_densities(X, y, G.a, G.b, G.sigma, G.family, G.dof)
 
 
 def log_joint(G: MixingMeasure, X, y, K: int) -> np.ndarray:
@@ -405,10 +397,8 @@ def measure_to_text(G: MixingMeasure) -> str:
     head = f"family={G.family} d={G.d} k={G.k}"
     if G.family == STUDENT_T:
         head += f" dof={_fmt(G.dof)}"
-    lines = [head]
-    for gate, expert in G.components:
-        fields = [gate.beta0, *gate.beta1.tolist(), *expert.a.tolist(), expert.b, expert.sigma]
-        lines.append(" ".join(_fmt(v) for v in fields))
+    rows = np.column_stack([G.beta0, G.beta1, G.a, G.b, G.sigma])
+    lines = [head] + [" ".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -232,6 +232,7 @@ class TestMalformedInput:
         "family=gaussian d=one k=1\n-8 25 -20 15 0.3\n",  # non-integer d
         "family=gaussian d=1 k=2.5\n-8 25 -20 15 0.3\n",  # non-integer k
         "family=gaussian d=1 k=2\n-8 25 -20 15 0.3\n0 0 20 -5 wide\n",  # non-numeric value
+        "family=student-t d=1 k=2 dof=inf\n-8 25 -20 15 0.3\n0 0 20 -5 0.4\n",  # infinite dof
     ])
     def test_malformed_measure(self, tmp_path, truth_file, text, capsys):
         bad = tmp_path / "bad.txt"

@@ -52,7 +52,8 @@ class TestAssignVoronoi:
         G_true = random_measure(rng, 3, 1)
         G_fit = perturbed(G_true, rng, 0.01)
         perm = rng.permutation(3)
-        G_perm = ml.MixingMeasure(tuple(G_fit.components[i] for i in perm), family=G_fit.family)
+        G_perm = ml.MixingMeasure.from_arrays(G_fit.beta0[perm], G_fit.beta1[perm], G_fit.a[perm],
+                                              G_fit.b[perm], G_fit.sigma[perm], family=G_fit.family)
         base = ml.assign_voronoi(G_fit, G_true).cells
         permuted = ml.assign_voronoi(G_perm, G_true).cells
         inv = np.argsort(perm)

@@ -33,16 +33,29 @@ def reference_log_joint(G, X, y, K):
     Shape (k, n), components first."""
     out = np.full((G.k, len(X)), -np.inf)
     for j, (x, yj) in enumerate(zip(X, y)):
-        logits = [float(gate.beta1 @ x) for gate, _ in G.components]
+        logits = [float(G.beta1[i] @ x) for i in range(G.k)]
         selected = sorted(sorted(range(G.k), key=lambda i: (-logits[i], i))[:K])
-        scores = {i: logits[i] + G.components[i][0].beta0 for i in selected}
+        scores = {i: logits[i] + G.beta0[i] for i in selected}
         top = max(scores.values())
         lse = top + math.log(sum(math.exp(v - top) for v in scores.values()))
         for i in selected:
-            expert = G.components[i][1]
-            mu = float(expert.a @ x + expert.b)
-            out[i, j] = scores[i] - lse + reference_log_density(G.family, yj, mu, expert.sigma, G.dof)
+            mu = float(G.a[i] @ x + G.b[i])
+            out[i, j] = scores[i] - lse + reference_log_density(G.family, yj, mu, G.sigma[i], G.dof)
     return out
+
+
+@st.composite
+def gate_cases(draw):
+    """A random measure with k <= 5 components on d <= 3 inputs, a batch of
+    up to 20 inputs and a K."""
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    coords = st.floats(-5.0, 5.0)
+    G = ml.MixingMeasure.from_arrays(
+        draw(arrays(float, k, elements=coords)), draw(arrays(float, (k, d), elements=coords)),
+        np.zeros((k, d)), np.zeros(k), np.ones(k),
+    )
+    X = draw(arrays(float, (draw(st.integers(1, 20)), d), elements=st.floats(-3.0, 3.0)))
+    return G, X, draw(st.integers(1, k))
 
 
 def gate_probs(G, x, K):
@@ -147,8 +160,30 @@ class TestGateWeights:
         if np.unique(G.beta1 @ x).size < k:
             pytest.skip("tied logits")
         perm = rng.permutation(k)
-        Gp = ml.MixingMeasure(tuple(G.components[i] for i in perm), family=G.family)
+        Gp = ml.MixingMeasure.from_arrays(G.beta0[perm], G.beta1[perm], G.a[perm], G.b[perm], G.sigma[perm],
+                                          family=G.family)
         np.testing.assert_allclose(gate_probs(Gp, x, 2), gate_probs(G, x, 2)[perm], rtol=1e-12)
+
+    @given(data=st.data())
+    def test_weights_sum_to_one_over_k_selected(self, data):
+        G, X, K = data.draw(gate_cases())
+        logw = ml.gate_log_weights(G, X, K)
+        np.testing.assert_allclose(np.exp(logw).sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(np.isfinite(logw).sum(axis=0) == K)
+
+    @given(data=st.data())
+    def test_common_shift_keeps_selection_and_weights(self, data):
+        G, X, K = data.draw(gate_cases())
+        c0 = data.draw(st.floats(-5.0, 5.0))
+        c1 = data.draw(arrays(float, G.d, elements=st.floats(-5.0, 5.0)))
+        G2 = ml.MixingMeasure.from_arrays(G.beta0 + c0, G.beta1 + c1, G.a, G.b, G.sigma)
+        # inputs whose K-th and (K+1)-th logits are this close may swap under
+        # the rounding of the shifted products, so they are left out
+        logits = np.sort(G.beta1 @ X.T, axis=0)[::-1]
+        clear = np.ones(len(X), dtype=bool) if K == G.k else logits[K - 1] - logits[K] > 1e-9
+        logw, logw2 = ml.gate_log_weights(G, X, K)[:, clear], ml.gate_log_weights(G2, X, K)[:, clear]
+        assert np.array_equal(np.isfinite(logw), np.isfinite(logw2))
+        np.testing.assert_allclose(np.exp(logw2), np.exp(logw), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("c", [-3.0, 0.5, 7.0])
     def test_shift_invariance(self, c):
@@ -200,7 +235,7 @@ class TestExpertDensity:
 
     def test_sigma_positive_required(self):
         with pytest.raises(ml.InvalidArgumentError):
-            ml.ExpertParams(a=[0.0], b=0.0, sigma=0.0)
+            ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [0.0])
 
 
 class TestLogJoint:
@@ -365,6 +400,33 @@ class TestSerialization:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):
             ml.measure_from_text("family=gaussian d=1 k=2\n0 0 0 0 1\n")
+
+
+class TestMeasureValidation:
+    """A measure's arrays are checked once, when it is built."""
+
+    def test_extra_entries_rejected(self):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.MixingMeasure.from_arrays([0, 0], [[1], [0]], [[1], [2]], [1, 2, 3], [1, 1, 5])
+
+    @pytest.mark.parametrize("beta1", [[1.0, 2.0, 3.0], [[1.0], [2.0, 3.0]]])
+    def test_slopes_that_do_not_fit_k_rejected(self, beta1):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.MixingMeasure.from_arrays([0, 0], beta1, [[1], [2]], [0, 0], [1, 1])
+
+    def test_student_t_infinite_dof_rejected(self):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.MixingMeasure.from_arrays([0], [[0]], [[1]], [0], [1], family=ml.STUDENT_T, dof=math.inf)
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.measure_from_text("family=student-t d=1 k=1 dof=inf\n0 0 1 0 1\n")
+
+    def test_arrays_are_read_only_copies(self):
+        beta0 = np.zeros(2)
+        G = ml.MixingMeasure.from_arrays(beta0, [[1], [0]], [[1], [2]], [0, 0], [1, 1])
+        beta0[0] = 3.0
+        assert G.beta0[0] == 0.0
+        with pytest.raises(ValueError):
+            G.beta1[0, 0] = 3.0
 
 
 class TestMeasureChecks:
