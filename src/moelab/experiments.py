@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -49,6 +50,10 @@ class LossSpec:
             raise InvalidArgumentError(f"metric must be one of {METRICS}")
         if self.terms is not None and self.metric != "d1":
             raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
+        for name, low in (("mass_n_mc", 1), ("hellinger_n_mc", 1), ("y_points", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,8 @@ class SweepConfig:
         sizes = tuple(int(n) for n in self.sample_sizes)
         if len(sizes) < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidArgumentError("sample_sizes must be strictly increasing")
+        if sizes[0] < 1:
+            raise InvalidArgumentError(f"sample sizes must be >= 1, got {sizes[0]}")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
         # every row fits at FitConfig's sigma_floor
@@ -80,7 +87,16 @@ class SweepConfig:
                                em.FitConfig.sigma_floor)
         object.__setattr__(self, "sample_sizes", sizes)
         bounds = self.bounds if self.bounds is not None else unit_box(self.truth.d)
-        object.__setattr__(self, "bounds", np.asarray(bounds, dtype=float).reshape(-1, 2))
+        try:
+            bounds = np.asarray(bounds, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"bounds must be numeric: {exc}") from exc
+        if bounds.size != 2 * self.truth.d:
+            raise InvalidArgumentError(f"bounds need one lo,hi pair per dimension (d={self.truth.d})")
+        bounds = bounds.reshape(-1, 2)
+        if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] <= bounds[:, 1])):
+            raise InvalidArgumentError(f"bounds must be finite with lo <= hi, got {bounds.tolist()}")
+        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)

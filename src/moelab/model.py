@@ -17,7 +17,10 @@ Conventions used throughout the library:
   one kernel, :func:`log_joint`: log gate weight plus expert log density per
   component, -inf outside the top-K selection.  Its two halves, the
   :class:`GatePass` and :func:`_expert_log_densities`, are also the gate and
-  the expert density of EM.
+  the expert density of EM.  The kernel computes in one array: the expert
+  densities overwrite their standardized residuals in place and the gate
+  weights are added into them, so a caller that passes ``out=`` (as
+  Hellinger does, block by block) allocates no (k, n, m) temporaries.
 * Components sit on axis 0: an array over components and inputs is (k, n),
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
@@ -277,49 +280,70 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
 
 
-def _expert_log_densities(X, y, a, b, sigma, family: str, dof: float) -> np.ndarray:
+def _expert_log_densities(X, y, a, b, sigma, family: str, dof: float, out=None) -> np.ndarray:
     """log f(y | a_i.x + b_i, sigma_i) at stacked expert arrays, on inputs
     already checked to be finite (n, d) rows: (k, n) for y (n,), (k, n, m)
-    for y (n, m) or (1, m)."""
+    for y (n, m) or (1, m).
+
+    Computed in one array, ``out`` when given: the standardized residual z
+    is overwritten step by step by the log density.
+    """
     mu, sigma = a @ X.T + b[:, None], sigma[:, None]
     if y.ndim == 2:
         mu, sigma = mu[:, :, None], sigma[:, :, None]
-    z = (y - mu) / sigma
+    z = np.subtract(y, mu, out=out)
+    z /= sigma
     log_sig = np.log(sigma)
     if family == GAUSSIAN:
-        return -0.5 * z * z - log_sig - 0.5 * _LOG_2PI
+        z *= z
+        z *= -0.5  # -0.5 * (z * z) == (-0.5 * z) * z: scaling by 2**-1 is exact
+        z -= log_sig
+        z -= 0.5 * _LOG_2PI
+        return z
     if family == LAPLACE:
-        return -np.abs(z) - log_sig - math.log(2.0)
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        z -= log_sig
+        z -= math.log(2.0)
+        return z
     nu = dof
     c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-    return c - log_sig - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+    z *= z
+    z /= nu
+    np.log1p(z, out=z)
+    z *= 0.5 * (nu + 1.0)
+    return np.subtract(c - log_sig, z, out=z)
 
 
-def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
+def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
     """Per-expert log densities log f(y | a_i.x + b_i, sigma_i).
 
     ``y`` is (n,), one response per row of ``X``, giving shape (k, n); or
     (n, m) / (1, m), m responses per row, giving (k, n, m).  Components sit
-    on axis 0 either way, so a reduction over them adds whole slices.
+    on axis 0 either way, so a reduction over them adds whole slices.  The
+    result is written into ``out`` when given, a float array of that shape.
     """
     X = _as_rows(X, G.d)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
         raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
-    return _expert_log_densities(X, y, G.a, G.b, G.sigma, G.family, G.dof)
+    return _expert_log_densities(X, y, G.a, G.b, G.sigma, G.family, G.dof, out=out)
 
 
-def log_joint(G: MixingMeasure, X, y, K: int) -> np.ndarray:
+def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
     """log gate_i(x) + log f(y | expert i) for every component i, -inf outside
     the top-K selection at x; shaped as :func:`expert_log_density_matrix`,
     components on axis 0: (k, n) for paired y, (k, n, m) for a y grid.
 
     The gate is evaluated once per row of ``X``, so a y grid of shape (1, m)
-    is scored against every row without repeating it.
+    is scored against every row without repeating it.  The expert densities
+    are computed in one array, ``out`` when given, and the log gate weights
+    are added to it in place.
     """
     logw = gate_log_weights(G, X, K)
-    logf = expert_log_density_matrix(G, X, y)
-    return (logw[:, :, None] if logf.ndim == 3 else logw) + logf
+    logf = expert_log_density_matrix(G, X, y, out=out)
+    logf += logw[:, :, None] if logf.ndim == 3 else logw
+    return logf
 
 
 def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:

@@ -261,6 +261,21 @@ class TestMalformedInput:
             capsys,
         )
 
+    @pytest.mark.parametrize("line", ["y_points = 1", "hellinger_n_mc = 0", "mass_n_mc = 0",
+                                      "sample_sizes = 0,100", "bounds = 1,0", "bounds = 0,nan"])
+    def test_bad_sweep_sampling_setting(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_hellinger_negative_y_points(self, truth_file, capsys):
+        self.assert_clean_error(
+            ["hellinger", "--fit", truth_file, "--K-fit", 2, "--true", truth_file, "--K-true", 2,
+             "--seed", 0, "--y-points", -5],
+            capsys,
+        )
+
     @pytest.mark.parametrize("metric", ["d2", "d3", "hellinger"])
     def test_loss_terms_outside_d1(self, tmp_path, metric, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -236,6 +236,28 @@ def sweep_configs(draw):
     )
 
 
+class TestSamplingSettings:
+    """Bad Monte-Carlo and box settings fail when the config is made, before
+    any fit."""
+
+    @pytest.mark.parametrize("setting", [
+        dict(y_points=1), dict(y_points=-5), dict(y_points=2.5),
+        dict(hellinger_n_mc=0), dict(mass_n_mc=0),
+    ])
+    def test_loss_spec_rejects(self, setting):
+        with pytest.raises(ml.InvalidArgumentError):
+            ex.LossSpec(metric="hellinger", **setting)
+
+    @pytest.mark.parametrize("setting", [
+        dict(sample_sizes=(0, 100)),
+        dict(bounds=[[1.0, 0.0]]), dict(bounds=[[0.0, math.nan]]), dict(bounds=[[-math.inf, 1.0]]),
+        dict(bounds=[[0.0, 1.0], [0.0, 1.0]]), dict(bounds=[0.0, 1.0, 2.0]),
+    ])
+    def test_sweep_config_rejects(self, tiny_cfg, setting):
+        with pytest.raises(ml.InvalidArgumentError):
+            replace(tiny_cfg, **setting)
+
+
 class TestConfigDocument:
     def test_round_trip(self, tiny_cfg):
         cfg = replace(

@@ -323,7 +323,13 @@ class TestHellinger:
         with pytest.raises(ml.InvalidArgumentError):
             ml.hellinger_pointwise(bench_truth, 1, bench_truth, 1, [0.5], [1.0])
 
-    @pytest.mark.parametrize("n_mc", [1, ml.metrics.HELLINGER_BLOCK - 1, ml.metrics.HELLINGER_BLOCK + 1])
+    @pytest.mark.parametrize("n_points", [1, 0, -5])
+    def test_grid_needs_two_points(self, bench_truth, n_points):
+        with pytest.raises(ml.InvalidArgumentError):
+            ml.default_y_grid(bench_truth, bench_truth, [[0, 1]], n_points)
+
+    @pytest.mark.parametrize("n_mc", [1, ml.metrics.HELLINGER_BLOCK - 1, ml.metrics.HELLINGER_BLOCK + 1,
+                                      2 * ml.metrics.HELLINGER_BLOCK, 2 * ml.metrics.HELLINGER_BLOCK + 1])
     def test_expected_is_mean_of_pointwise(self, n_mc):
         rng = np.random.default_rng(n_mc)
         truth = random_measure(rng, 3, 2)
@@ -334,9 +340,22 @@ class TestHellinger:
         est = ml.expected_hellinger(fit, 3, truth, 2, sampler, n_mc, grid, seed=11)
         X = sampler(np.random.default_rng(11), n_mc)
         vals = [ml.hellinger_pointwise(fit, 3, truth, 2, x, grid) for x in X]
-        assert est.mean == pytest.approx(np.mean(vals), abs=1e-12)
         want_stderr = np.std(vals, ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
-        assert est.stderr == pytest.approx(want_stderr, abs=1e-12)
+        if n_mc == 1:
+            assert (est.mean, est.stderr) == (vals[0], 0.0)
+        else:
+            # a row scored alone and in a block differ only in the rounding of
+            # the matrix products, a few units in the last place
+            assert est.mean == pytest.approx(np.mean(vals), abs=1e-14)
+            assert est.stderr == pytest.approx(want_stderr, abs=1e-14)
+        # refilled block buffers give the values of fresh arrays, bit for bit
+        B = ml.metrics.HELLINGER_BLOCK
+        fresh = np.concatenate([ml.metrics._hellinger_rows(fit, 3, truth, 2, X[i : i + B], grid)
+                                for i in range(0, n_mc, B)])
+        assert est.mean == fresh.mean()
+        assert est.stderr == (fresh.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0)
+        # the buffers are made afresh per call: no state leaks between calls
+        assert ml.expected_hellinger(fit, 3, truth, 2, sampler, n_mc, grid, seed=11) == est
 
     def test_expected_identical_is_zero(self, bench_truth):
         grid = ml.default_y_grid(bench_truth, bench_truth, [[0, 1]])

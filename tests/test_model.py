@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import stats
+from scipy import special, stats
 
 import moelab as ml
 
@@ -42,6 +42,29 @@ def reference_log_joint(G, X, y, K):
             mu = float(G.a[i] @ x + G.b[i])
             out[i, j] = scores[i] - lse + reference_log_density(G.family, yj, mu, G.sigma[i], G.dof)
     return out
+
+
+def out_of_place_log_densities(X, y, a, b, sigma, family, dof):
+    """The expert log densities as out-of-place expressions, one temporary per
+    operation: the reference the in-place kernel must equal bit for bit."""
+    mu, sigma = a @ X.T + b[:, None], sigma[:, None]
+    if y.ndim == 2:
+        mu, sigma = mu[:, :, None], sigma[:, :, None]
+    z = (y - mu) / sigma
+    log_sig = np.log(sigma)
+    if family == ml.GAUSSIAN:
+        return -0.5 * z * z - log_sig - 0.5 * math.log(2.0 * math.pi)
+    if family == ml.LAPLACE:
+        return -np.abs(z) - log_sig - math.log(2.0)
+    nu = dof
+    c = special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    return c - log_sig - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+
+
+def out_of_place_log_joint(G, X, y, K):
+    logw = ml.gate_log_weights(G, X, K)
+    logf = out_of_place_log_densities(np.asarray(X, dtype=float), y, G.a, G.b, G.sigma, G.family, G.dof)
+    return (logw[:, :, None] if logf.ndim == 3 else logw) + logf
 
 
 @st.composite
@@ -268,6 +291,52 @@ class TestLogJoint:
         joint = ml.log_joint(bench_truth, X, y, 2)
         np.testing.assert_allclose(ml.conditional_log_density(bench_truth, 2, X, y),
                                    np.log(np.exp(joint).sum(axis=0)), rtol=1e-12)
+
+
+class TestInPlaceKernel:
+    """The kernel computes in one array; its values equal the out-of-place
+    expressions bit for bit, whichever array it writes into."""
+
+    @staticmethod
+    def random_case(rng, family):
+        k, d, n = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        G = ml.MixingMeasure.from_arrays(
+            rng.normal(0.0, 1.0, size=k), rng.normal(0.0, 2.0, size=(k, d)),
+            rng.normal(0.0, 2.0, size=(k, d)), rng.normal(0.0, 2.0, size=k),
+            np.exp(rng.normal(-0.5, 0.6, size=k)), family=family, dof=float(rng.uniform(2.5, 30.0)),
+        )
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        return G, X, int(rng.integers(1, k + 1))
+
+    @pytest.mark.parametrize("family", ml.FAMILIES)
+    def test_equals_out_of_place_expressions(self, family):
+        rng = np.random.default_rng(ml.FAMILIES.index(family))
+        for _ in range(100):
+            G, X, K = self.random_case(rng, family)
+            n = len(X)
+            paired = rng.normal(0.0, 4.0, size=n)
+            grid = np.sort(rng.normal(0.0, 6.0, size=(1, int(rng.integers(2, 30)))))
+            for y in (paired, grid, rng.normal(0.0, 4.0, size=(n, 3))):
+                want = out_of_place_log_densities(X, y, G.a, G.b, G.sigma, family, G.dof)
+                assert np.array_equal(ml.model.expert_log_density_matrix(G, X, y), want)
+                assert np.array_equal(ml.log_joint(G, X, y, K), out_of_place_log_joint(G, X, y, K))
+
+    @pytest.mark.parametrize("family", ml.FAMILIES)
+    def test_writes_into_out(self, family):
+        rng = np.random.default_rng([7, ml.FAMILIES.index(family)])
+        G, X, K = self.random_case(rng, family)
+        n = len(X)
+        y = rng.normal(0.0, 4.0, size=n)
+        buf = np.empty((G.k, n))
+        assert ml.log_joint(G, X, y, K, out=buf) is buf
+        assert np.array_equal(buf, out_of_place_log_joint(G, X, y, K))
+        # the last, partial block of a y grid: a row slice of a larger buffer
+        grid = np.linspace(-8.0, 8.0, 11)[None, :]
+        block = np.full((G.k, n + 5, grid.size), np.nan)
+        got = ml.log_joint(G, X, grid, K, out=block[:, :n])
+        assert np.shares_memory(got, block)
+        assert np.array_equal(got, out_of_place_log_joint(G, X, grid, K))
+        assert np.all(np.isnan(block[:, n:]))
 
 
 class TestConditionalLogDensity:
