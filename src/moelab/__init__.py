@@ -27,14 +27,7 @@ from .model import (
     uniform_box_sampler,
     unit_box,
 )
-from .partition import (
-    RegionSpec,
-    enumerate_regions,
-    partition_match_rate,
-    positive_mass_subsets,
-    region_mass,
-    region_of,
-)
+from .partition import partition_match_rate, positive_mass_subsets
 from .metrics import (
     LossReport,
     VoronoiAssignment,

@@ -101,9 +101,7 @@ def cmd_loss(args):
     subsets = None
     if args.positive_mass_only:
         sampler = uniform_box_sampler(_parse_bounds(args.bounds, truth.d))
-        subsets = partition.positive_mass_subsets(
-            truth, args.K, sampler, args.mass_n_mc, seed=args.mass_seed
-        )
+        subsets = partition.positive_mass_subsets(truth, args.K, sampler, partition.MASS_N_MC, seed=0)
     report = metrics.voronoi_loss(
         fitted, truth, args.K, args.metric, rbar_policy=args.rbar,
         renormalize=args.renormalize, subsets=subsets,
@@ -129,18 +127,17 @@ def cmd_partition_check(args):
     truth = _read_measure(args.truth)
     bounds = _parse_bounds(args.bounds, truth.d)
     sampler = uniform_box_sampler(bounds)
-    etas = [float(tok) for tok in args.etas.split(",")]
+    try:
+        etas = [float(tok) for tok in args.etas.split(",")]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad --etas {args.etas!r}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     directions = rng.standard_normal((truth.k, truth.d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     directions /= np.where(norms > 0, norms, 1.0)
     print("eta\tmatch_rate")
     for eta in etas:
-        perturbed = truth.beta1 + eta * directions
-        G_fit = type(truth).from_arrays(
-            truth.beta0, perturbed, truth.a, truth.b, truth.sigma,
-            family=truth.family, dof=truth.dof,
-        )
+        G_fit = replace(truth, beta1=truth.beta1 + eta * directions)
         rate = partition.partition_match_rate(
             truth, G_fit, None, args.K, args.K, sampler, args.n_mc, seed=args.seed
         )
@@ -247,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
              "exp(beta0)-weighted mean slopes before the Voronoi assignment",
     )
     lo.add_argument("--positive-mass-only", action="store_true")
-    lo.add_argument("--mass-n-mc", type=int, default=20000)
-    lo.add_argument("--mass-seed", type=int, default=0)
     lo.add_argument("--bounds")
     lo.set_defaults(func=cmd_loss)
 

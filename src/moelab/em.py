@@ -38,6 +38,7 @@ from .model import (
     Dataset,
     GatePass,
     MixingMeasure,
+    _check_sparsity,
     _expert_log_densities,
     _masked_logsumexp,
     _selection_mask,
@@ -101,8 +102,7 @@ class FitConfig:
     sigma_floor: float = 1e-3
 
     def __post_init__(self):
-        if not 1 <= self.K <= self.k:
-            raise InvalidArgumentError(f"need 1 <= K <= k, got K={self.K}, k={self.k}")
+        _check_sparsity(self.K, self.k)
         if self.init.k != self.k:
             raise InvalidArgumentError("init cell plan length must equal k")
         _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import em, metrics, partition
+from . import em, metrics, partition, polysys
 from .errors import InsufficientDataError, InvalidArgumentError, MoeError
 from .model import (
     MixingMeasure,
+    _check_sparsity,
     measure_from_text,
     measure_to_text,
     sample_dataset,
@@ -33,24 +34,31 @@ METRICS = ("d1", "d2", "d3", "hellinger")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which discrepancy a sweep reports, and how it is evaluated."""
+    """Which discrepancy a sweep reports, and how it is evaluated.
+
+    D1, D2 and D3 take their outer max over the data_K-subsets of the truth's
+    components; ``positive_mass_only`` restricts it to the subsets flagged by
+    ``partition.positive_mass_subsets`` at ``partition.MASS_N_MC`` draws.
+    """
 
     metric: str = "d1"
     rbar_policy: str = "exact"
-    loss_K: int = None  # subset size of the outer max; defaults to data_K
     renormalize: bool = False  # score modulo the common (beta0, beta1) translation
     terms: tuple = None  # D1 term restriction, e.g. ("a", "b", "sigma")
     positive_mass_only: bool = False
-    mass_n_mc: int = 20000
     hellinger_n_mc: int = 200
     y_points: int = 2001
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidArgumentError(f"metric must be one of {METRICS}")
-        if self.terms is not None and self.metric != "d1":
-            raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
-        for name, low in (("mass_n_mc", 1), ("hellinger_n_mc", 1), ("y_points", 2)):
+        polysys.rbar(2, self.rbar_policy)  # raises on an unknown policy
+        if self.terms is not None:
+            if self.metric != "d1":
+                raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
+            if not set(self.terms) <= metrics.ALL_TERMS:
+                raise InvalidArgumentError(f"unknown loss terms {set(self.terms) - metrics.ALL_TERMS}")
+        for name, low in (("hellinger_n_mc", 1), ("y_points", 2)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -82,6 +90,12 @@ class SweepConfig:
             raise InvalidArgumentError(f"sample sizes must be >= 1, got {sizes[0]}")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
+        if self.parallelism < 1:
+            raise InvalidArgumentError(f"parallelism must be >= 1, got {self.parallelism}")
+        _check_sparsity(self.data_K, self.truth.k, "data_K")
+        if self.fit_k < self.truth.k:
+            raise InvalidArgumentError(f"need fit_k >= k*, got fit_k={self.fit_k}, k*={self.truth.k}")
+        _check_sparsity(self.fit_K, self.fit_k, "fit_K")
         # every row fits at FitConfig's sigma_floor
         em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
                                em.FitConfig.sigma_floor)
@@ -131,7 +145,6 @@ def row_seed(base_seed, n: int, replicate: int, role: str = "row") -> int:
 
 def _loss_value(cfg: SweepConfig, fitted: MixingMeasure, seed: int, subsets) -> float:
     spec = cfg.loss
-    loss_K = spec.loss_K if spec.loss_K is not None else cfg.data_K
     if spec.metric == "hellinger":
         sampler = uniform_box_sampler(cfg.bounds)
         grid = metrics.default_y_grid(fitted, cfg.truth, cfg.bounds, spec.y_points)
@@ -141,7 +154,7 @@ def _loss_value(cfg: SweepConfig, fitted: MixingMeasure, seed: int, subsets) -> 
         )
         return est.mean
     return metrics.voronoi_loss(
-        fitted, cfg.truth, loss_K, spec.metric, rbar_policy=spec.rbar_policy,
+        fitted, cfg.truth, cfg.data_K, spec.metric, rbar_policy=spec.rbar_policy,
         renormalize=spec.renormalize, terms=spec.terms, subsets=subsets,
     ).value
 
@@ -149,12 +162,8 @@ def _loss_value(cfg: SweepConfig, fitted: MixingMeasure, seed: int, subsets) -> 
 def _positive_mass_subsets(cfg: SweepConfig):
     if not cfg.loss.positive_mass_only or cfg.loss.metric == "hellinger":
         return None
-    loss_K = cfg.loss.loss_K if cfg.loss.loss_K is not None else cfg.data_K
-    sampler = uniform_box_sampler(cfg.bounds)
-    return partition.positive_mass_subsets(
-        cfg.truth, loss_K, sampler, cfg.loss.mass_n_mc,
-        seed=row_seed(cfg.base_seed, 0, 0, "mass"),
-    )
+    return partition.positive_mass_subsets(cfg.truth, cfg.data_K, uniform_box_sampler(cfg.bounds),
+                                           partition.MASS_N_MC, seed=row_seed(cfg.base_seed, 0, 0, "mass"))
 
 
 def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
@@ -454,7 +463,11 @@ def _parse_bounds(text, d: int) -> np.ndarray:
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    """key = value lines, plus a ``[truth]`` section holding a measure document."""
+    """key = value lines, plus a ``[truth]`` section holding a measure document.
+
+    Keys the parser does not read and sections other than ``[truth]`` are
+    rejected, so a misspelt or retired setting never falls back silently.
+    """
     kv = {}
     truth_lines = []
     in_truth = False
@@ -462,13 +475,11 @@ def parse_sweep_config(text: str) -> SweepConfig:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower() == "[truth]":
-            in_truth = True
-            continue
         if line.startswith("["):
-            in_truth = False
-            continue
-        if in_truth:
+            if line.lower() != "[truth]":
+                raise InvalidArgumentError(f"unknown config section {line}")
+            in_truth = True
+        elif in_truth:
             truth_lines.append(line)
         else:
             if "=" not in line:
@@ -478,8 +489,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if not truth_lines:
         raise InvalidArgumentError("config is missing the [truth] section")
     truth = measure_from_text("\n".join(truth_lines))
+    read = set()
 
     def get(key, convert, default=None):
+        read.add(key)
         if key not in kv:
             return default
         try:
@@ -497,34 +510,34 @@ def parse_sweep_config(text: str) -> SweepConfig:
     missing = [key for key in required if key not in kv]
     if missing:
         raise InvalidArgumentError(f"config is missing keys: {', '.join(missing)}")
-    loss = LossSpec(
-        metric=kv.get("metric", "d1"),
-        rbar_policy=kv.get("rbar", "exact"),
-        loss_K=get("loss_k", int),
+    loss = dict(
+        metric=get("metric", str, "d1"),
+        rbar_policy=get("rbar", str, "exact"),
         renormalize=get("renormalize", to_bool, False),
         terms=get("loss_terms", lambda text: tuple(text.replace(",", " ").split())),
         positive_mass_only=get("positive_mass_only", to_bool, False),
-        mass_n_mc=get("mass_n_mc", int, 20000),
         hellinger_n_mc=get("hellinger_n_mc", int, 200),
         y_points=get("y_points", int, 2001),
     )
-    return SweepConfig(
-        truth=truth,
+    settings = dict(
         data_K=get("data_k", int),
         fit_k=get("fit_k", int),
         fit_K=get("fit_big_k", int),
         sample_sizes=get("sample_sizes", to_ints),
         replicates=get("replicates", int),
         base_seed=get("base_seed", int, 0),
-        loss=loss,
         noise_std=get("noise_std", float, 0.05),
         tol=get("tol", float, 1e-6),
         max_iters=get("max_iters", int, 2000),
         gating_lr=get("gating_lr", float, 0.1),
         gating_steps_per_m=get("gating_steps_per_m", int, 5),
         parallelism=get("parallelism", int, 1),
-        bounds=_parse_bounds(kv.get("bounds"), truth.d),
+        bounds=_parse_bounds(get("bounds", str), truth.d),
     )
+    unknown = sorted(set(kv) - read)
+    if unknown:
+        raise InvalidArgumentError(f"unknown config keys: {', '.join(unknown)}")
+    return SweepConfig(truth=truth, loss=LossSpec(**loss), **settings)
 
 
 def sweep_config_to_text(cfg: SweepConfig) -> str:
@@ -539,7 +552,6 @@ def sweep_config_to_text(cfg: SweepConfig) -> str:
         f"rbar = {cfg.loss.rbar_policy}",
         f"renormalize = {'true' if cfg.loss.renormalize else 'false'}",
         f"positive_mass_only = {'true' if cfg.loss.positive_mass_only else 'false'}",
-        f"mass_n_mc = {cfg.loss.mass_n_mc}",
         f"hellinger_n_mc = {cfg.loss.hellinger_n_mc}",
         f"y_points = {cfg.loss.y_points}",
         f"noise_std = {_g17(cfg.noise_std)}",
@@ -550,8 +562,6 @@ def sweep_config_to_text(cfg: SweepConfig) -> str:
         f"parallelism = {cfg.parallelism}",
         f"bounds = {';'.join(f'{_g17(lo)},{_g17(hi)}' for lo, hi in cfg.bounds)}",
     ]
-    if cfg.loss.loss_K is not None:
-        lines.append(f"loss_k = {cfg.loss.loss_K}")
     if cfg.loss.terms is not None:
         lines.append(f"loss_terms = {','.join(cfg.loss.terms)}")
     lines.append("")

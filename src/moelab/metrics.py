@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, log_joint
+from .model import MixingMeasure, _check_sparsity, log_joint
 from .polysys import rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
@@ -95,11 +95,6 @@ class LossReport:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "LossReport":
-        obj = json.loads(text)
-        return cls(obj["value"], tuple(obj["argmax_subset"]), tuple(obj["per_cell_terms"]))
-
 
 def _fitted_weights(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool) -> np.ndarray:
     """exp(beta0_i) of the fitted components, optionally rescaled so that the
@@ -146,8 +141,7 @@ def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=
     if not terms <= ALL_TERMS:
         raise InvalidArgumentError(f"unknown loss terms {terms - ALL_TERMS}")
     k_star = G_true.k
-    if not 1 <= K <= k_star:
-        raise InvalidArgumentError(f"need 1 <= K <= k*={k_star}, got K={K}")
+    _check_sparsity(K, k_star)
     w = _fitted_weights(G_fit, G_true, renormalize)
     G_fit = _translated_fit(G_fit, G_true, renormalize)
     assignment = assign_voronoi(G_fit, G_true)

@@ -194,6 +194,12 @@ def _as_rows(X, d: int) -> np.ndarray:
     return X
 
 
+def _check_sparsity(K: int, k: int, name: str = "K") -> None:
+    """The gate selects K of k components, so 1 <= K <= k."""
+    if not 1 <= K <= k:
+        raise InvalidArgumentError(f"need 1 <= {name} <= k, got {name}={K}, k={k}")
+
+
 def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
     """Top-K mask of a (k, n) logit matrix, one selection per input.
 
@@ -275,8 +281,7 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     uses the slopes only; the bias is added before the softmax.
     """
     X = _as_rows(X, G.d)
-    if not 1 <= K <= G.k:
-        raise InvalidArgumentError(f"K must satisfy 1 <= K <= {G.k}, got {K}")
+    _check_sparsity(K, G.k)
     return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
 
 

@@ -1,79 +1,29 @@
-"""Input-space regions induced by the gating slopes.
+"""Input-space regions induced by the gating slopes, estimated by Monte Carlo.
 
 A region is identified by the *set* of selected indices, not their order,
-matching the subset-based definition of the gate's winning regions.  Region
-volumes are only ever estimated by Monte Carlo; exact polyhedral volumes are
-out of scope.
+matching the subset-based definition of the gate's winning regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _selection_mask, gate_log_weights
+from .model import MixingMeasure, _check_sparsity, _selection_mask
 
-MAX_REGIONS = 10**6
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """A K-subset of component indices and its complement."""
-
-    selected: tuple
-    complement: tuple
-
-    def __post_init__(self):
-        sel = tuple(sorted(int(i) for i in self.selected))
-        comp = tuple(sorted(int(i) for i in self.complement))
-        if set(sel) & set(comp):
-            raise InvalidArgumentError("selected and complement must be disjoint")
-        if set(sel) | set(comp) != set(range(len(sel) + len(comp))):
-            raise InvalidArgumentError("selected + complement must cover 0..k-1")
-        object.__setattr__(self, "selected", sel)
-        object.__setattr__(self, "complement", comp)
-
-    @property
-    def k(self) -> int:
-        return len(self.selected) + len(self.complement)
+# Draws behind the positive-mass flag of the sweeps and of ``moelab loss``.
+MASS_N_MC = 20000
 
 
-def region_of(G: MixingMeasure, x, K: int) -> RegionSpec:
-    """The region spec whose selected set wins the top-K ranking at x."""
-    selected = np.isfinite(gate_log_weights(G, np.reshape(x, (1, -1)), K)[:, 0])
-    return RegionSpec(selected=np.flatnonzero(selected), complement=np.flatnonzero(~selected))
-
-
-def enumerate_regions(k: int, K: int):
-    """All C(k, K) region specs in lexicographic order of the selected set."""
-    if not 1 <= K <= k:
-        raise InvalidArgumentError(f"need 1 <= K <= k, got K={K}, k={k}")
-    if comb(k, K) > MAX_REGIONS:
-        raise InvalidArgumentError(f"C({k},{K}) exceeds the {MAX_REGIONS} region cap")
-    full = set(range(k))
-    return [
-        RegionSpec(selected=sel, complement=tuple(sorted(full - set(sel))))
-        for sel in combinations(range(k), K)
-    ]
-
-
-def region_mass(G: MixingMeasure, spec: RegionSpec, K: int, sampler, n_mc: int, seed=0) -> float:
-    """Monte-Carlo estimate of P(X lands in the region of ``spec``).
-
-    Masses below 2/n_mc flag a (near-)measure-zero region.
-    """
+def _selections(sampler, n_mc: int, seed, *gates):
+    """Top-K masks, shape (k, n_mc), of each ``(G, K)`` in ``gates`` at the
+    same n_mc inputs drawn by ``sampler`` from a fresh rng seeded ``seed``."""
     if n_mc < 1:
         raise InvalidArgumentError("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = np.asarray(sampler(rng, n_mc), dtype=float)
-    mask = _selection_mask(G.beta1 @ X.T, K)
-    target = np.zeros(G.k, dtype=bool)
-    target[list(spec.selected)] = True
-    return float(np.mean(np.all(mask == target[:, None], axis=0)))
+    for G, K in gates:
+        _check_sparsity(K, G.k)
+    X = np.asarray(sampler(np.random.default_rng(seed), n_mc), dtype=float)
+    return [_selection_mask(G.beta1 @ X.T, K) for G, K in gates]
 
 
 def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):
@@ -83,14 +33,11 @@ def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):
     Returns sorted index tuples.  Each selection is counted by its bit code
     in an int64, so k is capped at 63.
     """
-    if n_mc < 1:
-        raise InvalidArgumentError("n_mc must be >= 1")
+    (mask,) = _selections(sampler, n_mc, seed, (G, K))
     if G.k > 63:
         raise InvalidArgumentError(f"positive_mass_subsets needs k <= 63, got k={G.k}")
-    rng = np.random.default_rng(seed)
-    X = np.asarray(sampler(rng, n_mc), dtype=float)
     bits = 1 << np.arange(G.k)
-    codes, counts = np.unique(bits @ _selection_mask(G.beta1 @ X.T, K), return_counts=True)
+    codes, counts = np.unique(bits @ mask, return_counts=True)
     return sorted(tuple(np.flatnonzero(code & bits).tolist()) for code in codes[counts >= 2])
 
 
@@ -111,19 +58,13 @@ def partition_match_rate(
     assignment (over-specified) the fitted set is compared against the union
     of the cells of the true selected components.
     """
-    if n_mc < 1:
-        raise InvalidArgumentError("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = np.asarray(sampler(rng, n_mc), dtype=float)
-    true_mask = _selection_mask(G_true.beta1 @ X.T, K)
-    fit_mask = _selection_mask(G_fit.beta1 @ X.T, K_bar)
+    true_mask, fit_mask = _selections(sampler, n_mc, seed, (G_true, K), (G_fit, K_bar))
     if assignment is None:
         if G_fit.k != G_true.k or K_bar != K:
             raise InvalidArgumentError("identity comparison needs k'=k* and K_bar=K")
         return float(np.mean(np.all(fit_mask == true_mask, axis=0)))
     cell_matrix = np.zeros((G_true.k, G_fit.k), dtype=bool)
     for j, cell in enumerate(assignment.cells):
-        for i in cell:
-            cell_matrix[j, i] = True
+        cell_matrix[j, list(cell)] = True
     target = cell_matrix.T @ true_mask  # boolean or over the selected cells
     return float(np.mean(np.all(fit_mask == target, axis=0)))

@@ -33,3 +33,8 @@ def random_measure(rng, k, d=1, family=ml.GAUSSIAN, pinned=False):
         beta0[-1] = 0.0
         beta1[-1] = 0.0
     return ml.MixingMeasure.from_arrays(beta0, beta1, a, b, sigma, family=family)
+
+
+def selected(G, x, K):
+    """The region of x: the indices of the gate's nonzero weights there."""
+    return tuple(np.flatnonzero(np.isfinite(ml.gate_log_weights(G, np.reshape(x, (1, -1)), K)[:, 0])))

@@ -90,7 +90,7 @@ class TestLoss:
         full = json.loads(out)["value"]
         code, out, _ = run(
             ["loss", "--metric", "d1", "--K", 1, "--fit", shifted, "--true", truth_file,
-             "--positive-mass-only", "--mass-n-mc", 5000],
+             "--positive-mass-only"],
             capsys,
         )
         restricted = json.loads(out)["value"]
@@ -269,6 +269,29 @@ class TestMalformedInput:
         self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("line", [
+        "data_k = 3", "data_k = 0", "fit_big_k = 3", "fit_k = 1\nfit_big_k = 1",
+        "loss_terms = a,foo", "rbar = nope", "parallelism = 0",
+        "loss_k = 1", "gatinglr = 5", "[extra]",
+    ])
+    def test_sweep_setting_rejected_before_any_fit(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_sweep_zero_jobs(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_HEAD + "\n[truth]\n" + BENCH_TEXT)
+        self.assert_clean_error(
+            ["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1, "--jobs", 0], capsys
+        )
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("args", [["--K", 1, "--etas", "1e-1,x"], ["--K", 0], ["--K", 3]])
+    def test_partition_check_bad_setting(self, truth_file, args, capsys):
+        self.assert_clean_error(["partition-check", "--truth", truth_file, "--seed", 0, *args], capsys)
+
     def test_hellinger_negative_y_points(self, truth_file, capsys):
         self.assert_clean_error(
             ["hellinger", "--fit", truth_file, "--K-fit", 2, "--true", truth_file, "--K-true", 2,
@@ -306,9 +329,10 @@ class TestMalformedInput:
         ["hellinger", "--fit", "{truth}", "--K-fit", 1, "--true", "{truth}", "--K-true", 1, "--seed", -1],
         ["partition-check", "--truth", "{truth}", "--K", 1, "--seed", -1],
         ["polysys", "--m", 2, "--r", 3, "--seed", -1],
-        ["loss", "--metric", "d1", "--K", 1, "--fit", "{truth}", "--true", "{truth}",
-         "--positive-mass-only", "--mass-seed", -1],
+        ["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/o.csv", "--seed", -1],
     ])
     def test_negative_seed(self, tmp_path, truth_file, argv, capsys):
+        (tmp_path / "sweep.cfg").write_text(SWEEP_HEAD + "\n[truth]\n" + BENCH_TEXT)
         argv = [str(a).format(truth=truth_file, tmp=tmp_path) for a in argv]
         self.assert_clean_error(argv, capsys)
+        assert not (tmp_path / "o.csv").exists()

@@ -216,18 +216,17 @@ def sweep_configs(draw):
     loss = ex.LossSpec(
         metric=metric,
         rbar_policy=draw(st.sampled_from(("exact", "conjecture"))),
-        loss_K=draw(st.none() | st.integers(1, 5)),
         renormalize=draw(st.booleans()),
         terms=draw(st.none() | st.sampled_from((("a",), ("b", "sigma")))) if metric == "d1" else None,
         positive_mass_only=draw(st.booleans()),
-        mass_n_mc=draw(st.integers(1, 10**6)),
         hellinger_n_mc=draw(st.integers(1, 10**4)),
         y_points=draw(st.integers(2, 10**4)),
     )
     sizes = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=5)))
+    fit_k = draw(st.integers(truth.k, 6))
     return ex.SweepConfig(
-        truth=truth, data_K=draw(st.integers(1, 2)), fit_k=draw(st.integers(1, 6)),
-        fit_K=draw(st.integers(1, 6)), sample_sizes=tuple(sizes),
+        truth=truth, data_K=draw(st.integers(1, truth.k)), fit_k=fit_k,
+        fit_K=draw(st.integers(1, fit_k)), sample_sizes=tuple(sizes),
         replicates=draw(st.integers(1, 50)), base_seed=draw(st.integers(0, 2**63)),
         loss=loss, noise_std=draw(positive), tol=draw(positive),
         max_iters=draw(st.integers(1, 10**5)), gating_lr=draw(positive),
@@ -242,16 +241,19 @@ class TestSamplingSettings:
 
     @pytest.mark.parametrize("setting", [
         dict(y_points=1), dict(y_points=-5), dict(y_points=2.5),
-        dict(hellinger_n_mc=0), dict(mass_n_mc=0),
+        dict(hellinger_n_mc=0), dict(rbar_policy="nope"),
+        dict(metric="d1", terms=("a", "foo")), dict(metric="l2"),
     ])
     def test_loss_spec_rejects(self, setting):
         with pytest.raises(ml.InvalidArgumentError):
-            ex.LossSpec(metric="hellinger", **setting)
+            ex.LossSpec(**{"metric": "hellinger", **setting})
 
     @pytest.mark.parametrize("setting", [
         dict(sample_sizes=(0, 100)),
         dict(bounds=[[1.0, 0.0]]), dict(bounds=[[0.0, math.nan]]), dict(bounds=[[-math.inf, 1.0]]),
         dict(bounds=[[0.0, 1.0], [0.0, 1.0]]), dict(bounds=[0.0, 1.0, 2.0]),
+        # each of these would otherwise fail every row, not the config
+        dict(data_K=3), dict(data_K=0), dict(fit_K=3), dict(fit_k=1, fit_K=1), dict(parallelism=0),
     ])
     def test_sweep_config_rejects(self, tiny_cfg, setting):
         with pytest.raises(ml.InvalidArgumentError):
@@ -262,9 +264,8 @@ class TestConfigDocument:
     def test_round_trip(self, tiny_cfg):
         cfg = replace(
             tiny_cfg,
-            loss=ex.LossSpec(metric="d1", rbar_policy="conjecture", loss_K=1, renormalize=True,
-                             terms=("a", "b"), positive_mass_only=True, mass_n_mc=5000,
-                             hellinger_n_mc=17, y_points=33),
+            loss=ex.LossSpec(metric="d1", rbar_policy="conjecture", renormalize=True,
+                             terms=("a", "b"), positive_mass_only=True, hellinger_n_mc=17, y_points=33),
             noise_std=0.125, tol=3e-7, max_iters=77, gating_lr=0.3, gating_steps_per_m=2,
             parallelism=3, bounds=[[-1.0, 1.0]],
         )
@@ -282,6 +283,21 @@ class TestConfigDocument:
     def test_missing_truth_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):
             ex.parse_sweep_config("data_k = 1\nfit_k = 2\n")
+
+    def test_every_written_key_accepted(self, tiny_cfg):
+        text = ex.sweep_config_to_text(replace(tiny_cfg, loss=ex.LossSpec(terms=("a",))))
+        keys = {line.split("=")[0].strip() for line in text.split("[truth]")[0].splitlines() if line}
+        assert "loss_terms" in keys and len(keys) == 20
+        ex.parse_sweep_config(text)
+
+    @pytest.mark.parametrize("line, key", [
+        ("loss_k = 1", "loss_k"), ("mass_n_mc = 5000", "mass_n_mc"), ("gatinglr = 5", "gatinglr"),
+        ("[extra]", "extra"),
+    ])
+    def test_unknown_key_or_section_rejected(self, tiny_cfg, line, key):
+        text = line + "\n" + ex.sweep_config_to_text(tiny_cfg)
+        with pytest.raises(ml.InvalidArgumentError, match=key):
+            ex.parse_sweep_config(text)
 
     def test_missing_keys_named(self, bench_truth):
         text = "[truth]\n" + ml.measure_to_text(bench_truth)

@@ -92,9 +92,9 @@ class TestLossD1:
         rng = np.random.default_rng(2)
         rep = ml.loss_d1(perturbed(bench_truth, rng, 0.1), bench_truth, 2)
         assert rep.value == pytest.approx(sum(rep.per_cell_terms), abs=1e-12)
-        back = ml.LossReport.from_json(rep.to_json())
-        assert back == rep
-        assert set(json.loads(rep.to_json())) == {"value", "argmax_subset", "per_cell_terms"}
+        assert json.loads(rep.to_json()) == {
+            "value": rep.value, "argmax_subset": list(rep.argmax_subset), "per_cell_terms": list(rep.per_cell_terms),
+        }
 
     @pytest.mark.parametrize("seed", range(10))
     def test_subset_max_dominance(self, seed):

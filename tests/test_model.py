@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import moelab as ml
 
-from conftest import random_measure
+from conftest import random_measure, selected
 
 
 def single_expert(family, a, b, sigma, dof=5.0):
@@ -97,7 +97,7 @@ def stable_argsort_mask(logits, K):
 class TestGateSelection:
     def test_strict_maximum(self):
         G = ml.MixingMeasure.from_arrays([0, 0], [[1], [0]], [[1], [2]], [0, 0], [1, 1])
-        assert ml.region_of(G, [1.0], 1).selected == (0,)
+        assert selected(G, [1.0], 1) == (0,)
 
     def test_tie_break_by_index(self):
         G = ml.MixingMeasure.from_arrays([0, 0, 0], [[0], [0], [0]], [[1], [2], [3]], [0, 0, 0], [1, 1, 1])
@@ -119,7 +119,7 @@ class TestGateSelection:
         # logits at x=0.5 are (12.5, 0); the steep component wins top-1
         logits = bench_truth.beta1 @ np.array([0.5])
         assert logits[0] == pytest.approx(12.5)
-        assert ml.region_of(bench_truth, [0.5], 1).selected == (0,)
+        assert selected(bench_truth, [0.5], 1) == (0,)
 
     def test_k_out_of_range(self, bench_truth):
         for K in (0, 3):
@@ -133,7 +133,7 @@ class TestGateSelection:
             with pytest.raises(ml.InvalidArgumentError):
                 ml.gate_log_weights(bench_truth, [[x]], 1)
             with pytest.raises(ml.InvalidArgumentError):
-                ml.region_of(bench_truth, [x], 1)
+                ml.log_joint(bench_truth, [[x]], [1.0], 1)
 
 
 class TestGateWeights:
@@ -144,7 +144,7 @@ class TestGateWeights:
     def test_top1_weight_is_one(self, bench_truth):
         # softmax over a singleton ignores beta0 entirely
         w = gate_probs(bench_truth, [0.9], 1)
-        assert ml.region_of(bench_truth, [0.9], 1).selected == (0,)
+        assert selected(bench_truth, [0.9], 1) == (0,)
         assert w[0] == 1.0
         assert w[1] == 0.0
 
@@ -172,7 +172,7 @@ class TestGateWeights:
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.count_nonzero(w) == K
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
-        assert np.flatnonzero(w).tolist() == list(ml.region_of(G, x, K).selected)
+        assert tuple(np.flatnonzero(w)) == selected(G, x, K)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_permutation_equivariance(self, seed):
@@ -215,7 +215,7 @@ class TestGateWeights:
         G = random_measure(rng, 3, 1)
         x = np.array([1.0])
         G2 = ml.MixingMeasure.from_arrays(G.beta0, G.beta1 + c, G.a, G.b, G.sigma)
-        assert ml.region_of(G, x, 2) == ml.region_of(G2, x, 2)
+        assert selected(G, x, 2) == selected(G2, x, 2)
         np.testing.assert_allclose(gate_probs(G2, x, 2), gate_probs(G, x, 2), atol=1e-12)
 
 

@@ -3,31 +3,43 @@ import pytest
 
 import moelab as ml
 
-from conftest import random_measure
+from conftest import random_measure, selected
 
 UNIT = ml.uniform_box_sampler([[0.0, 1.0]])
 
 
+def stable_argsort_selected(G, x, K):
+    """The top-K of the slope logits at x by a stable descending argsort, so
+    ties go to the smaller index."""
+    return tuple(np.sort(np.argsort(-(G.beta1 @ x), kind="stable")[:K]))
+
+
+# Three unit slopes 120 degrees apart: on [-1, 1]^2 every ranking occurs.
+TRIPOD = ml.MixingMeasure.from_arrays(
+    [0, 0, 0], [[1.0, 0.0], [-0.5, 0.75**0.5], [-0.5, -(0.75**0.5)]],
+    [[1, 0], [0, 1], [1, 1]], [0, 1, 2], [1, 1, 1],
+)
+SQUARE = ml.uniform_box_sampler([[-1.0, 1.0], [-1.0, 1.0]])
+
+
 class TestRegionOf:
     def test_benchmark_top1(self, bench_truth):
-        spec = ml.region_of(bench_truth, [0.5], 1)
-        assert spec.selected == (0,)
-        assert spec.complement == (1,)
+        assert selected(bench_truth, [0.5], 1) == (0,)
 
     def test_equal_slopes_tie_break(self):
         G = ml.MixingMeasure.from_arrays(
             [0, 0, 0], [[1], [1], [1]], [[1], [2], [3]], [0, 0, 0], [1, 1, 1]
         )
-        assert ml.region_of(G, [0.7], 2).selected == (0, 1)
+        assert selected(G, [0.7], 2) == (0, 1)
 
     def test_sign_comparison(self):
         G = ml.MixingMeasure.from_arrays([0, 0], [[1], [-1]], [[1], [2]], [0, 0], [1, 1])
-        assert ml.region_of(G, [-0.5], 1).selected == (1,)
+        assert selected(G, [-0.5], 1) == (1,)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_gate_support(self, seed):
-        # the region's selected set is exactly the gate's nonzero support and
-        # the stable-argsort top-K, also at exactly tied slope logits
+        # the gate's nonzero support is the stable-argsort top-K, also at
+        # exactly tied slope logits
         rng = np.random.default_rng(seed)
         G = random_measure(rng, 4, 2)
         x = rng.normal(size=2)
@@ -39,52 +51,49 @@ class TestRegionOf:
             x = rng.choice([0.5, 1.0, 2.0], size=2)
             cases += [(G, x, K) for K in range(1, k + 1)]
         for G, x, K in cases:
-            spec = ml.region_of(G, x, K)
-            logw = ml.gate_log_weights(G, [x], K)[:, 0]
-            assert spec.selected == tuple(np.flatnonzero(np.isfinite(logw)))
-            assert spec.selected == tuple(np.sort(np.argsort(-(G.beta1 @ x), kind="stable")[:K]))
+            assert selected(G, x, K) == stable_argsort_selected(G, x, K)
 
 
 class TestEnumerateRegions:
+    """positive_mass_subsets lists the selections that occur on the box, in
+    lexicographic order."""
+
     def test_k3_k1(self):
-        specs = ml.enumerate_regions(3, 1)
-        assert [s.selected for s in specs] == [(0,), (1,), (2,)]
+        assert ml.positive_mass_subsets(TRIPOD, 1, SQUARE, 5000, seed=0) == [(0,), (1,), (2,)]
 
     def test_k3_k2(self):
-        specs = ml.enumerate_regions(3, 2)
-        assert [s.selected for s in specs] == [(0, 1), (0, 2), (1, 2)]
+        assert ml.positive_mass_subsets(TRIPOD, 2, SQUARE, 5000, seed=0) == [(0, 1), (0, 2), (1, 2)]
 
     def test_counts(self):
-        assert len(ml.enumerate_regions(4, 2)) == 6
+        # slopes e1, e2, -e1, -e2: only neighbouring pairs share a region, so
+        # 4 of the C(4, 2) = 6 selections occur
+        G = ml.MixingMeasure.from_arrays(
+            np.zeros(4), [[1, 0], [0, 1], [-1, 0], [0, -1]], np.ones((4, 2)), np.zeros(4), np.ones(4)
+        )
+        assert ml.positive_mass_subsets(G, 2, SQUARE, 5000, seed=0) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_no_duplicates(self):
-        specs = ml.enumerate_regions(6, 3)
-        assert len({s.selected for s in specs}) == 20
-
-    def test_overflow_guard(self):
-        with pytest.raises(ml.InvalidArgumentError):
-            ml.enumerate_regions(60, 30)
+        G = random_measure(np.random.default_rng(6), 6, 2)
+        subsets = ml.positive_mass_subsets(G, 3, SQUARE, 5000, seed=0)
+        assert subsets == sorted(set(subsets))
+        assert all(len(s) == 3 and list(s) == sorted(s) for s in subsets)
+        assert 1 <= len(subsets) <= 20
 
 
 class TestRegionMass:
     def test_benchmark_masses(self, bench_truth):
-        r0 = ml.RegionSpec(selected=(0,), complement=(1,))
-        r1 = ml.RegionSpec(selected=(1,), complement=(0,))
-        m0 = ml.region_mass(bench_truth, r0, 1, UNIT, 20_000, seed=1)
-        m1 = ml.region_mass(bench_truth, r1, 1, UNIT, 20_000, seed=1)
-        assert m0 == pytest.approx(1.0)
-        assert m1 == pytest.approx(0.0)
+        # the steep component wins top-1 on all of [0, 1]
+        assert ml.positive_mass_subsets(bench_truth, 1, UNIT, 20_000, seed=1) == [(0,)]
 
     def test_single_component(self):
         G = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[1.0]], [0.0], [1.0])
-        spec = ml.RegionSpec(selected=(0,), complement=())
-        assert ml.region_mass(G, spec, 1, UNIT, 1000, seed=0) == 1.0
+        assert ml.positive_mass_subsets(G, 1, UNIT, 1000, seed=0) == [(0,)]
 
     def test_symmetric_split(self):
+        # opposite slopes over [-1, 1]: each singleton wins half the box
         G = ml.MixingMeasure.from_arrays([0, 0], [[1], [-1]], [[1], [2]], [0, 0], [1, 1])
         sym = ml.uniform_box_sampler([[-1.0, 1.0]])
-        m0 = ml.region_mass(G, ml.RegionSpec((0,), (1,)), 1, sym, 50_000, seed=3)
-        assert m0 == pytest.approx(0.5, abs=0.02)
+        assert ml.positive_mass_subsets(G, 1, sym, 50_000, seed=3) == [(0,), (1,)]
 
     def test_positive_mass_subsets(self, bench_truth):
         subsets = ml.positive_mass_subsets(bench_truth, 1, UNIT, 20_000, seed=5)
@@ -98,7 +107,7 @@ class TestRegionMass:
         X = box(np.random.default_rng(8), 5000)
         counts = {}
         for x in X:
-            key = ml.region_of(G, x, K).selected
+            key = stable_argsort_selected(G, x, K)
             counts[key] = counts.get(key, 0) + 1
         want = sorted(key for key, c in counts.items() if c >= 2)
         assert ml.positive_mass_subsets(G, K, box, 5000, seed=8) == want
@@ -109,6 +118,13 @@ class TestRegionMass:
             ml.positive_mass_subsets(G, 2, UNIT, 100)
         with pytest.raises(ml.InvalidArgumentError, match="n_mc"):
             ml.positive_mass_subsets(G, 2, UNIT, 0)
+
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_sparsity_out_of_range(self, bench_truth, K):
+        with pytest.raises(ml.InvalidArgumentError, match="1 <= K"):
+            ml.positive_mass_subsets(bench_truth, K, UNIT, 100)
+        with pytest.raises(ml.InvalidArgumentError, match="1 <= K"):
+            ml.partition_match_rate(bench_truth, bench_truth, None, K, K, UNIT, 100)
 
 
 class TestPartitionMatchRate:
