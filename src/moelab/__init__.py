@@ -25,7 +25,6 @@ from .model import (
     sample_dataset,
     true_measure,
     uniform_box_sampler,
-    unit_box,
 )
 from .partition import partition_match_rate, positive_mass_subsets
 from .metrics import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import em, experiments, metrics, partition, polysys
 from .errors import InvalidArgumentError, MoeError
-from .experiments import _parse_bounds
+from .experiments import _parse_bounds, _read_text, _write_text
 from .model import (
     Dataset,
     measure_from_text,
@@ -28,13 +28,13 @@ from .model import (
 
 
 def _read_measure(path):
-    with open(path) as fh:
-        return measure_from_text(fh.read())
+    return measure_from_text(_read_text(path, "measure"))
 
 
 def _read_dataset(path):
+    text = _read_text(path, "dataset")
     try:
-        data = np.loadtxt(path, delimiter="\t", ndmin=2)
+        data = np.loadtxt(text.splitlines(), delimiter="\t", ndmin=2)
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed dataset {path}: {exc}") from exc
     if data.shape[1] < 2:
@@ -44,8 +44,7 @@ def _read_dataset(path):
 
 def _write_dataset(data: Dataset, path):
     rows = ["\t".join(format(v, ".17g") for v in (*data.x[i], data.y[i])) for i in range(data.n)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_text(path, "\n".join(rows) + "\n", "dataset")
 
 
 def cmd_gen(args):
@@ -73,8 +72,7 @@ def cmd_fit(args):
         gating_steps_per_m=args.gating_steps,
     )
     result = em.fit(data, cfg)
-    with open(args.out_measure, "w", newline="\n") as fh:
-        fh.write(measure_to_text(result.measure))
+    _write_text(args.out_measure, measure_to_text(result.measure), "measure")
     summary = {
         "loglik": float(result.loglik_trace[-1]),
         "iterations": result.iterations,
@@ -86,8 +84,7 @@ def cmd_fit(args):
         "trace_head": [float(v) for v in result.loglik_trace[:5]],
     }
     if args.out_summary:
-        with open(args.out_summary, "w", newline="\n") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
+        _write_text(args.out_summary, json.dumps(summary, indent=2) + "\n", "summary")
     print(
         f"fit: loglik={summary['loglik']:.6f} iterations={result.iterations} "
         f"converged={str(result.converged).lower()}"
@@ -175,8 +172,7 @@ def _print_residual_table(inst, cand):
 
 
 def cmd_sweep(args):
-    with open(args.config) as fh:
-        cfg = experiments.parse_sweep_config(fh.read())
+    cfg = experiments.parse_sweep_config(_read_text(args.config, "sweep config"))
     cfg = replace(cfg, base_seed=args.seed)
     if args.jobs is not None:
         cfg = replace(cfg, parallelism=args.jobs)
@@ -221,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--K", type=int, required=True)
     f.add_argument("--seed", type=int, required=True)
-    f.add_argument("--noise-std", type=float, default=0.05)
-    f.add_argument("--tol", type=float, default=1e-6)
-    f.add_argument("--max-iters", type=int, default=2000)
-    f.add_argument("--gating-lr", type=float, default=0.1)
-    f.add_argument("--gating-steps", type=int, default=5)
+    f.add_argument("--noise-std", type=float, default=em.InitSpec.noise_std)
+    f.add_argument("--tol", type=float, default=em.FitConfig.tol)
+    f.add_argument("--max-iters", type=int, default=em.FitConfig.max_iters)
+    f.add_argument("--gating-lr", type=float, default=em.FitConfig.gating_lr)
+    f.add_argument("--gating-steps", type=int, default=em.FitConfig.gating_steps_per_m)
     f.add_argument("--out-measure", required=True)
     f.add_argument("--out-summary")
     f.set_defaults(func=cmd_fit)
@@ -252,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     he.add_argument("--K-fit", type=int, required=True)
     he.add_argument("--true", required=True)
     he.add_argument("--K-true", type=int, required=True)
-    he.add_argument("--n-mc", type=int, default=200)
+    he.add_argument("--n-mc", type=int, default=metrics.LossSpec.hellinger_n_mc)
     he.add_argument("--seed", type=int, required=True)
-    he.add_argument("--y-points", type=int, default=2001)
+    he.add_argument("--y-points", type=int, default=metrics.LossSpec.y_points)
     he.add_argument("--bounds")
     he.set_defaults(func=cmd_hellinger)
 

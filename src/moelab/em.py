@@ -192,7 +192,7 @@ def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):
     return beta
 
 
-def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=5.0, sigma_floor=1e-3):
+def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=MixingMeasure.dof, sigma_floor=FitConfig.sigma_floor):
     """Closed-form expert updates on the design Z = [X, 1] (n, d + 1).
 
     ``resp`` is (k, n); components with zero responsibility mass are left
@@ -257,6 +257,15 @@ def _gating_setup(X, resp, mask):
     return resp.sum(axis=0), resp.sum(axis=1), resp @ X
 
 
+def _gradient(X, setup, w, block: int) -> np.ndarray:
+    """The surrogate's gradient w.r.t. beta0 (block 0) or beta1 (block 1) at
+    selected softmax weights w: sum_j (r_ij - rsum_j w_i(x_j)), times x_j for
+    beta1, with rsum_j the selected responsibility at x_j."""
+    rsum, colsum, rX = setup
+    rw = rsum * w
+    return colsum - rw.sum(axis=1) if block == 0 else rX - rw @ X
+
+
 def _surrogate(setup, gate: GatePass) -> float:
     """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
     the component sums . beta0, so the surrogate needs only the pass's lse."""
@@ -275,18 +284,16 @@ def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
-    """Analytic gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d).
-
-    grad_beta0_i = sum_j (r_ij - rsum_j w_i(x_j)), with rsum_j the selected
-    responsibility at x_j; grad_beta1_i adds the x_j factor.  Both vanish
-    identically when K = 1 (singleton softmax weights are 1).
+    """Analytic gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d),
+    the ones :func:`m_step_gating` ascends.  Both vanish identically when
+    K = 1 (singleton softmax weights are 1).
     """
-    rsum, colsum, rX = _gating_setup(X, resp, mask)
-    rw = rsum * GatePass.under(X, beta0, beta1, mask).w
-    return colsum - rw.sum(axis=1), rX - rw @ X
+    setup = _gating_setup(X, resp, mask)
+    w = GatePass.under(X, beta0, beta1, mask).w
+    return _gradient(X, setup, w, 0), _gradient(X, setup, w, 1)
 
 
-def m_step_gating(X, resp, gate: GatePass, K: int, lr: float = 0.1, steps: int = 1):
+def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
     """Coordinate (block) gradient ascent on the gating surrogate.
 
     ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
@@ -297,16 +304,12 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float = 0.1, steps: int =
     """
     n = X.shape[0]
     setup = _gating_setup(X, resp, gate.mask)
-    rsum, colsum, rX = setup
     q = _surrogate(setup, gate)
     tol = 1e-12 * max(1.0, abs(q))
     backtracks = 0
     for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
-            if block == 0:
-                grad = colsum - (rsum * gate.w).sum(axis=1)
-            else:
-                grad = rX - (rsum * gate.w) @ X
+            grad = _gradient(X, setup, gate.w, block)
             step_lr = lr
             for _ in range(30):
                 if block == 0:  # the masked logits do not depend on beta0

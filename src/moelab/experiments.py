@@ -5,63 +5,33 @@ hash of (base_seed, n, replicate, role), so adding sample sizes never
 reshuffles existing replicates and the emitted CSV is byte-identical across
 runs and parallelism levels.  Wall-clock timing is therefore left out of the
 rows.
+
+Each setting has one default, on the dataclass that owns it; the config
+document is read and written through one key table, ``_KEYS``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import em, metrics, partition, polysys
+from . import em, metrics, partition
 from .errors import InsufficientDataError, InvalidArgumentError, MoeError
+from .metrics import METRICS, LossSpec
 from .model import (
     MixingMeasure,
     _check_sparsity,
+    _checked_box,
+    _settings,
     measure_from_text,
     measure_to_text,
     sample_dataset,
     uniform_box_sampler,
-    unit_box,
 )
-
-METRICS = ("d1", "d2", "d3", "hellinger")
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Which discrepancy a sweep reports, and how it is evaluated.
-
-    D1, D2 and D3 take their outer max over the data_K-subsets of the truth's
-    components; ``positive_mass_only`` restricts it to the subsets flagged by
-    ``partition.positive_mass_subsets`` at ``partition.MASS_N_MC`` draws.
-    """
-
-    metric: str = "d1"
-    rbar_policy: str = "exact"
-    renormalize: bool = False  # score modulo the common (beta0, beta1) translation
-    terms: tuple = None  # D1 term restriction, e.g. ("a", "b", "sigma")
-    positive_mass_only: bool = False
-    hellinger_n_mc: int = 200
-    y_points: int = 2001
-
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidArgumentError(f"metric must be one of {METRICS}")
-        polysys.rbar(2, self.rbar_policy)  # raises on an unknown policy
-        if self.terms is not None:
-            if self.metric != "d1":
-                raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
-            if not set(self.terms) <= metrics.ALL_TERMS:
-                raise InvalidArgumentError(f"unknown loss terms {set(self.terms) - metrics.ALL_TERMS}")
-        for name, low in (("hellinger_n_mc", 1), ("y_points", 2)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +42,15 @@ class SweepConfig:
     fit_K: int
     sample_sizes: tuple
     replicates: int
-    base_seed: int
+    base_seed: int = 0
     loss: LossSpec = field(default_factory=LossSpec)
-    noise_std: float = 0.05
-    tol: float = 1e-6
-    max_iters: int = 2000
-    gating_lr: float = 0.1
-    gating_steps_per_m: int = 5
+    noise_std: float = em.InitSpec.noise_std
+    tol: float = em.FitConfig.tol
+    max_iters: int = em.FitConfig.max_iters
+    gating_lr: float = em.FitConfig.gating_lr
+    gating_steps_per_m: int = em.FitConfig.gating_steps_per_m
     parallelism: int = 1
-    bounds: np.ndarray = None
+    bounds: np.ndarray = None  # None: the unit box
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sample_sizes)
@@ -100,17 +70,7 @@ class SweepConfig:
         em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
                                em.FitConfig.sigma_floor)
         object.__setattr__(self, "sample_sizes", sizes)
-        bounds = self.bounds if self.bounds is not None else unit_box(self.truth.d)
-        try:
-            bounds = np.asarray(bounds, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"bounds must be numeric: {exc}") from exc
-        if bounds.size != 2 * self.truth.d:
-            raise InvalidArgumentError(f"bounds need one lo,hi pair per dimension (d={self.truth.d})")
-        bounds = bounds.reshape(-1, 2)
-        if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] <= bounds[:, 1])):
-            raise InvalidArgumentError(f"bounds must be finite with lo <= hi, got {bounds.tolist()}")
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", _checked_box(self.bounds, self.truth.d))
 
 
 @dataclass(frozen=True)
@@ -287,8 +247,26 @@ def fit_slope(rows, per_row: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# CSV
+# Text files: one reader and one writer for every text artifact, and the CSV
 # ---------------------------------------------------------------------------
+
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded is an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_text(path, text: str, what: str) -> None:
+    """Write text as UTF-8 with LF line endings; a failed write is an error naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {what} to {path}: {exc}") from exc
+
 
 CSV_HEADER = "n,replicate,seed,loss,loglik,iterations,converged"
 
@@ -306,35 +284,30 @@ def emit_csv(result: SweepResult, path) -> None:
             f"{r.n},{r.replicate},{r.seed},{_g17(r.loss)},{_g17(r.loglik)},"
             f"{r.iterations},{'true' if r.converged else 'false'}"
         )
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot write CSV to {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "CSV")
+
+
+# the type of each CSV field, in CSV_HEADER's order, which is SweepRow's
+_CSV_FIELDS = (int, int, int, float, float, int, {"true": True, "false": False}.__getitem__)
 
 
 def parse_csv(path):
-    """Rows back from :func:`emit_csv` output; parse(emit(x)) == x.rows."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read CSV from {path}: {exc}") from exc
+    """Rows back from :func:`emit_csv` output; parse(emit(x)) == x.rows.  A row
+    that does not fit the header is an error naming its line."""
+    lines = _read_text(path, "CSV").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidArgumentError(f"unrecognized CSV header in {path}")
     rows = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        f = ln.split(",")
-        rows.append(
-            SweepRow(
-                n=int(f[0]), replicate=int(f[1]), seed=int(f[2]),
-                loss=float(f[3]), loglik=float(f[4]), iterations=int(f[5]),
-                converged=f[6] == "true",
-            )
-        )
+        values = ln.split(",")
+        try:
+            if len(values) != len(_CSV_FIELDS):
+                raise ValueError(f"{len(values)} fields, expected {len(_CSV_FIELDS)}")
+            rows.append(SweepRow(*(convert(v) for convert, v in zip(_CSV_FIELDS, values))))
+        except (KeyError, ValueError) as exc:
+            raise InvalidArgumentError(f"{path} line {number}: bad row {ln!r} ({exc})") from exc
     return tuple(rows)
 
 
@@ -434,43 +407,70 @@ def emit_svg_loglog(result: SweepResult, path, allow_no_fit: bool = False) -> No
             f'<circle cx="{x:.2f}" cy="{sy(ly[i]):.2f}" r="3.5" fill="{marker_color}"/>'
         )
     parts.append("</svg>")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot write SVG to {path}: {exc}") from exc
+    _write_text(path, "\n".join(parts) + "\n", "SVG")
 
 
 # ---------------------------------------------------------------------------
 # Sweep config as a key=value document with an embedded [truth] section
 # ---------------------------------------------------------------------------
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_bounds(text, d: int) -> np.ndarray:
-    """A ``lo,hi;lo,hi`` box with one pair per input dimension; None is the
-    unit box."""
-    if text is None:
-        return unit_box(d)
+def _parse_bounds(text, d: int = None) -> np.ndarray:
+    """A checked ``lo,hi;lo,hi`` box, one pair per input dimension (d pairs
+    when ``d`` is given); None is the unit box."""
     try:
-        bounds = np.array([[float(v) for v in part.split(",")] for part in text.split(";")])
+        pairs = None if text is None else [[float(v) for v in part.split(",")] for part in text.split(";")]
     except ValueError as exc:
         raise InvalidArgumentError(f"bad bounds {text!r}: {exc}") from exc
-    if bounds.shape != (d, 2):
-        raise InvalidArgumentError(f"bounds need one lo,hi pair per dimension (d={d}), got {text!r}")
-    return bounds
+    if pairs is not None and any(len(pair) != 2 for pair in pairs):
+        raise InvalidArgumentError(f"bad bounds {text!r}: need lo,hi pairs joined by ';'")
+    return _checked_box(pairs, d)
+
+
+_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+# (text -> value, value -> text) of each kind of config value
+_INT, _FLOAT, _WORD = (int, str), (float, _g17), (str, str)
+_FLAG = (lambda text: _BOOL[text.lower()], lambda value: "true" if value else "false")
+_INTS = (lambda text: tuple(int(tok) for tok in text.replace(",", " ").split()),
+         lambda values: ",".join(str(v) for v in values))
+_WORDS = (lambda text: tuple(text.replace(",", " ").split()), ",".join)
+_BOX = (_parse_bounds, lambda box: ";".join(f"{_g17(lo)},{_g17(hi)}" for lo, hi in box))
+
+# Every config key in written order: (key, the dataclass holding its field,
+# the field, its kind).  A None value is not written.
+_KEYS = (
+    ("data_k", SweepConfig, "data_K", _INT),
+    ("fit_k", SweepConfig, "fit_k", _INT),
+    ("fit_big_k", SweepConfig, "fit_K", _INT),
+    ("sample_sizes", SweepConfig, "sample_sizes", _INTS),
+    ("replicates", SweepConfig, "replicates", _INT),
+    ("base_seed", SweepConfig, "base_seed", _INT),
+    ("metric", LossSpec, "metric", _WORD),
+    ("rbar", LossSpec, "rbar_policy", _WORD),
+    ("renormalize", LossSpec, "renormalize", _FLAG),
+    ("positive_mass_only", LossSpec, "positive_mass_only", _FLAG),
+    ("hellinger_n_mc", LossSpec, "hellinger_n_mc", _INT),
+    ("y_points", LossSpec, "y_points", _INT),
+    ("noise_std", SweepConfig, "noise_std", _FLOAT),
+    ("tol", SweepConfig, "tol", _FLOAT),
+    ("max_iters", SweepConfig, "max_iters", _INT),
+    ("gating_lr", SweepConfig, "gating_lr", _FLOAT),
+    ("gating_steps_per_m", SweepConfig, "gating_steps_per_m", _INT),
+    ("parallelism", SweepConfig, "parallelism", _INT),
+    ("bounds", SweepConfig, "bounds", _BOX),
+    ("loss_terms", LossSpec, "terms", _WORDS),
+)
+# the SweepConfig fields without a default, whose keys every config must set
+_REQUIRED = {f.name for f in fields(SweepConfig) if f.default is MISSING and f.default_factory is MISSING}
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
     """key = value lines, plus a ``[truth]`` section holding a measure document.
 
-    Keys the parser does not read and sections other than ``[truth]`` are
-    rejected, so a misspelt or retired setting never falls back silently.
+    A missing key takes its dataclass default.  Keys outside ``_KEYS``, a key
+    given twice and sections other than ``[truth]`` are rejected.
     """
-    kv = {}
-    truth_lines = []
-    in_truth = False
+    pairs, truth_lines, in_truth = [], [], False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -485,86 +485,30 @@ def parse_sweep_config(text: str) -> SweepConfig:
             if "=" not in line:
                 raise InvalidArgumentError(f"bad config line: {raw!r}")
             key, val = line.split("=", 1)
-            kv[key.strip().lower()] = val.strip()
+            pairs.append((key.strip().lower(), val.strip()))
     if not truth_lines:
         raise InvalidArgumentError("config is missing the [truth] section")
-    truth = measure_from_text("\n".join(truth_lines))
-    read = set()
-
-    def get(key, convert, default=None):
-        read.add(key)
-        if key not in kv:
-            return default
-        try:
-            return convert(kv[key])
-        except (KeyError, ValueError) as exc:
-            raise InvalidArgumentError(f"config key {key}: bad value {kv[key]!r}") from exc
-
-    def to_bool(text):
-        return _BOOL[text.lower()]
-
-    def to_ints(text):
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-    required = ("data_k", "fit_k", "fit_big_k", "sample_sizes", "replicates")
-    missing = [key for key in required if key not in kv]
+    kv = _settings(pairs, {key for key, *_ in _KEYS}, "config")
+    missing = [key for key, _, name, _ in _KEYS if name in _REQUIRED and key not in kv]
     if missing:
         raise InvalidArgumentError(f"config is missing keys: {', '.join(missing)}")
-    loss = dict(
-        metric=get("metric", str, "d1"),
-        rbar_policy=get("rbar", str, "exact"),
-        renormalize=get("renormalize", to_bool, False),
-        terms=get("loss_terms", lambda text: tuple(text.replace(",", " ").split())),
-        positive_mass_only=get("positive_mass_only", to_bool, False),
-        hellinger_n_mc=get("hellinger_n_mc", int, 200),
-        y_points=get("y_points", int, 2001),
-    )
-    settings = dict(
-        data_K=get("data_k", int),
-        fit_k=get("fit_k", int),
-        fit_K=get("fit_big_k", int),
-        sample_sizes=get("sample_sizes", to_ints),
-        replicates=get("replicates", int),
-        base_seed=get("base_seed", int, 0),
-        noise_std=get("noise_std", float, 0.05),
-        tol=get("tol", float, 1e-6),
-        max_iters=get("max_iters", int, 2000),
-        gating_lr=get("gating_lr", float, 0.1),
-        gating_steps_per_m=get("gating_steps_per_m", int, 5),
-        parallelism=get("parallelism", int, 1),
-        bounds=_parse_bounds(get("bounds", str), truth.d),
-    )
-    unknown = sorted(set(kv) - read)
-    if unknown:
-        raise InvalidArgumentError(f"unknown config keys: {', '.join(unknown)}")
-    return SweepConfig(truth=truth, loss=LossSpec(**loss), **settings)
+    values = {SweepConfig: {}, LossSpec: {}}
+    for key, owner, name, (parse, _) in _KEYS:
+        if key in kv:
+            try:
+                values[owner][name] = parse(kv[key])
+            except (KeyError, ValueError) as exc:
+                raise InvalidArgumentError(f"config key {key}: bad value {kv[key]!r} ({exc})") from exc
+    return SweepConfig(truth=measure_from_text("\n".join(truth_lines)), loss=LossSpec(**values[LossSpec]),
+                       **values[SweepConfig])
 
 
 def sweep_config_to_text(cfg: SweepConfig) -> str:
-    lines = [
-        f"data_k = {cfg.data_K}",
-        f"fit_k = {cfg.fit_k}",
-        f"fit_big_k = {cfg.fit_K}",
-        f"sample_sizes = {','.join(str(n) for n in cfg.sample_sizes)}",
-        f"replicates = {cfg.replicates}",
-        f"base_seed = {cfg.base_seed}",
-        f"metric = {cfg.loss.metric}",
-        f"rbar = {cfg.loss.rbar_policy}",
-        f"renormalize = {'true' if cfg.loss.renormalize else 'false'}",
-        f"positive_mass_only = {'true' if cfg.loss.positive_mass_only else 'false'}",
-        f"hellinger_n_mc = {cfg.loss.hellinger_n_mc}",
-        f"y_points = {cfg.loss.y_points}",
-        f"noise_std = {_g17(cfg.noise_std)}",
-        f"tol = {_g17(cfg.tol)}",
-        f"max_iters = {cfg.max_iters}",
-        f"gating_lr = {_g17(cfg.gating_lr)}",
-        f"gating_steps_per_m = {cfg.gating_steps_per_m}",
-        f"parallelism = {cfg.parallelism}",
-        f"bounds = {';'.join(f'{_g17(lo)},{_g17(hi)}' for lo, hi in cfg.bounds)}",
-    ]
-    if cfg.loss.terms is not None:
-        lines.append(f"loss_terms = {','.join(cfg.loss.terms)}")
-    lines.append("")
-    lines.append("[truth]")
-    lines.append(measure_to_text(cfg.truth).rstrip("\n"))
+    """Every key of ``_KEYS`` in order, then the truth; read back equal."""
+    lines = []
+    for key, owner, name, (_, write) in _KEYS:
+        value = getattr(cfg.loss if owner is LossSpec else cfg, name)
+        if value is not None:
+            lines.append(f"{key} = {write(value)}")
+    lines += ["", "[truth]", measure_to_text(cfg.truth).rstrip("\n")]
     return "\n".join(lines) + "\n"

@@ -26,11 +26,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, log_joint
-from .polysys import rbar_fn
+from .model import MixingMeasure, _check_sparsity, _checked_box, log_joint
+from .polysys import rbar, rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
-EXPERT_TERMS = frozenset({"a", "b", "sigma"})
+METRICS = ("d1", "d2", "d3", "hellinger")
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """Which discrepancy a sweep reports, and how it is evaluated.
+
+    D1, D2 and D3 take their outer max over the data_K-subsets of the truth's
+    components; ``positive_mass_only`` restricts it to the subsets flagged by
+    ``partition.positive_mass_subsets`` at ``partition.MASS_N_MC`` draws.
+    """
+
+    metric: str = "d1"
+    rbar_policy: str = "exact"
+    renormalize: bool = False  # score modulo the common (beta0, beta1) translation
+    terms: tuple = None  # D1 term restriction, e.g. ("a", "b", "sigma")
+    positive_mass_only: bool = False
+    hellinger_n_mc: int = 200
+    y_points: int = 2001
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise InvalidArgumentError(f"metric must be one of {METRICS}")
+        rbar(2, self.rbar_policy)  # raises on an unknown policy
+        if self.terms is not None:
+            if self.metric != "d1":
+                raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
+            if not set(self.terms) <= ALL_TERMS:
+                raise InvalidArgumentError(f"unknown loss terms {set(self.terms) - ALL_TERMS}")
+        for name, low in (("hellinger_n_mc", 1), ("y_points", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +297,7 @@ def voronoi_loss(G_fit, G_true, K, metric, *, rbar_policy="exact", renormalize=F
 # Hellinger distance between conditional densities
 # ---------------------------------------------------------------------------
 
-def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int = 2001) -> np.ndarray:
+def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int = LossSpec.y_points) -> np.ndarray:
     """Quadrature grid spanning every component mean by 8 max scales.
 
     The mean of each expert varies over the input box; the grid covers the
@@ -274,7 +306,7 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
     """
     if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
         raise InvalidArgumentError(f"a y grid needs an integer n_points >= 2, got {n_points!r}")
-    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
+    bounds = _checked_box(bounds, G_a.d)
     lo, hi = math.inf, -math.inf
     sig_max = 0.0
     for G in (G_a, G_b):
@@ -337,7 +369,6 @@ def hellinger_pointwise(G_a, K_a, G_b, K_b, x, y_grid) -> float:
 class HellingerEstimate:
     mean: float
     stderr: float
-    n_mc: int
 
 
 def expected_hellinger(G_a, K_a, G_b, K_b, sampler, n_mc: int, y_grid, seed=0) -> HellingerEstimate:
@@ -357,7 +388,7 @@ def expected_hellinger(G_a, K_a, G_b, K_b, sampler, n_mc: int, y_grid, seed=0) -
         for Xi in blocks
     ])
     stderr = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return HellingerEstimate(mean=float(vals.mean()), stderr=stderr, n_mc=n_mc)
+    return HellingerEstimate(mean=float(vals.mean()), stderr=stderr)
 
 
 def two_gaussian_hellinger(mu1, sigma1, mu2, sigma2) -> float:

@@ -25,6 +25,8 @@ Conventions used throughout the library:
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
   k = 3 components takes about 50 times longer on (n, k) than on (k, n).
+* An input box is a (d, 2) array of finite lo <= hi pairs, one per input
+  dimension.  Every reader of a box checks it with :func:`_checked_box`.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class MixingMeasure:
         return self.beta1.shape[1]
 
     @classmethod
-    def from_arrays(cls, beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=5.0):
+    def from_arrays(cls, *arrays, **settings):
         """The measure with these arrays; the same as the constructor."""
-        return cls(beta0, beta1, a, b, sigma, family=family, dof=dof)
+        return cls(*arrays, **settings)
 
     # -- assumption checks ------------------------------------------------
     def is_pinned(self, tol: float = 0.0) -> bool:
@@ -130,7 +132,7 @@ class MixingMeasure:
         return out
 
 
-def true_measure(beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=5.0) -> MixingMeasure:
+def true_measure(beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=MixingMeasure.dof) -> MixingMeasure:
     """Construct a ground-truth measure, enforcing the U.2-U.4 checks."""
     G = MixingMeasure.from_arrays(beta0, beta1, a, b, sigma, family=family, dof=dof)
     violations = G.truth_violations()
@@ -157,12 +159,8 @@ class Dataset:
         bad = ~(np.all(np.isfinite(x), axis=1) & np.isfinite(y))
         if np.any(bad):
             raise InvalidArgumentError(f"non-finite x or y at sample index {int(np.argmax(bad))}")
-        bounds = self.bounds
-        if bounds is None:
-            bounds = np.stack([x.min(axis=0), x.max(axis=0)], axis=1)
-        bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
-        if bounds.shape[0] != x.shape[1]:
-            raise InvalidArgumentError("bounds must have one (lo, hi) pair per dimension")
+        bounds = self.bounds if self.bounds is not None else np.stack([x.min(axis=0), x.max(axis=0)], axis=1)
+        bounds = _checked_box(bounds, x.shape[1])
         if np.any(x < bounds[:, 0] - 1e-12) or np.any(x > bounds[:, 1] + 1e-12):
             raise AssumptionError(["U.1 (inputs outside the bounded box)"])
         object.__setattr__(self, "x", x)
@@ -361,25 +359,37 @@ def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _checked_box(bounds, d: int = None) -> np.ndarray:
+    """Bounds as a (d, 2) float array of finite lo <= hi pairs; None is the
+    unit box.  Without ``d``, every two values are one pair."""
+    if bounds is None:
+        return np.tile([[0.0, 1.0]], (d, 1))
+    try:
+        box = np.array(bounds, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"bounds must be numeric: {exc}") from exc
+    d = box.size // 2 if d is None else d
+    if box.size != 2 * d or d < 1:
+        raise InvalidArgumentError(f"bounds need one lo,hi pair per dimension (d={d}), got {box.tolist()}")
+    box = box.reshape(d, 2)
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] <= box[:, 1])):
+        raise InvalidArgumentError(f"bounds must be finite with lo <= hi, got {box.tolist()}")
+    return box
+
+
 def uniform_box_sampler(bounds):
     """Sampler drawing x uniformly from a per-dimension box.
 
     Returns a callable f(rng, n) -> (n, d) array; the convention shared by the
     Monte-Carlo helpers in :mod:`moelab.partition` and :mod:`moelab.metrics`.
     """
-    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
-    if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise InvalidArgumentError("bounds must satisfy lo <= hi")
+    bounds = _checked_box(bounds)
 
     def sample(rng, n):
         u = rng.random((int(n), bounds.shape[0]))
         return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
     return sample
-
-
-def unit_box(d: int) -> np.ndarray:
-    return np.tile(np.array([[0.0, 1.0]]), (d, 1))
 
 
 def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Dataset:
@@ -393,11 +403,9 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     violations = G.truth_violations()
     if violations:
         raise AssumptionError(violations)
-    if bounds is None:
-        bounds = unit_box(G.d)
-    sampler = uniform_box_sampler(bounds)
+    bounds = _checked_box(bounds, G.d)
     rng = np.random.default_rng(seed)
-    X = sampler(rng, n)
+    X = uniform_box_sampler(bounds)(rng, n)
     cdf = np.cumsum(np.exp(gate_log_weights(G, X, K)), axis=0)
     u = rng.random(n)
     idx = np.sum(cdf < u, axis=0)
@@ -431,14 +439,30 @@ def measure_to_text(G: MixingMeasure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _settings(pairs, known, what: str) -> dict:
+    """{key: value} of (key, value) pairs; a key outside ``known`` or given
+    twice is an error, so a misspelt or repeated setting never passes."""
+    out = {}
+    for key, value in pairs:
+        if key not in known:
+            raise InvalidArgumentError(f"unknown {what} key {key!r}")
+        if key in out:
+            raise InvalidArgumentError(f"repeated {what} key {key!r}")
+        out[key] = value
+    return out
+
+
 def measure_from_text(text: str) -> MixingMeasure:
+    """The measure of a :func:`measure_to_text` document; the header sets
+    each of family, d, k and (optionally) dof once."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InvalidArgumentError("empty measure document")
+    head = _settings((tok.partition("=")[::2] for tok in lines[0].split()),
+                     ("family", "d", "k", "dof"), "measure header")
     try:
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
         family, d, k = head["family"], int(head["d"]), int(head["k"])
-        dof = float(head.get("dof", 5.0))
+        settings = {"dof": float(head["dof"])} if "dof" in head else {}
         rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except KeyError as exc:
         raise InvalidArgumentError(f"measure header missing field {exc}") from exc
@@ -454,7 +478,7 @@ def measure_from_text(text: str) -> MixingMeasure:
     v = np.array(rows)
     return MixingMeasure.from_arrays(
         v[:, 0], v[:, 1 : 1 + d], v[:, 1 + d : 1 + 2 * d], v[:, 1 + 2 * d], v[:, 2 + 2 * d],
-        family=family, dof=dof,
+        family=family, **settings,
     )
 
 

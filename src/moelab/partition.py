@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, _selection_mask
+from .model import MixingMeasure, _as_rows, _check_sparsity, _selection_mask
 
 # Draws behind the positive-mass flag of the sweeps and of ``moelab loss``.
 MASS_N_MC = 20000
@@ -17,12 +17,13 @@ MASS_N_MC = 20000
 
 def _selections(sampler, n_mc: int, seed, *gates):
     """Top-K masks, shape (k, n_mc), of each ``(G, K)`` in ``gates`` at the
-    same n_mc inputs drawn by ``sampler`` from a fresh rng seeded ``seed``."""
+    same n_mc inputs drawn by ``sampler`` from a fresh rng seeded ``seed``,
+    which must be finite: a NaN logit would select more than K components."""
     if n_mc < 1:
         raise InvalidArgumentError("n_mc must be >= 1")
     for G, K in gates:
         _check_sparsity(K, G.k)
-    X = np.asarray(sampler(np.random.default_rng(seed), n_mc), dtype=float)
+    X = _as_rows(sampler(np.random.default_rng(seed), n_mc), gates[0][0].d)
     return [_selection_mask(G.beta1 @ X.T, K) for G, K in gates]
 
 

@@ -214,18 +214,62 @@ class TestFitCommand:
         assert code != 0
 
 
-SWEEP_HEAD = "data_k = 2\nfit_k = 2\nfit_big_k = 2\nsample_sizes = 50,100\nreplicates = 1\n"
+SWEEP_HEAD = {"data_k": "2", "fit_k": "2", "fit_big_k": "2", "sample_sizes": "50,100", "replicates": "1"}
+
+
+def sweep_config(tmp_path, lines=""):
+    """A sweep config file: ``lines``, then each required key of SWEEP_HEAD
+    that ``lines`` does not set, then the truth."""
+    given = {ln.split("=")[0].strip() for ln in lines.splitlines() if "=" in ln}
+    head = "".join(f"{key} = {value}\n" for key, value in SWEEP_HEAD.items() if key not in given)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(head + lines + "\n\n[truth]\n" + BENCH_TEXT)
+    return path
+
+
+# Each bad sweep-config line, with the error text it must produce.
+BAD_SWEEP_LINES = {
+    "replicates = two": "config key replicates: bad value 'two'",
+    "tol = small": "config key tol: bad value 'small'",
+    "renormalize = maybe": "config key renormalize: bad value 'maybe'",
+    "tol = -1": "tol must be finite and > 0",
+    "tol = nan": "tol must be finite and > 0",
+    "y_points = 1": "y_points must be an integer >= 2",
+    "hellinger_n_mc = 0": "hellinger_n_mc must be an integer >= 1",
+    "mass_n_mc = 0": "unknown config key 'mass_n_mc'",
+    "sample_sizes = 0,100": "sample sizes must be >= 1",
+    "bounds = 1,0": "bounds must be finite with lo <= hi",
+    "bounds = 0,nan": "bounds must be finite with lo <= hi",
+    "data_k = 3": "need 1 <= data_K <= k, got data_K=3",
+    "data_k = 0": "need 1 <= data_K <= k, got data_K=0",
+    "fit_big_k = 3": "need 1 <= fit_K <= k, got fit_K=3",
+    "fit_k = 1\nfit_big_k = 1": "need fit_k >= k*",
+    "loss_terms = a,foo": "unknown loss terms",
+    "rbar = nope": "unknown rbar policy 'nope'",
+    "parallelism = 0": "parallelism must be >= 1",
+    "loss_k = 1": "unknown config key 'loss_k'",
+    "gatinglr = 5": "unknown config key 'gatinglr'",
+    "[extra]": "unknown config section [extra]",
+    "data_k = 1\ndata_k = 2": "repeated config key 'data_k'",
+}
 
 
 class TestMalformedInput:
     """Bad input ends in exit 1 and one error line, never a traceback."""
 
-    def assert_clean_error(self, argv, capsys):
+    def assert_clean_error(self, argv, capsys, match=""):
         code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert match in err
+
+    def assert_sweep_rejected(self, tmp_path, line, capsys):
+        cfg = sweep_config(tmp_path, line)
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys,
+                                BAD_SWEEP_LINES[line])
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("text", [
         "family=gaussian d=1 k2\n-8 25 -20 15 0.3\n",  # header token without '='
@@ -239,18 +283,35 @@ class TestMalformedInput:
         bad.write_text(text)
         self.assert_clean_error(["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file], capsys)
 
+    @pytest.mark.parametrize("head, message", [
+        ("family=student-t d=1 k=2 dfo=3", "unknown measure header key 'dfo'"),
+        ("family=student-t d=1 k=2 dof=3 dof=4", "repeated measure header key 'dof'"),
+    ], ids=["unknown", "repeated"])
+    def test_measure_header_key(self, tmp_path, truth_file, head, message, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(head + "\n" + BENCH_TEXT.split("\n", 1)[1])
+        self.assert_clean_error(["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file],
+                                capsys, message)
+
+    @pytest.mark.parametrize("kind", ["measure", "sweep config", "dataset"])
+    def test_undecodable_file(self, tmp_path, truth_file, kind, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(BENCH_TEXT.encode() + "# caf\u00e9\n".encode("latin-1"))
+        argv = {
+            "measure": ["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file],
+            "sweep config": ["sweep", "--config", bad, "--out", tmp_path / "o.csv", "--seed", 1],
+            "dataset": ["fit", "--data", bad, "--truth", truth_file, "--k", 2, "--K", 2, "--seed", 0,
+                        "--out-measure", tmp_path / "m.txt"],
+        }[kind]
+        self.assert_clean_error(argv, capsys, f"cannot read {kind} {bad}")
+
     @pytest.mark.parametrize("line", ["replicates = two", "tol = small", "renormalize = maybe"])
     def test_bad_sweep_config_value(self, tmp_path, line, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
-        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        self.assert_sweep_rejected(tmp_path, line, capsys)
 
     @pytest.mark.parametrize("line", ["tol = -1", "tol = nan"])
     def test_bad_sweep_fit_setting(self, tmp_path, line, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
-        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
-        assert not (tmp_path / "o.csv").exists()
+        self.assert_sweep_rejected(tmp_path, line, capsys)
 
     def test_fit_tol_nan(self, tmp_path, truth_file, capsys):
         data = tmp_path / "d.tsv"
@@ -264,25 +325,18 @@ class TestMalformedInput:
     @pytest.mark.parametrize("line", ["y_points = 1", "hellinger_n_mc = 0", "mass_n_mc = 0",
                                       "sample_sizes = 0,100", "bounds = 1,0", "bounds = 0,nan"])
     def test_bad_sweep_sampling_setting(self, tmp_path, line, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
-        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
-        assert not (tmp_path / "o.csv").exists()
+        self.assert_sweep_rejected(tmp_path, line, capsys)
 
     @pytest.mark.parametrize("line", [
         "data_k = 3", "data_k = 0", "fit_big_k = 3", "fit_k = 1\nfit_big_k = 1",
         "loss_terms = a,foo", "rbar = nope", "parallelism = 0",
-        "loss_k = 1", "gatinglr = 5", "[extra]",
+        "loss_k = 1", "gatinglr = 5", "[extra]", "data_k = 1\ndata_k = 2",
     ])
     def test_sweep_setting_rejected_before_any_fit(self, tmp_path, line, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + line + "\n\n[truth]\n" + BENCH_TEXT)
-        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
-        assert not (tmp_path / "o.csv").exists()
+        self.assert_sweep_rejected(tmp_path, line, capsys)
 
     def test_sweep_zero_jobs(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + "\n[truth]\n" + BENCH_TEXT)
+        cfg = sweep_config(tmp_path)
         self.assert_clean_error(
             ["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1, "--jobs", 0], capsys
         )
@@ -291,6 +345,20 @@ class TestMalformedInput:
     @pytest.mark.parametrize("args", [["--K", 1, "--etas", "1e-1,x"], ["--K", 0], ["--K", 3]])
     def test_partition_check_bad_setting(self, truth_file, args, capsys):
         self.assert_clean_error(["partition-check", "--truth", truth_file, "--seed", 0, *args], capsys)
+
+    @pytest.mark.parametrize("command, bounds, shown", [
+        ("partition-check", "0,inf", "[[0.0, inf]]"),
+        ("partition-check", "nan,1", "[[nan, 1.0]]"),
+        ("loss", "0,inf", "[[0.0, inf]]"),
+    ])
+    def test_non_finite_bounds(self, truth_file, command, bounds, shown, capsys):
+        argv = {
+            "partition-check": ["partition-check", "--truth", truth_file, "--K", 1, "--seed", 0],
+            "loss": ["loss", "--metric", "d1", "--K", 1, "--fit", truth_file, "--true", truth_file,
+                     "--positive-mass-only"],
+        }[command]
+        self.assert_clean_error([*argv, "--bounds", bounds], capsys,
+                                f"bounds must be finite with lo <= hi, got {shown}")
 
     def test_hellinger_negative_y_points(self, truth_file, capsys):
         self.assert_clean_error(
@@ -301,9 +369,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("metric", ["d2", "d3", "hellinger"])
     def test_loss_terms_outside_d1(self, tmp_path, metric, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_HEAD + f"metric = {metric}\nloss_terms = a,b,sigma\n\n[truth]\n" + BENCH_TEXT)
-        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys)
+        cfg = sweep_config(tmp_path, f"metric = {metric}\nloss_terms = a,b,sigma")
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys,
+                                f"loss terms restrict D1 only, not {metric}")
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("bounds", ["0,x", "0,1,2", "0,1;0,1"])
@@ -324,6 +392,20 @@ class TestMalformedInput:
             capsys,
         )
 
+    @pytest.mark.parametrize("row", [
+        "100,0,5,0.5,-1,3",  # a field short
+        "100,0,5,0.5,-1,3,true,x",  # a field over
+        "1e2,0,5,0.5,-1,3,true",  # non-integer n
+        "100,0,5,small,-1,3,true",  # non-numeric loss
+        "100,0,5,0.5,-1,3,yes",  # converged neither true nor false
+    ])
+    def test_malformed_csv(self, tmp_path, row, capsys):
+        csv = tmp_path / "run.csv"
+        csv.write_text(ml.experiments.CSV_HEADER + "\n100,1,6,0.25,-1,3,true\n" + row + "\n")
+        self.assert_clean_error(["plot", "--csv", csv, "--out", tmp_path / "o.svg"], capsys,
+                                f"{csv} line 3: bad row {row!r}")
+        assert not (tmp_path / "o.svg").exists()
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--truth", "{truth}", "--K", 1, "--n", 5, "--seed", -1, "--out", "{tmp}/d.tsv"],
         ["hellinger", "--fit", "{truth}", "--K-fit", 1, "--true", "{truth}", "--K-true", 1, "--seed", -1],
@@ -332,7 +414,26 @@ class TestMalformedInput:
         ["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/o.csv", "--seed", -1],
     ])
     def test_negative_seed(self, tmp_path, truth_file, argv, capsys):
-        (tmp_path / "sweep.cfg").write_text(SWEEP_HEAD + "\n[truth]\n" + BENCH_TEXT)
+        sweep_config(tmp_path)
         argv = [str(a).format(truth=truth_file, tmp=tmp_path) for a in argv]
         self.assert_clean_error(argv, capsys)
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestDefaults:
+    """Each EM and scoring default is written once, on its dataclass; the
+    CLI flags take theirs from there."""
+
+    def test_fit_flags_default_to_the_owners(self):
+        args = cli.build_parser().parse_args(
+            ["fit", "--data", "d", "--truth", "t", "--k", "2", "--K", "2", "--seed", "0", "--out-measure", "m"]
+        )
+        fit = ml.em.FitConfig
+        assert (args.noise_std, args.tol, args.max_iters, args.gating_lr, args.gating_steps) == (
+            ml.em.InitSpec.noise_std, fit.tol, fit.max_iters, fit.gating_lr, fit.gating_steps_per_m)
+
+    def test_hellinger_flags_default_to_the_owners(self):
+        args = cli.build_parser().parse_args(
+            ["hellinger", "--fit", "f", "--K-fit", "1", "--true", "t", "--K-true", "1", "--seed", "0"]
+        )
+        assert (args.n_mc, args.y_points) == (ml.LossSpec.hellinger_n_mc, ml.LossSpec.y_points)

@@ -299,6 +299,26 @@ class TestConfigDocument:
         with pytest.raises(ml.InvalidArgumentError, match=key):
             ex.parse_sweep_config(text)
 
+    def test_repeated_key_rejected(self, tiny_cfg):
+        text = "data_k = 1\n" + ex.sweep_config_to_text(tiny_cfg)
+        with pytest.raises(ml.InvalidArgumentError, match="repeated config key 'data_k'"):
+            ex.parse_sweep_config(text)
+
+    def test_required_keys_alone_take_the_dataclass_defaults(self, bench_truth):
+        text = ("data_k = 2\nfit_k = 3\nfit_big_k = 2\nsample_sizes = 10, 20\nreplicates = 4\n\n[truth]\n"
+                + ml.measure_to_text(bench_truth))
+        want = ex.SweepConfig(truth=bench_truth, data_K=2, fit_k=3, fit_K=2, sample_sizes=(10, 20), replicates=4)
+        assert_same_config(ex.parse_sweep_config(text), want)
+
+    def test_written_key_order(self, tiny_cfg):
+        text = ex.sweep_config_to_text(replace(tiny_cfg, loss=ex.LossSpec(terms=("a",))))
+        keys = [line.split("=")[0].strip() for line in text.split("[truth]")[0].splitlines() if line]
+        assert keys == [
+            "data_k", "fit_k", "fit_big_k", "sample_sizes", "replicates", "base_seed", "metric", "rbar",
+            "renormalize", "positive_mass_only", "hellinger_n_mc", "y_points", "noise_std", "tol",
+            "max_iters", "gating_lr", "gating_steps_per_m", "parallelism", "bounds", "loss_terms",
+        ]
+
     def test_missing_keys_named(self, bench_truth):
         text = "[truth]\n" + ml.measure_to_text(bench_truth)
         with pytest.raises(ml.InvalidArgumentError, match="data_k"):

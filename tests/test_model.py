@@ -413,6 +413,35 @@ class TestSampleDataset:
         assert stats_by_n[0] > stats_by_n[1] > stats_by_n[2]
 
 
+class TestBoxCheck:
+    """Every reader of a box rejects the same bad boxes."""
+
+    BAD_VALUES = [[[0.0, np.inf]], [[np.nan, 1.0]], [[1.0, 0.0]], [["a", "b"]], [0.0, 1.0, 2.0]]
+
+    @pytest.mark.parametrize("box", BAD_VALUES + [[[0.0, 1.0], [0.0, 1.0]]])
+    def test_readers_reject(self, bench_truth, box):
+        readers = (
+            lambda: ml.Dataset(x=[0.5], y=[0.0], bounds=box),
+            lambda: ml.sample_dataset(bench_truth, 1, 5, seed=0, bounds=box),
+            lambda: ml.default_y_grid(bench_truth, bench_truth, box),
+        )
+        for read in readers:
+            with pytest.raises(ml.InvalidArgumentError, match="bounds"):
+                read()
+
+    @pytest.mark.parametrize("box", BAD_VALUES)
+    def test_sampler_rejects(self, box):
+        with pytest.raises(ml.InvalidArgumentError, match="bounds"):
+            ml.uniform_box_sampler(box)
+
+    def test_none_is_the_unit_box(self, bench_truth):
+        data = ml.sample_dataset(bench_truth, 1, 5, seed=0, bounds=None)
+        assert data.bounds.tolist() == [[0.0, 1.0]]
+
+    def test_flat_pair_read_per_dimension(self):
+        assert ml.Dataset(x=[[0.5, 0.5]], y=[0.0], bounds=[0.0, 1.0, 0.0, 1.0]).bounds.tolist() == [[0.0, 1.0]] * 2
+
+
 class TestDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_values_rejected_with_index(self, bad):
@@ -469,6 +498,19 @@ class TestSerialization:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):
             ml.measure_from_text("family=gaussian d=1 k=2\n0 0 0 0 1\n")
+
+    @pytest.mark.parametrize("head, message", [
+        ("family=student-t d=1 k=1 dfo=3", "unknown measure header key 'dfo'"),
+        ("family=student-t d=1 k=1 dof=3 dof=4", "repeated measure header key 'dof'"),
+        ("family=gaussian d=1 k=1 family=laplace", "repeated measure header key 'family'"),
+    ], ids=["unknown", "repeated-dof", "repeated-family"])
+    def test_header_keys_strict(self, head, message):
+        with pytest.raises(ml.InvalidArgumentError, match=message):
+            ml.measure_from_text(head + "\n0 0 1 0 1\n")
+
+    def test_dof_defaults_to_the_measure_default(self):
+        G = ml.measure_from_text("family=student-t d=1 k=1\n0 0 1 0 1\n")
+        assert G.dof == ml.MixingMeasure.dof
 
 
 class TestMeasureValidation:

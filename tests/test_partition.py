@@ -182,3 +182,20 @@ class TestPartitionMatchRate:
         slack = 2.0 / np.sqrt(n_mc)
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
         assert rates[-1] == pytest.approx(1.0, abs=slack)
+
+
+class TestNonFiniteDraws:
+    """A NaN or infinite draw would select more than K components; both
+    partition functions reject it instead of counting it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected(self, bench_truth, bad):
+        def sampler(rng, n):
+            X = rng.random((n, 1))
+            X[n // 2] = bad
+            return X
+
+        with pytest.raises(ml.InvalidArgumentError, match="finite"):
+            ml.positive_mass_subsets(bench_truth, 1, sampler, 100, seed=0)
+        with pytest.raises(ml.InvalidArgumentError, match="finite"):
+            ml.partition_match_rate(bench_truth, bench_truth, None, 1, 1, sampler, 100, seed=0)
