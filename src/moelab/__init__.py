@@ -38,7 +38,6 @@ from .metrics import (
     loss_d2,
     loss_d3,
     two_gaussian_hellinger,
-    voronoi_loss,
 )
 from .polysys import (
     PolyCandidate,

@@ -95,14 +95,9 @@ def cmd_fit(args):
 def cmd_loss(args):
     fitted = _read_measure(args.fit)
     truth = _read_measure(args.true)
-    subsets = None
-    if args.positive_mass_only:
-        sampler = uniform_box_sampler(_parse_bounds(args.bounds, truth.d))
-        subsets = partition.positive_mass_subsets(truth, args.K, sampler, partition.MASS_N_MC, seed=0)
-    report = metrics.voronoi_loss(
-        fitted, truth, args.K, args.metric, rbar_policy=args.rbar,
-        renormalize=args.renormalize, subsets=subsets,
-    )
+    spec = metrics.LossSpec(metric=args.metric, rbar_policy=args.rbar, renormalize=args.renormalize,
+                            positive_mass_only=args.positive_mass_only)
+    report = metrics.score(spec, fitted, args.K, truth, args.K, _parse_bounds(args.bounds, truth.d))
     print(report.to_json())
     return 0
 
@@ -110,12 +105,9 @@ def cmd_loss(args):
 def cmd_hellinger(args):
     G_a = _read_measure(args.fit)
     G_b = _read_measure(args.true)
+    spec = metrics.LossSpec(metric="hellinger", hellinger_n_mc=args.n_mc, y_points=args.y_points)
     bounds = _parse_bounds(args.bounds, G_b.d)
-    sampler = uniform_box_sampler(bounds)
-    grid = metrics.default_y_grid(G_a, G_b, bounds, args.y_points)
-    est = metrics.expected_hellinger(
-        G_a, args.K_fit, G_b, args.K_true, sampler, args.n_mc, grid, seed=args.seed
-    )
+    est = metrics.score(spec, G_a, args.K_fit, G_b, args.K_true, bounds, args.seed)
     print(f"{est.mean:.10f} {est.stderr:.10f}")
     return 0
 

@@ -346,9 +346,11 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     expert log densities, log joint and its logsumexp over the components.
     The expert step leaves the gate part of the joint untouched and the
     gating step leaves the expert part untouched, so each half is reused.
-    The last accepted gating pass is the next gate, so no gate is computed
-    from scratch except on a selection flip or a revert; a revert recomputes
-    the old gate, which is deterministic and so equal to the one replaced.
+    Each half is a proposal beside the state: a kept one replaces its part
+    of the state, and a rejected one is dropped, leaving the state as it
+    was, so a revert recomputes nothing.  The last accepted gating pass is
+    the next gate, so no gate is computed from scratch except on a selection
+    flip.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
@@ -368,36 +370,30 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
+        ll = trace[-1]
         a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, family, dof, cfg.sigma_floor)
         logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e, family, dof)
-        joint = logw + logf_e
-        norm_e = _masked_logsumexp(joint)
-        ll_experts = float(norm_e.mean())
-        if ll_experts < trace[-1] - ASCENT_SLACK:
+        joint_e = logw + logf_e
+        norm_e = _masked_logsumexp(joint_e)
+        ll_e = float(norm_e.mean())
+        if ll_e < ll - ASCENT_SLACK:
             # a degenerate WLS fallback, or a scale floor above the current
             # scale, produced a worse point; keep the old experts
-            norm_e, ll_experts = norm, trace[-1]
             reverted_experts += 1
         else:
-            a, b, sigma, logf = a_e, b_e, sigma_e, logf_e
-        # The gating step needs none of these; a gating revert recomputes them.
-        del logw, joint, norm, logf_e
-        beta0, beta1 = gate.beta0, gate.beta1
-        gate, halvings = m_step_gating(X, resp, gate, K, cfg.gating_lr, cfg.gating_steps_per_m)
-        del resp
+            a, b, sigma, logf, joint, norm, ll = a_e, b_e, sigma_e, logf_e, joint_e, norm_e, ll_e
+        gate_g, halvings = m_step_gating(X, resp, gate, K, cfg.gating_lr, cfg.gating_steps_per_m)
         backtracks += halvings
-        logw = gate.log_weights()
-        joint = logw + logf
-        norm = _masked_logsumexp(joint)
-        ll_next = float(norm.mean())
-        if ll_next < ll_experts - ASCENT_SLACK:
+        logw_g = gate_g.log_weights()
+        joint_g = logw_g + logf
+        norm_g = _masked_logsumexp(joint_g)
+        ll_g = float(norm_g.mean())
+        if ll_g < ll - ASCENT_SLACK:
             # selection flip hurt the data likelihood; accept a zero gating step
-            gate = GatePass.at(X, beta0, beta1, K)
-            logw = gate.log_weights()
-            joint = logw + logf
-            norm, ll_next = norm_e, ll_experts
             reverted_gating += 1
-        trace.append(ll_next)
+        else:
+            gate, logw, joint, norm, ll = gate_g, logw_g, joint_g, norm_g, ll_g
+        trace.append(ll)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break

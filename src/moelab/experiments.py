@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import em, metrics, partition
+from . import em, metrics
 from .errors import InsufficientDataError, InvalidArgumentError, MoeError
 from .metrics import METRICS, LossSpec
 from .model import (
@@ -30,7 +30,6 @@ from .model import (
     measure_from_text,
     measure_to_text,
     sample_dataset,
-    uniform_box_sampler,
 )
 
 
@@ -103,29 +102,6 @@ def row_seed(base_seed, n: int, replicate: int, role: str = "row") -> int:
     return int.from_bytes(digest, "little")
 
 
-def _loss_value(cfg: SweepConfig, fitted: MixingMeasure, seed: int, subsets) -> float:
-    spec = cfg.loss
-    if spec.metric == "hellinger":
-        sampler = uniform_box_sampler(cfg.bounds)
-        grid = metrics.default_y_grid(fitted, cfg.truth, cfg.bounds, spec.y_points)
-        est = metrics.expected_hellinger(
-            fitted, cfg.fit_K, cfg.truth, cfg.data_K,
-            sampler, spec.hellinger_n_mc, grid, seed=seed,
-        )
-        return est.mean
-    return metrics.voronoi_loss(
-        fitted, cfg.truth, cfg.data_K, spec.metric, rbar_policy=spec.rbar_policy,
-        renormalize=spec.renormalize, terms=spec.terms, subsets=subsets,
-    ).value
-
-
-def _positive_mass_subsets(cfg: SweepConfig):
-    if not cfg.loss.positive_mass_only or cfg.loss.metric == "hellinger":
-        return None
-    return partition.positive_mass_subsets(cfg.truth, cfg.data_K, uniform_box_sampler(cfg.bounds),
-                                           partition.MASS_N_MC, seed=row_seed(cfg.base_seed, 0, 0, "mass"))
-
-
 def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
     seed = row_seed(cfg.base_seed, n, rep)
     try:
@@ -146,9 +122,10 @@ def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
             gating_steps_per_m=cfg.gating_steps_per_m,
         )
         result = em.fit(data, fit_cfg)
-        loss = _loss_value(cfg, result.measure, row_seed(cfg.base_seed, n, rep, "loss"), subsets)
+        loss = metrics.score(cfg.loss, result.measure, cfg.fit_K, cfg.truth, cfg.data_K, cfg.bounds,
+                             row_seed(cfg.base_seed, n, rep, "loss"), subsets)
         return SweepRow(
-            n=n, replicate=rep, seed=seed, loss=loss,
+            n=n, replicate=rep, seed=seed, loss=loss.value,
             loglik=float(result.loglik_trace[-1]),
             iterations=result.iterations, converged=result.converged,
             measure=result.measure,
@@ -166,7 +143,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     Individual fit failures are recorded as NaN-loss rows and never abort the
     sweep.  Deterministic given the config, at any parallelism level.
     """
-    subsets = _positive_mass_subsets(cfg)
+    subsets = metrics.loss_subsets(cfg.loss, cfg.truth, cfg.data_K, cfg.bounds,
+                                   row_seed(cfg.base_seed, 0, 0, "mass"))
     tasks = [(n, rep) for n in cfg.sample_sizes for rep in range(cfg.replicates)]
     if cfg.parallelism > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -192,14 +170,15 @@ def rescore_rows(cfg: SweepConfig, rows, loss: LossSpec):
     Loss seeds are derived exactly as run_sweep derives them, so rescoring a
     sweep under its own loss spec reproduces it.
     """
-    cfg2 = replace(cfg, loss=loss)
-    subsets = _positive_mass_subsets(cfg2)
+    subsets = metrics.loss_subsets(loss, cfg.truth, cfg.data_K, cfg.bounds,
+                                   row_seed(cfg.base_seed, 0, 0, "mass"))
     out = []
     for r in rows:
         if r.measure is None:
             value = math.nan
         else:
-            value = _loss_value(cfg2, r.measure, row_seed(cfg.base_seed, r.n, r.replicate, "loss"), subsets)
+            value = metrics.score(loss, r.measure, cfg.fit_K, cfg.truth, cfg.data_K, cfg.bounds,
+                                  row_seed(cfg.base_seed, r.n, r.replicate, "loss"), subsets).value
         out.append(replace(r, loss=value))
     return tuple(out)
 
@@ -216,22 +195,17 @@ def mean_loss_by_n(rows):
     return ns, means, stds
 
 
-def fit_slope(rows, per_row: bool = False):
-    """OLS of log(loss) on log(n); (slope, stderr, intercept).
+def fit_slope(rows):
+    """OLS of log(mean loss) on log(n) over the per-n means of the finite
+    losses; (slope, stderr, intercept).
 
-    Aggregates to the per-n mean loss first unless per_row is set.
-    Nonpositive or non-finite losses are excluded; fewer than 3 usable points
-    raise InsufficientDataError.
+    Nonpositive means are excluded; fewer than 3 usable sizes raise
+    InsufficientDataError.
     """
-    if per_row:
-        pts = [(r.n, r.loss) for r in rows if math.isfinite(r.loss) and r.loss > 0]
-        xs = np.log([p[0] for p in pts])
-        ys = np.log([p[1] for p in pts])
-    else:
-        ns, means, _ = mean_loss_by_n(rows)
-        keep = np.isfinite(means) & (means > 0)
-        xs = np.log(ns[keep].astype(float))
-        ys = np.log(means[keep])
+    ns, means, _ = mean_loss_by_n(rows)
+    keep = np.isfinite(means) & (means > 0)
+    xs = np.log(ns[keep].astype(float))
+    ys = np.log(means[keep])
     if xs.size < 3 or np.unique(xs).size < 3:
         raise InsufficientDataError(
             f"need >= 3 distinct sample sizes with positive mean loss, have {np.unique(xs).size}"
@@ -444,7 +418,6 @@ _KEYS = (
     ("fit_big_k", SweepConfig, "fit_K", _INT),
     ("sample_sizes", SweepConfig, "sample_sizes", _INTS),
     ("replicates", SweepConfig, "replicates", _INT),
-    ("base_seed", SweepConfig, "base_seed", _INT),
     ("metric", LossSpec, "metric", _WORD),
     ("rbar", LossSpec, "rbar_policy", _WORD),
     ("renormalize", LossSpec, "renormalize", _FLAG),

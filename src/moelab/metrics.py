@@ -14,6 +14,9 @@ applied inside cells with more than one member:
 
 The outer maximum over all K-subsets is the sum of the K largest cell terms;
 an explicit list of candidate subsets is searched one by one.
+
+:func:`score` turns a :class:`LossSpec` into one of these losses or the
+expected Hellinger distance; the sweeps and the CLI all score through it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import partition
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, _checked_box, log_joint
+from .model import MixingMeasure, _check_sparsity, _checked_box, log_joint, uniform_box_sampler
 from .polysys import rbar, rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
@@ -40,6 +44,7 @@ class LossSpec:
     D1, D2 and D3 take their outer max over the data_K-subsets of the truth's
     components; ``positive_mass_only`` restricts it to the subsets flagged by
     ``partition.positive_mass_subsets`` at ``partition.MASS_N_MC`` draws.
+    :func:`score` turns a spec into a loss.
     """
 
     metric: str = "d1"
@@ -54,6 +59,8 @@ class LossSpec:
         if self.metric not in METRICS:
             raise InvalidArgumentError(f"metric must be one of {METRICS}")
         rbar(2, self.rbar_policy)  # raises on an unknown policy
+        if self.positive_mass_only and self.metric == "hellinger":
+            raise InvalidArgumentError("positive_mass_only restricts D1, D2 and D3, not hellinger")
         if self.terms is not None:
             if self.metric != "d1":
                 raise InvalidArgumentError(f"loss terms restrict D1 only, not {self.metric}")
@@ -128,40 +135,29 @@ class LossReport:
         )
 
 
-def _fitted_weights(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool) -> np.ndarray:
-    """exp(beta0_i) of the fitted components, optionally rescaled so that the
-    fitted total mass matches the true total mass.
+def _scored_fit(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool):
+    """The fitted weights exp(beta0_i) and the fitted measure the losses score.
 
-    The likelihood cannot see a common shift of the gating intercepts: it
-    scales every exp(beta0_i) by one factor.  Renormalization removes that
-    factor; together with :func:`_translated_fit` it scores the fit modulo the
-    whole common (beta0, beta1) translation.  Off by default: the loss
-    definitions compare raw weights.
+    The likelihood cannot see a common shift of the gating intercepts, which
+    scales every exp(beta0_i) by one factor, nor a common shift of the gating
+    slopes.  With ``renormalize`` the weights are rescaled to the true total
+    mass and every slope is shifted by t1, the exp(beta0)-weighted mean slope
+    of the fit minus the same mean of the truth.  The fit is then scored
+    modulo the whole common (beta0, beta1) translation: it does not matter
+    which member of its translation class was fitted, and a translated truth
+    maps back onto the truth.  The shift is applied before the Voronoi
+    assignment.  Off by default: the loss definitions compare raw weights.
     """
     w = np.exp(G_fit.beta0)
-    if renormalize:
-        w = w * (np.exp(G_true.beta0).sum() / w.sum())
-    return w
-
-
-def _translated_fit(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool) -> MixingMeasure:
-    """The fit with every gating slope shifted by one common vector t1, or the
-    fit itself when renormalize is off.
-
-    The likelihood cannot see a common shift of the gating slopes either.  t1
-    is the exp(beta0)-weighted mean slope of the fit minus the same mean of
-    the truth, so the shifted fit does not depend on which member of its
-    translation class was fitted, and a translated truth maps back onto the
-    truth.  The shift is applied before the Voronoi assignment.
-    """
     if not renormalize:
-        return G_fit
-    w_fit, w_true = np.exp(G_fit.beta0), np.exp(G_true.beta0)
-    t1 = w_fit @ G_fit.beta1 / w_fit.sum() - w_true @ G_true.beta1 / w_true.sum()
-    return MixingMeasure.from_arrays(
+        return w, G_fit
+    w_true = np.exp(G_true.beta0)
+    t1 = w @ G_fit.beta1 / w.sum() - w_true @ G_true.beta1 / w_true.sum()
+    G_fit = MixingMeasure.from_arrays(
         G_fit.beta0, G_fit.beta1 - t1, G_fit.a, G_fit.b, G_fit.sigma,
         family=G_fit.family, dof=G_fit.dof,
     )
+    return w * (w_true.sum() / w.sum()), G_fit
 
 
 def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=None, terms=ALL_TERMS):
@@ -169,13 +165,9 @@ def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=
 
     p_gate applies to ||d_beta1|| and |d_b|; p_expert to ||d_a|| and |d_sigma|.
     """
-    terms = frozenset(terms)
-    if not terms <= ALL_TERMS:
-        raise InvalidArgumentError(f"unknown loss terms {terms - ALL_TERMS}")
     k_star = G_true.k
     _check_sparsity(K, k_star)
-    w = _fitted_weights(G_fit, G_true, renormalize)
-    G_fit = _translated_fit(G_fit, G_true, renormalize)
+    w, G_fit = _scored_fit(G_fit, G_true, renormalize)
     assignment = assign_voronoi(G_fit, G_true)
     w_true = np.exp(G_true.beta0)
 
@@ -276,23 +268,6 @@ def loss_d3(G_fit, G_true, K, *, renormalize=False, subsets=None) -> LossReport:
     )
 
 
-def voronoi_loss(G_fit, G_true, K, metric, *, rbar_policy="exact", renormalize=False,
-                 terms=None, subsets=None) -> LossReport:
-    """D1, D2 or D3 by name; ``rbar_policy`` sets D2's exponents and ``terms``
-    restricts D1's summands.  D2 and D3 take every term, so ``terms`` with
-    them is an error."""
-    if terms is not None and metric in ("d2", "d3"):
-        raise InvalidArgumentError(f"loss terms restrict D1 only, not {metric}")
-    common = dict(renormalize=renormalize, subsets=subsets)
-    if metric == "d1":
-        return loss_d1(G_fit, G_true, K, terms=ALL_TERMS if terms is None else terms, **common)
-    if metric == "d2":
-        return loss_d2(G_fit, G_true, K, rbar_fn(rbar_policy), **common)
-    if metric == "d3":
-        return loss_d3(G_fit, G_true, K, **common)
-    raise InvalidArgumentError(f"unknown loss metric {metric!r}")
-
-
 # ---------------------------------------------------------------------------
 # Hellinger distance between conditional densities
 # ---------------------------------------------------------------------------
@@ -370,6 +345,11 @@ class HellingerEstimate:
     mean: float
     stderr: float
 
+    @property
+    def value(self) -> float:
+        """The estimate, named as :attr:`LossReport.value` is."""
+        return self.mean
+
 
 def expected_hellinger(G_a, K_a, G_b, K_b, sampler, n_mc: int, y_grid, seed=0) -> HellingerEstimate:
     """Monte-Carlo average over x of the pointwise Hellinger distance, scored
@@ -399,3 +379,46 @@ def two_gaussian_hellinger(mu1, sigma1, mu2, sigma2) -> float:
     s2 = sigma1**2 + sigma2**2
     h2 = 1.0 - math.sqrt(2.0 * sigma1 * sigma2 / s2) * math.exp(-((mu1 - mu2) ** 2) / (4.0 * s2))
     return math.sqrt(max(h2, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Scoring by LossSpec: the one path of the sweeps and of the CLI
+# ---------------------------------------------------------------------------
+
+def loss_subsets(spec: LossSpec, G_true: MixingMeasure, K: int, bounds=None, seed=0):
+    """The K-subsets a spec's outer max runs over.  Under
+    ``positive_mass_only`` they are the truth's selected sets with positive
+    region mass on the box (None: the unit box), flagged from
+    ``partition.MASS_N_MC`` draws seeded ``seed``; otherwise None, meaning
+    every K-subset."""
+    if not spec.positive_mass_only:
+        return None
+    sampler = uniform_box_sampler(_checked_box(bounds, G_true.d))
+    return partition.positive_mass_subsets(G_true, K, sampler, partition.MASS_N_MC, seed=seed)
+
+
+def score(spec: LossSpec, G_fit, K_fit, G_true, K_true, bounds=None, seed=0, subsets=None):
+    """The loss ``spec`` names between a fit at sparsity K_fit and the truth
+    at K_true: a :class:`LossReport` of D1, D2 or D3, or the
+    :class:`HellingerEstimate`; both carry the number as ``value``.
+
+    D1, D2 and D3 take their outer max at K_true, over ``subsets`` when
+    given, else over :func:`loss_subsets` of the spec at ``bounds`` and
+    ``seed``.  Hellinger averages ``spec.hellinger_n_mc`` inputs drawn
+    uniformly from ``bounds`` (None: the unit box) by an rng seeded ``seed``,
+    each over the :func:`default_y_grid` of ``spec.y_points`` points.
+    """
+    if spec.metric == "hellinger":
+        bounds = _checked_box(bounds, G_true.d)
+        grid = default_y_grid(G_fit, G_true, bounds, spec.y_points)
+        return expected_hellinger(G_fit, K_fit, G_true, K_true, uniform_box_sampler(bounds),
+                                  spec.hellinger_n_mc, grid, seed=seed)
+    if subsets is None:
+        subsets = loss_subsets(spec, G_true, K_true, bounds, seed)
+    common = dict(renormalize=spec.renormalize, subsets=subsets)
+    if spec.metric == "d1":
+        return loss_d1(G_fit, G_true, K_true, terms=ALL_TERMS if spec.terms is None else spec.terms,
+                       **common)
+    if spec.metric == "d2":
+        return loss_d2(G_fit, G_true, K_true, rbar_fn(spec.rbar_policy), **common)
+    return loss_d3(G_fit, G_true, K_true, **common)

@@ -170,6 +170,8 @@ class TestSweepAndPlot:
         assert "slope" in out
         rows = ml.parse_csv(out_csv)
         assert len(rows) == 6
+        # --seed is the sweep's one seed
+        assert rows[0].seed == ml.experiments.row_seed(5, 50, 0)
         assert out_svg.read_text().startswith("<svg")
         # plot from the CSV alone
         out_svg2 = tmp_path / "replot.svg"
@@ -251,6 +253,8 @@ BAD_SWEEP_LINES = {
     "gatinglr = 5": "unknown config key 'gatinglr'",
     "[extra]": "unknown config section [extra]",
     "data_k = 1\ndata_k = 2": "repeated config key 'data_k'",
+    "base_seed = 5": "unknown config key 'base_seed'",
+    "metric = hellinger\npositive_mass_only = true": "positive_mass_only restricts D1, D2 and D3, not hellinger",
 }
 
 
@@ -330,7 +334,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("line", [
         "data_k = 3", "data_k = 0", "fit_big_k = 3", "fit_k = 1\nfit_big_k = 1",
         "loss_terms = a,foo", "rbar = nope", "parallelism = 0",
-        "loss_k = 1", "gatinglr = 5", "[extra]", "data_k = 1\ndata_k = 2",
+        "loss_k = 1", "gatinglr = 5", "[extra]", "data_k = 1\ndata_k = 2", "base_seed = 5",
+        "metric = hellinger\npositive_mass_only = true",
     ])
     def test_sweep_setting_rejected_before_any_fit(self, tmp_path, line, capsys):
         self.assert_sweep_rejected(tmp_path, line, capsys)
@@ -350,12 +355,15 @@ class TestMalformedInput:
         ("partition-check", "0,inf", "[[0.0, inf]]"),
         ("partition-check", "nan,1", "[[nan, 1.0]]"),
         ("loss", "0,inf", "[[0.0, inf]]"),
+        ("loss --positive-mass-only", "0,inf", "[[0.0, inf]]"),
     ])
     def test_non_finite_bounds(self, truth_file, command, bounds, shown, capsys):
+        # --bounds is checked whether or not a flag reads it
+        loss = ["loss", "--metric", "d1", "--K", 1, "--fit", truth_file, "--true", truth_file]
         argv = {
             "partition-check": ["partition-check", "--truth", truth_file, "--K", 1, "--seed", 0],
-            "loss": ["loss", "--metric", "d1", "--K", 1, "--fit", truth_file, "--true", truth_file,
-                     "--positive-mass-only"],
+            "loss": loss,
+            "loss --positive-mass-only": [*loss, "--positive-mass-only"],
         }[command]
         self.assert_clean_error([*argv, "--bounds", bounds], capsys,
                                 f"bounds must be finite with lo <= hi, got {shown}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import moelab as ml
+from moelab.metrics import score
 
 from conftest import random_measure
 
@@ -120,12 +121,12 @@ class TestLossD1:
         # D2 and D3 score every term; a restriction must not be dropped silently
         rng = np.random.default_rng(3)
         G_fit = perturbed(bench_truth, rng, 0.1)
-        restricted = ml.voronoi_loss(G_fit, bench_truth, 2, "d1", terms=("a",))
-        assert restricted.value < ml.voronoi_loss(G_fit, bench_truth, 2, "d1").value
+        restricted = score(ml.LossSpec(terms=("a",)), G_fit, 2, bench_truth, 2)
+        assert restricted.value < score(ml.LossSpec(), G_fit, 2, bench_truth, 2).value
         for metric in ("d2", "d3"):
-            ml.voronoi_loss(G_fit, bench_truth, 2, metric)
+            score(ml.LossSpec(metric=metric), G_fit, 2, bench_truth, 2)
             with pytest.raises(ml.InvalidArgumentError, match="D1 only"):
-                ml.voronoi_loss(G_fit, bench_truth, 2, metric, terms=("a",))
+                ml.LossSpec(metric=metric, terms=("a",))
 
     def test_renormalize_removes_common_shift(self, bench_truth):
         # a pure softmax shift of the gating biases is invisible to the
@@ -228,9 +229,10 @@ class TestOuterMaxOverSubsets:
             truth = random_measure(rng, k_star, 1)
             fit = perturbed(truth, rng, 0.3)
         for metric in ("d1", "d2", "d3"):
-            terms = ml.voronoi_loss(fit, truth, k_star, metric, rbar_policy="conjecture").per_cell_terms
+            spec = ml.LossSpec(metric=metric, rbar_policy="conjecture")
+            terms = score(spec, fit, k_star, truth, k_star).per_cell_terms
             for K in range(1, k_star + 1):
-                rep = ml.voronoi_loss(fit, truth, K, metric, rbar_policy="conjecture")
+                rep = score(spec, fit, K, truth, K)
                 value, subset = enumerated_max(terms, K)
                 assert rep.value == value
                 assert rep.argmax_subset == subset
@@ -375,6 +377,53 @@ class TestHellinger:
         grid = ml.default_y_grid(Ga, Gb, [[-1, 1]], 4001)
         est = ml.expected_hellinger(Ga, 1, Gb, 1, sym, 400, grid, seed=4)
         assert est.mean == pytest.approx(0.5, abs=0.06)
+
+
+class TestScore:
+    """``score`` is each loss of a spec, called as a caller would call it."""
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_voronoi_metrics(self, renormalize):
+        rng = np.random.default_rng(5)
+        truth = random_measure(rng, 4, 2)
+        fit = perturbed(truth, rng, 0.2)
+        rb = ml.rbar_fn("conjecture")
+        for metric, want in (("d1", ml.loss_d1(fit, truth, 2, renormalize=renormalize)),
+                             ("d2", ml.loss_d2(fit, truth, 2, rb, renormalize=renormalize)),
+                             ("d3", ml.loss_d3(fit, truth, 2, renormalize=renormalize))):
+            spec = ml.LossSpec(metric=metric, rbar_policy="conjecture", renormalize=renormalize)
+            assert score(spec, fit, 3, truth, 2) == want
+        spec = ml.LossSpec(terms=("a", "sigma"), renormalize=renormalize)
+        assert score(spec, fit, 3, truth, 2) == ml.loss_d1(fit, truth, 2, renormalize=renormalize,
+                                                           terms=("a", "sigma"))
+
+    def test_positive_mass_subsets_from_the_box_and_seed(self):
+        rng = np.random.default_rng(6)
+        truth = random_measure(rng, 4, 2)
+        fit = perturbed(truth, rng, 0.2)
+        box = [[-1.0, 1.0], [0.0, 3.0]]
+        spec = ml.LossSpec(positive_mass_only=True)
+        subsets = ml.positive_mass_subsets(truth, 2, ml.uniform_box_sampler(box), ml.partition.MASS_N_MC, seed=9)
+        assert ml.metrics.loss_subsets(spec, truth, 2, box, seed=9) == subsets
+        assert ml.metrics.loss_subsets(ml.LossSpec(), truth, 2, box, seed=9) is None
+        want = ml.loss_d1(fit, truth, 2, subsets=subsets)
+        assert score(spec, fit, 2, truth, 2, box, seed=9) == want
+        assert score(spec, fit, 2, truth, 2, box, seed=1, subsets=subsets) == want
+        # an explicit candidate list is what the outer max runs over
+        assert score(spec, fit, 2, truth, 2, subsets=[(0, 3)]).argmax_subset == (0, 3)
+
+    def test_hellinger(self):
+        rng = np.random.default_rng(7)
+        truth = random_measure(rng, 3, 1)
+        fit = perturbed(truth, rng, 0.2)
+        box = [[-1.0, 2.0]]
+        spec = ml.LossSpec(metric="hellinger", hellinger_n_mc=30, y_points=401)
+        grid = ml.default_y_grid(fit, truth, box, 401)
+        want = ml.expected_hellinger(fit, 3, truth, 2, ml.uniform_box_sampler(box), 30, grid, seed=4)
+        got = score(spec, fit, 3, truth, 2, box, seed=4)
+        assert got == want and got.value == want.mean
+        unit = ml.expected_hellinger(fit, 3, truth, 2, UNIT, 30, ml.default_y_grid(fit, truth, None, 401), seed=4)
+        assert score(spec, fit, 3, truth, 2, seed=4) == unit
 
 
 class TestRandomMeasureProperties:
