@@ -29,7 +29,6 @@ from .model import (
 from .partition import partition_match_rate, positive_mass_subsets
 from .metrics import (
     LossReport,
-    VoronoiAssignment,
     assign_voronoi,
     default_y_grid,
     expected_hellinger,

@@ -62,7 +62,6 @@ def cmd_fit(args):
     plan_rng = np.random.default_rng(args.seed)
     plan = em.random_cell_plan(args.k, truth.k, plan_rng)
     cfg = em.FitConfig(
-        k=args.k,
         K=args.K,
         init=em.InitSpec(truth, plan, args.noise_std),
         seed=args.seed,
@@ -127,9 +126,7 @@ def cmd_partition_check(args):
     print("eta\tmatch_rate")
     for eta in etas:
         G_fit = replace(truth, beta1=truth.beta1 + eta * directions)
-        rate = partition.partition_match_rate(
-            truth, G_fit, None, args.K, args.K, sampler, args.n_mc, seed=args.seed
-        )
+        rate = partition.partition_match_rate(truth, G_fit, args.K, sampler, args.n_mc, seed=args.seed)
         print(f"{eta:g}\t{rate:.6f}")
     return 0
 

@@ -89,9 +89,8 @@ def random_cell_plan(k: int, k_star: int, rng) -> tuple:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """EM configuration; K is the sparsity used in the fitted density."""
+    """EM configuration; K is the sparsity of the fitted density of init.k components."""
 
-    k: int
     K: int
     init: InitSpec
     seed: int = 0
@@ -102,9 +101,7 @@ class FitConfig:
     sigma_floor: float = 1e-3
 
     def __post_init__(self):
-        _check_sparsity(self.K, self.k)
-        if self.init.k != self.k:
-            raise InvalidArgumentError("init cell plan length must equal k")
+        _check_sparsity(self.K, self.init.k)
         _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
                             self.sigma_floor)
 

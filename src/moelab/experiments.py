@@ -112,7 +112,6 @@ def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
         plan_rng = np.random.default_rng(row_seed(cfg.base_seed, n, rep, "plan"))
         plan = em.random_cell_plan(cfg.fit_k, cfg.truth.k, plan_rng)
         fit_cfg = em.FitConfig(
-            k=cfg.fit_k,
             K=cfg.fit_K,
             init=em.InitSpec(cfg.truth, plan, cfg.noise_std),
             seed=row_seed(cfg.base_seed, n, rep, "init"),

@@ -12,6 +12,11 @@ applied inside cells with more than one member:
   rbar(|C|)/2 on the expert slope and scale differences (Gaussian experts),
 * D3: squares (strongly identifiable expert families).
 
+The assignment is one (k,) array, the index of each fitted component's
+nearest true component.  :func:`assign_voronoi` turns it into cells; the
+losses score every fitted component against its own true component and sum
+each cell with ``np.bincount`` over that index.
+
 The outer maximum over all K-subsets is the sum of the K largest cell terms;
 an explicit list of candidate subsets is searched one by one.
 
@@ -72,42 +77,22 @@ class LossSpec:
                 raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class VoronoiAssignment:
-    """For each true component j, the set of fitted indices nearest to it."""
-
-    cells: tuple
-
-    def __post_init__(self):
-        cells = tuple(tuple(sorted(int(i) for i in cell)) for cell in self.cells)
-        flat = [i for cell in cells for i in cell]
-        if sorted(flat) != list(range(len(flat))):
-            raise InvalidArgumentError("cells must partition the fitted indices")
-        object.__setattr__(self, "cells", cells)
-
-
-def _theta_matrix(G: MixingMeasure) -> np.ndarray:
-    """Concatenated parameter vectors (beta1, a, b, sigma), one row per component."""
-    return np.concatenate(
-        [G.beta1, G.a, G.b[:, None], G.sigma[:, None]], axis=1
-    )
-
-
-def assign_voronoi(G_fit: MixingMeasure, G_true: MixingMeasure) -> VoronoiAssignment:
-    """Nearest-true-component assignment under the Euclidean norm on theta.
-
-    Ties go to the smaller true index; empty cells are allowed.
-    """
+def _nearest(G_fit: MixingMeasure, G_true: MixingMeasure) -> np.ndarray:
+    """(k,) index of each fitted component's nearest true component under the
+    Euclidean norm on theta = (beta1, a, b, sigma); ties go to the smaller
+    true index."""
     if G_fit.d != G_true.d:
         raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
-    tf = _theta_matrix(G_fit)
-    tt = _theta_matrix(G_true)
-    dists = np.linalg.norm(tf[:, None, :] - tt[None, :, :], axis=2)
-    nearest = np.argmin(dists, axis=1)  # argmin takes the first minimum: smaller j
-    cells = tuple(
-        tuple(np.nonzero(nearest == j)[0].tolist()) for j in range(G_true.k)
-    )
-    return VoronoiAssignment(cells=cells)
+    tf, tt = (np.concatenate([G.beta1, G.a, G.b[:, None], G.sigma[:, None]], axis=1)
+              for G in (G_fit, G_true))
+    return np.argmin(np.linalg.norm(tf[:, None, :] - tt[None, :, :], axis=2), axis=1)
+
+
+def assign_voronoi(G_fit: MixingMeasure, G_true: MixingMeasure) -> tuple:
+    """The Voronoi cells: for each true component, the sorted tuple of the
+    fitted indices nearest to it (:func:`_nearest`); cells may be empty."""
+    near = _nearest(G_fit, G_true)
+    return tuple(tuple(np.flatnonzero(near == j).tolist()) for j in range(G_true.k))
 
 
 @dataclass(frozen=True)
@@ -164,37 +149,26 @@ def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=
     """Shared evaluator: exponent_fn(cell_size) -> (p_gate, p_expert).
 
     p_gate applies to ||d_beta1|| and |d_b|; p_expert to ||d_a|| and |d_sigma|.
+    Each fitted component is scored against its nearest true component, and
+    a cell's term is the bincount of its members' scores over that index.
     """
     k_star = G_true.k
     _check_sparsity(K, k_star)
     w, G_fit = _scored_fit(G_fit, G_true, renormalize)
-    assignment = assign_voronoi(G_fit, G_true)
-    w_true = np.exp(G_true.beta0)
-
-    d_beta1 = np.linalg.norm(G_fit.beta1[:, None, :] - G_true.beta1[None, :, :], axis=2)
-    d_a = np.linalg.norm(G_fit.a[:, None, :] - G_true.a[None, :, :], axis=2)
-    d_b = np.abs(G_fit.b[:, None] - G_true.b[None, :])
-    d_sigma = np.abs(G_fit.sigma[:, None] - G_true.sigma[None, :])
-
-    cell_term = np.zeros(k_star)
-    for j, cell in enumerate(assignment.cells):
-        total = 0.0
-        if cell:
-            p_gate, p_expert = exponent_fn(len(cell))
-            for i in cell:
-                acc = 0.0
-                if "beta1" in terms:
-                    acc += d_beta1[i, j] ** p_gate
-                if "b" in terms:
-                    acc += d_b[i, j] ** p_gate
-                if "a" in terms:
-                    acc += d_a[i, j] ** p_expert
-                if "sigma" in terms:
-                    acc += d_sigma[i, j] ** p_expert
-                total += w[i] * acc
-        if "weight" in terms:
-            total += abs(sum(w[i] for i in cell) - w_true[j])
-        cell_term[j] = total
+    near = _nearest(G_fit, G_true)
+    exponents = [exponent_fn(m) for m in np.bincount(near, minlength=k_star).tolist()]
+    p_gate, p_expert = zip(*(exponents[j] for j in near.tolist()))  # per fitted component
+    acc = np.zeros(G_fit.k)
+    for name, fit, true, p in (("beta1", G_fit.beta1, G_true.beta1, p_gate), ("b", G_fit.b, G_true.b, p_gate),
+                               ("a", G_fit.a, G_true.a, p_expert), ("sigma", G_fit.sigma, G_true.sigma, p_expert)):
+        if name in terms:
+            diff = fit - true[near]
+            dist = np.linalg.norm(diff, axis=1) if diff.ndim == 2 else np.abs(diff)
+            # Scalar powers: NumPy's array ** can differ from them in the last bit.
+            acc += [x**e for x, e in zip(dist.tolist(), p)]
+    cell_term = np.bincount(near, weights=w * acc, minlength=k_star)
+    if "weight" in terms:
+        cell_term += np.abs(np.bincount(near, weights=w, minlength=k_star) - np.exp(G_true.beta0))
 
     if subsets is None:
         # The K largest terms, the smaller index first on ties: the

@@ -106,28 +106,15 @@ class MixingMeasure:
         """The measure with these arrays; the same as the constructor."""
         return cls(*arrays, **settings)
 
-    # -- assumption checks ------------------------------------------------
-    def is_pinned(self, tol: float = 0.0) -> bool:
-        """Last component has beta1 == 0 and beta0 == 0 (identifiability)."""
-        return bool(np.all(np.abs(self.beta1[-1]) <= tol) and abs(self.beta0[-1]) <= tol)
-
-    def has_distinct_experts(self) -> bool:
-        """All (a_i, b_i, sigma_i) triples are pairwise distinct."""
-        rows = np.column_stack([self.a, self.b, self.sigma]).tolist()
-        return len(set(map(tuple, rows))) == self.k
-
-    def is_input_dependent(self) -> bool:
-        """At least one gating slope is nonzero."""
-        return bool(np.any(self.beta1 != 0.0))
-
     def truth_violations(self) -> list:
         """Names of the modelling assumptions this measure violates as a truth."""
         out = []
-        if not self.is_pinned():
+        if np.any(self.beta1[-1] != 0.0) or self.beta0[-1] != 0.0:
             out.append("U.2 (last component not pinned to beta1=0, beta0=0)")
-        if not self.has_distinct_experts():
+        experts = np.column_stack([self.a, self.b, self.sigma]).tolist()
+        if len(set(map(tuple, experts))) < self.k:
             out.append("U.3 (expert parameters not pairwise distinct)")
-        if not self.is_input_dependent():
+        if not np.any(self.beta1 != 0.0):
             out.append("U.4 (all gating slopes are zero)")
         return out
 

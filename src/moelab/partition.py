@@ -42,30 +42,13 @@ def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):
     return sorted(tuple(np.flatnonzero(code & bits).tolist()) for code in codes[counts >= 2])
 
 
-def partition_match_rate(
-    G_true: MixingMeasure,
-    G_fit: MixingMeasure,
-    assignment,
-    K: int,
-    K_bar: int,
-    sampler,
-    n_mc: int,
-    seed=0,
-) -> float:
-    """Fraction of sampled x whose fitted selection corresponds to the true one.
-
-    With ``assignment=None`` (exact-specified) the fitted selected set must
-    equal the true selected set, so K_bar must equal K.  With a Voronoi
-    assignment (over-specified) the fitted set is compared against the union
-    of the cells of the true selected components.
-    """
-    true_mask, fit_mask = _selections(sampler, n_mc, seed, (G_true, K), (G_fit, K_bar))
-    if assignment is None:
-        if G_fit.k != G_true.k or K_bar != K:
-            raise InvalidArgumentError("identity comparison needs k'=k* and K_bar=K")
-        return float(np.mean(np.all(fit_mask == true_mask, axis=0)))
-    cell_matrix = np.zeros((G_true.k, G_fit.k), dtype=bool)
-    for j, cell in enumerate(assignment.cells):
-        cell_matrix[j, list(cell)] = True
-    target = cell_matrix.T @ true_mask  # boolean or over the selected cells
-    return float(np.mean(np.all(fit_mask == target, axis=0)))
+def partition_match_rate(G_true: MixingMeasure, G_fit: MixingMeasure, K: int, sampler, n_mc: int,
+                         seed=0) -> float:
+    """Fraction of sampled x at which the fit's top-K selected set equals the
+    truth's.  The sets are compared index by index, so the fit needs the
+    truth's number of components, and its input dimension."""
+    if (G_fit.k, G_fit.d) != (G_true.k, G_true.d):
+        raise InvalidArgumentError(f"partition match needs the truth's k and d, got k={G_fit.k}, d={G_fit.d} "
+                                   f"for k*={G_true.k}, d*={G_true.d}")
+    true_mask, fit_mask = _selections(sampler, n_mc, seed, (G_true, K), (G_fit, K))
+    return float(np.mean(np.all(fit_mask == true_mask, axis=0)))

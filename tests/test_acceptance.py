@@ -124,7 +124,7 @@ def test_criterion_3_over_specified_rate(overspecified_sweep):
     # same decay between the end points, ratio >= (n_max / n_min) ** 0.15.
     cfg, result = overspecified_sweep
     premise_ok = all(
-        sum(sorted(len(c) for c in ml.assign_voronoi(r.measure, cfg.truth).cells)[-cfg.data_K:])
+        sum(sorted(len(c) for c in ml.assign_voronoi(r.measure, cfg.truth))[-cfg.data_K:])
         <= cfg.fit_K
         for r in result.rows
         if r.measure is not None
@@ -195,7 +195,7 @@ def test_criterion_6_voronoi_property_suite():
             G_true.b + 0.01 * rng2.standard_normal(3),
             G_true.sigma * np.exp(0.01 * rng2.standard_normal(3)),
         )
-        if ml.assign_voronoi(G_fit, G_true).cells != ((0,), (1,), (2,)):
+        if ml.assign_voronoi(G_fit, G_true) != ((0,), (1,), (2,)):
             continue
         K = int(rng2.integers(1, 4))
         d1 = ml.loss_d1(G_fit, G_true, K)
@@ -263,7 +263,7 @@ def test_criterion_8_partition_match_suite(truth):
             truth.beta0, truth.beta1 + eta * direction,
             truth.a, truth.b, truth.sigma,
         )
-        rates[eta] = ml.partition_match_rate(truth, G_fit, None, 1, 1, UNIT, n_mc, seed=81)
+        rates[eta] = ml.partition_match_rate(truth, G_fit, 1, UNIT, n_mc, seed=81)
     ok = all(rates[eta] >= 1.0 - slack for eta in (1e-3, 1e-4, 1e-5, 1e-6))
     assert report(
         8, ok,
@@ -281,7 +281,7 @@ def test_criterion_9_em_correctness_suite(truth):
         data = ml.sample_dataset(truth, 2, 300, seed=seed)
         plan = em.random_cell_plan(k, 2, rng)
         cfg = ml.FitConfig(
-            k=k, K=K, init=em.InitSpec(truth, plan, 0.3), seed=seed, max_iters=40
+            K=K, init=em.InitSpec(truth, plan, 0.3), seed=seed, max_iters=40
         )
         res = ml.fit(data, cfg)
         monotone_ok &= bool(np.all(np.diff(res.loglik_trace) >= -1e-9))

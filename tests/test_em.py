@@ -416,7 +416,7 @@ class TestFitSettings:
     )
     def test_fit_config_rejects(self, bench_truth, bad):
         with pytest.raises(ml.InvalidArgumentError):
-            ml.FitConfig(k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), **bad)
+            ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), **bad)
 
     @pytest.mark.parametrize("bad", BAD_SETTINGS)
     def test_sweep_config_rejects(self, bench_truth, bad):
@@ -432,18 +432,18 @@ def reference_case(case, bench_truth):
         seed = lambda tag: ml.experiments.row_seed(303, 1000, 0, tag)  # noqa: E731
         data = ml.sample_dataset(bench_truth, 2, 1000, seed=seed("data"))
         plan = em.random_cell_plan(3, 2, np.random.default_rng(seed("plan")))
-        return data, ml.FitConfig(k=3, K=3, init=em.InitSpec(bench_truth, plan, 0.05), seed=seed("init"),
+        return data, ml.FitConfig(K=3, init=em.InitSpec(bench_truth, plan, 0.05), seed=seed("init"),
                                   gating_lr=2.0, gating_steps_per_m=2)
     if case == "top2-2d":
         # sparse-2d's truth and settings on a draw with selection flips
         truth = ml.true_measure(**TRUTH_2D)
         data = ml.sample_dataset(truth, 2, 400, seed=5, bounds=BOX_2D)
-        return data, ml.FitConfig(k=3, K=2, init=em.InitSpec(truth, (0, 1, 2), 0.05), seed=205)
+        return data, ml.FitConfig(K=2, init=em.InitSpec(truth, (0, 1, 2), 0.05), seed=205)
     if case == "sigma-floor":
         # a scale floor above the init's scales: the floored expert step
         # lowers the likelihood, and the ascent guard undoes it
         data = ml.sample_dataset(bench_truth, 2, 500, seed=1)
-        return data, ml.FitConfig(k=3, K=2, init=em.InitSpec(bench_truth, (0, 1, 1), 0.05), seed=3,
+        return data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1, 1), 0.05), seed=3,
                                   sigma_floor=1.0, max_iters=300)
     # a step so long that the line search halves it, and the Laplace IRLS or
     # Student-t ECM expert step
@@ -451,7 +451,7 @@ def reference_case(case, bench_truth):
     truth = ml.true_measure(bench_truth.beta0, bench_truth.beta1, bench_truth.a, bench_truth.b,
                             bench_truth.sigma, family=family, dof=5.0)
     data = ml.sample_dataset(truth, 2, 500, seed=1)
-    return data, ml.FitConfig(k=3, K=2, init=em.InitSpec(truth, (1, 0, 0), 0.05), seed=3,
+    return data, ml.FitConfig(K=2, init=em.InitSpec(truth, (1, 0, 0), 0.05), seed=3,
                               gating_lr=50.0, gating_steps_per_m=2, max_iters=300)
 
 
@@ -483,7 +483,7 @@ class TestFit:
         truth = ml.true_measure(bench_truth.beta0, bench_truth.beta1, bench_truth.a, bench_truth.b,
                                 bench_truth.sigma, family=family, dof=5.0)
         data = ml.sample_dataset(truth, 2, 500, seed=1)
-        cfg = ml.FitConfig(k=3, K=2, init=em.InitSpec(truth, (1, 0, 0), 0.05), seed=3,
+        cfg = ml.FitConfig(K=2, init=em.InitSpec(truth, (1, 0, 0), 0.05), seed=3,
                            gating_lr=lr, gating_steps_per_m=2, max_iters=300)
         assert ml.fit(data, cfg).reverted_experts <= 3
 
@@ -492,7 +492,7 @@ class TestFit:
         # a sweep turns it into a failed row
         monkeypatch.setattr(em, "_wls_solve", lambda Z, w, y: np.full(Z.shape[1], np.nan))
         data = small_data(bench_truth, n=200, K=2, seed=4)
-        cfg = ml.FitConfig(k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05))
+        cfg = ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05))
         with pytest.raises(ml.MoeError):
             ml.fit(data, cfg)
         sweep = ml.run_sweep(ml.SweepConfig(truth=bench_truth, data_K=2, fit_k=2, fit_K=2,
@@ -507,7 +507,7 @@ class TestFit:
             ml.true_measure([0.0, 0.0], [[1.0], [0.0]], [[2.0], [2.1]], [-1.0, -1.0], [0.5, 0.5]),
             1, 10_000, seed=3,
         )
-        cfg = ml.FitConfig(k=1, K=1, init=em.InitSpec(truth, (0,), 0.1), seed=1)
+        cfg = ml.FitConfig(K=1, init=em.InitSpec(truth, (0,), 0.1), seed=1)
         res = ml.fit(data, cfg)
         e = res.measure
         n = data.n
@@ -523,7 +523,7 @@ class TestFit:
         # step hits its fixed point immediately and the gate never moves
         data = small_data(bench_truth, n=2000, K=1, seed=4)
         cfg = ml.FitConfig(
-            k=2, K=1, init=em.InitSpec(bench_truth, (0, 1), 0.0), seed=0, max_iters=10
+            K=1, init=em.InitSpec(bench_truth, (0, 1), 0.0), seed=0, max_iters=10
         )
         res = ml.fit(data, cfg)
         assert res.converged
@@ -532,7 +532,7 @@ class TestFit:
     def test_zero_iterations_returns_init(self, bench_truth):
         data = small_data(bench_truth, n=200, K=2, seed=4)
         cfg = ml.FitConfig(
-            k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.0), seed=0, max_iters=0
+            K=2, init=em.InitSpec(bench_truth, (0, 1), 0.0), seed=0, max_iters=0
         )
         res = ml.fit(data, cfg)
         assert res.iterations == 0
@@ -541,7 +541,7 @@ class TestFit:
 
     def test_deterministic(self, bench_truth):
         data = small_data(bench_truth, n=500, K=2, seed=6)
-        cfg = ml.FitConfig(k=2, K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), seed=7)
+        cfg = ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), seed=7)
         r1, r2 = ml.fit(data, cfg), ml.fit(data, cfg)
         assert np.array_equal(r1.loglik_trace, r2.loglik_trace)
         assert np.array_equal(r1.measure.beta1, r2.measure.beta1)
@@ -555,7 +555,7 @@ class TestFit:
         plan = em.random_cell_plan(k, 2, rng)
         data = small_data(bench_truth, n=400, K=2, seed=seed)
         cfg = ml.FitConfig(
-            k=k, K=K, init=em.InitSpec(bench_truth, plan, 0.3), seed=seed, max_iters=60
+            K=K, init=em.InitSpec(bench_truth, plan, 0.3), seed=seed, max_iters=60
         )
         res = ml.fit(data, cfg)
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
@@ -566,7 +566,7 @@ class TestFit:
             family=ml.LAPLACE,
         )
         data = ml.sample_dataset(truth, 1, 3000, seed=9)
-        cfg = ml.FitConfig(k=2, K=1, init=em.InitSpec(truth, (0, 1), 0.05), seed=2, max_iters=50)
+        cfg = ml.FitConfig(K=1, init=em.InitSpec(truth, (0, 1), 0.05), seed=2, max_iters=50)
         res = ml.fit(data, cfg)
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
         # the always-selected expert tracks the truth
@@ -578,7 +578,7 @@ class TestFit:
             family=ml.STUDENT_T, dof=5.0,
         )
         data = ml.sample_dataset(truth, 1, 3000, seed=10)
-        cfg = ml.FitConfig(k=2, K=1, init=em.InitSpec(truth, (0, 1), 0.05), seed=2, max_iters=50)
+        cfg = ml.FitConfig(K=1, init=em.InitSpec(truth, (0, 1), 0.05), seed=2, max_iters=50)
         res = ml.fit(data, cfg)
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
         assert res.measure.a[0, 0] == pytest.approx(1.0, abs=0.15)

@@ -304,8 +304,10 @@ class TestConfigDocument:
         ("[extra]", "extra"),
     ])
     def test_unknown_key_or_section_rejected(self, tiny_cfg, line, key):
+        # the whole message, so that a "repeated config key" error cannot pass
         text = line + "\n" + ex.sweep_config_to_text(tiny_cfg)
-        with pytest.raises(ml.InvalidArgumentError, match=key):
+        message = rf"unknown config section \[{key}\]" if line.startswith("[") else f"unknown config key '{key}'"
+        with pytest.raises(ml.InvalidArgumentError, match=f"^{message}$"):
             ex.parse_sweep_config(text)
 
     def test_repeated_key_rejected(self, tiny_cfg):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,14 +26,14 @@ def perturbed(G, rng, scale):
 
 class TestAssignVoronoi:
     def test_identity(self, bench_truth):
-        assert ml.assign_voronoi(bench_truth, bench_truth).cells == ((0,), (1,))
+        assert ml.assign_voronoi(bench_truth, bench_truth) == ((0,), (1,))
 
     def test_two_near_one(self, bench_truth):
         G_fit = ml.MixingMeasure.from_arrays(
             [-8, -8, 0], [[25.1], [24.9], [0.2]],
             [[-20], [-19.8], [20]], [15, 15.1, -5.2], [0.3, 0.31, 0.4],
         )
-        cells = ml.assign_voronoi(G_fit, bench_truth).cells
+        cells = ml.assign_voronoi(G_fit, bench_truth)
         assert cells == ((0, 1), (2,))
 
     def test_equidistant_tie_to_smaller_index(self):
@@ -40,7 +41,7 @@ class TestAssignVoronoi:
             [0, 0], [[1], [-1]], [[1], [1]], [0, 0], [1, 1]
         )
         G_fit = ml.MixingMeasure.from_arrays([0], [[0]], [[1]], [0], [1])
-        assert ml.assign_voronoi(G_fit, G_true).cells == ((0,), ())
+        assert ml.assign_voronoi(G_fit, G_true) == ((0,), ())
 
     def test_dimension_mismatch(self, bench_truth):
         G_fit = ml.MixingMeasure.from_arrays([0], [[0, 0]], [[1, 1]], [0], [1])
@@ -55,8 +56,8 @@ class TestAssignVoronoi:
         perm = rng.permutation(3)
         G_perm = ml.MixingMeasure.from_arrays(G_fit.beta0[perm], G_fit.beta1[perm], G_fit.a[perm],
                                               G_fit.b[perm], G_fit.sigma[perm], family=G_fit.family)
-        base = ml.assign_voronoi(G_fit, G_true).cells
-        permuted = ml.assign_voronoi(G_perm, G_true).cells
+        base = ml.assign_voronoi(G_fit, G_true)
+        permuted = ml.assign_voronoi(G_perm, G_true)
         inv = np.argsort(perm)
         expect = tuple(tuple(sorted(int(inv[i]) for i in cell)) for cell in base)
         assert permuted == expect
@@ -289,7 +290,7 @@ class TestLossD2D3:
         rng = np.random.default_rng(800 + seed)
         G_true = random_measure(rng, 3, 2)
         G_fit = perturbed(G_true, rng, 0.01)
-        assert ml.assign_voronoi(G_fit, G_true).cells == ((0,), (1,), (2,))
+        assert ml.assign_voronoi(G_fit, G_true) == ((0,), (1,), (2,))
         K = int(rng.integers(1, 4))
         d1 = ml.loss_d1(G_fit, G_true, K)
         d2 = ml.loss_d2(G_fit, G_true, K, ml.rbar_fn("conjecture"))
@@ -297,6 +298,128 @@ class TestLossD2D3:
         assert d2.value == d1.value
         assert d3.value == d1.value
         assert d2.per_cell_terms == d1.per_cell_terms
+
+
+def reference_cell_terms(G_fit, G_true, exponent_fn, renormalize, terms):
+    """The cell terms by a loop over each cell's members, on the (k, k*)
+    distance matrices: the evaluation the skeleton's index-array form
+    replaced, kept to pin its output bit for bit."""
+    w, G_fit = ml.metrics._scored_fit(G_fit, G_true, renormalize)
+
+    def theta(G):
+        return np.concatenate([G.beta1, G.a, G.b[:, None], G.sigma[:, None]], axis=1)
+
+    dists = np.linalg.norm(theta(G_fit)[:, None, :] - theta(G_true)[None, :, :], axis=2)
+    nearest = np.argmin(dists, axis=1)
+    cells = [np.nonzero(nearest == j)[0].tolist() for j in range(G_true.k)]
+    w_true = np.exp(G_true.beta0)
+    d_beta1 = np.linalg.norm(G_fit.beta1[:, None, :] - G_true.beta1[None, :, :], axis=2)
+    d_a = np.linalg.norm(G_fit.a[:, None, :] - G_true.a[None, :, :], axis=2)
+    d_b = np.abs(G_fit.b[:, None] - G_true.b[None, :])
+    d_sigma = np.abs(G_fit.sigma[:, None] - G_true.sigma[None, :])
+    cell_term = np.zeros(G_true.k)
+    for j, cell in enumerate(cells):
+        total = 0.0
+        if cell:
+            p_gate, p_expert = exponent_fn(len(cell))
+            for i in cell:
+                acc = 0.0
+                if "beta1" in terms:
+                    acc += d_beta1[i, j] ** p_gate
+                if "b" in terms:
+                    acc += d_b[i, j] ** p_gate
+                if "a" in terms:
+                    acc += d_a[i, j] ** p_expert
+                if "sigma" in terms:
+                    acc += d_sigma[i, j] ** p_expert
+                total += w[i] * acc
+        if "weight" in terms:
+            total += abs(sum(w[i] for i in cell) - w_true[j])
+        cell_term[j] = total
+    return cell_term, cells
+
+
+def reference_report(cell_term, K, subsets):
+    """(value, argmax_subset, per_cell_terms) of the outer max, as the skeleton searches it."""
+    if subsets is None:
+        subsets = [np.sort(np.argsort(-cell_term, kind="stable")[:K])]
+    best_value, best_subset = -np.inf, None
+    for subset in subsets:
+        subset = tuple(sorted(int(j) for j in subset))
+        value = float(sum(cell_term[j] for j in subset))
+        if value > best_value:
+            best_value, best_subset = value, subset
+    return best_value, best_subset, tuple(float(cell_term[j]) for j in best_subset)
+
+
+def d2_exponents(policy):
+    def exponents(m):
+        if m <= 1:
+            return (1.0, 1.0)
+        r = float(ml.rbar(m, policy))
+        return (r, r / 2.0)
+    return exponents
+
+
+TERM_SETS = [frozenset(c) for r in range(6) for c in itertools.combinations(sorted(ml.metrics.ALL_TERMS), r)]
+SKELETON_CASES = 256
+
+
+class TestSkeletonMatchesPerCellLoop:
+    """D1, D2 and D3 equal, bit for bit, the per-cell, per-member loop."""
+
+    def test_bit_identical_on_random_cases(self):
+        rng = np.random.default_rng(2024)
+        seen = dict(empty_cell=0, k_above_k_star=0, shared_cell=0, explicit_subsets=0, unsupported=0)
+        for case in range(SKELETON_CASES):
+            k_star, d, k = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            G_true = random_measure(rng, k_star, d)
+            if case % 4:
+                # fitted components jittered around the truth's, so that cells share members
+                plan = rng.integers(0, k_star, size=k)
+                scale = 10.0 ** rng.uniform(-3, 0)
+                G_fit = ml.MixingMeasure.from_arrays(
+                    G_true.beta0[plan] + scale * rng.standard_normal(k),
+                    G_true.beta1[plan] + scale * rng.standard_normal((k, d)),
+                    G_true.a[plan] + scale * rng.standard_normal((k, d)),
+                    G_true.b[plan] + scale * rng.standard_normal(k),
+                    G_true.sigma[plan] * np.exp(scale * rng.standard_normal(k)),
+                )
+            else:
+                G_fit = random_measure(rng, k, d)
+            K = int(rng.integers(1, k_star + 1))
+            subsets = None
+            if case % 3 == 0:
+                every = list(itertools.combinations(range(k_star), K))
+                subsets = [every[i] for i in rng.permutation(len(every))[: int(rng.integers(1, len(every) + 1))]]
+            renormalize = bool((case // len(TERM_SETS)) % 2)
+            terms = TERM_SETS[case % len(TERM_SETS)]
+            kw = dict(renormalize=renormalize, subsets=subsets)
+            scored = [
+                (ml.metrics.ALL_TERMS, lambda m: (1.0, 1.0), lambda: ml.loss_d1(G_fit, G_true, K, **kw)),
+                (terms, lambda m: (1.0, 1.0), lambda: ml.loss_d1(G_fit, G_true, K, terms=terms, **kw)),
+                (ml.metrics.ALL_TERMS, lambda m: (1.0, 1.0) if m <= 1 else (2.0, 2.0),
+                 lambda: ml.loss_d3(G_fit, G_true, K, **kw)),
+            ] + [
+                (ml.metrics.ALL_TERMS, d2_exponents(policy),
+                 lambda policy=policy: ml.loss_d2(G_fit, G_true, K, ml.rbar_fn(policy), **kw))
+                for policy in ("exact", "conjecture")
+            ]
+            for ref_terms, exponents, loss in scored:
+                try:
+                    cell_term, cells = reference_cell_terms(G_fit, G_true, exponents, renormalize, ref_terms)
+                except ml.UnsupportedValueError as exc:
+                    with pytest.raises(ml.UnsupportedValueError, match=re.escape(str(exc))):
+                        loss()
+                    seen["unsupported"] += 1
+                    continue
+                rep = loss()
+                assert (rep.value, rep.argmax_subset, rep.per_cell_terms) == reference_report(cell_term, K, subsets)
+            seen["empty_cell"] += any(not c for c in cells)
+            seen["k_above_k_star"] += k > k_star
+            seen["shared_cell"] += any(len(c) > 1 for c in cells)
+            seen["explicit_subsets"] += subsets is not None
+        assert min(seen.values()) >= 20, seen
 
 
 class TestHellinger:

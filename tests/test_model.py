@@ -549,9 +549,12 @@ class TestMeasureChecks:
         G = ml.MixingMeasure.from_arrays(
             [0, 0], [[1], [0]], [[1], [1]], [0, 0], [1, 1]
         )
-        assert not G.has_distinct_experts()
-        assert any("U.3" in v for v in G.truth_violations())
+        assert [v[:3] for v in G.truth_violations()] == ["U.3"]
+
+    @pytest.mark.parametrize("beta0, beta1", [([0.0, 0.5], [[1.0], [0.0]]), ([0.0, 0.0], [[1.0], [-2.0]])])
+    def test_unpinned_last_component_flagged(self, beta0, beta1):
+        G = ml.MixingMeasure.from_arrays(beta0, beta1, [[1], [2]], [0, 0], [1, 1])
+        assert [v[:3] for v in G.truth_violations()] == ["U.2"]
 
     def test_benchmark_truth_is_valid(self, bench_truth):
         assert bench_truth.truth_violations() == []
-        assert bench_truth.is_pinned()

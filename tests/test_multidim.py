@@ -36,7 +36,7 @@ def test_fit_recovers_2d_experts(truth_2d):
     bounds = [[0.0, 1.0], [-1.0, 1.0]]
     data = ml.sample_dataset(truth_2d, 2, 4000, seed=1, bounds=bounds)
     cfg = ml.FitConfig(
-        k=2, K=2, init=em.InitSpec(truth_2d, (0, 1), 0.05), seed=2, max_iters=200
+        K=2, init=em.InitSpec(truth_2d, (0, 1), 0.05), seed=2, max_iters=200
     )
     res = ml.fit(data, cfg)
     assert np.all(np.diff(res.loglik_trace) >= -1e-9)
@@ -79,5 +79,5 @@ def test_partition_2d(truth_2d):
     subsets = ml.positive_mass_subsets(truth_2d, 1, sampler, 20_000, seed=6)
     # the zero-slope gate loses everywhere 3x - 2y > 0 and wins on the rest
     assert subsets == [(0,), (1,)]
-    rate = ml.partition_match_rate(truth_2d, truth_2d, None, 1, 1, sampler, 10_000, seed=7)
+    rate = ml.partition_match_rate(truth_2d, truth_2d, 1, sampler, 10_000, seed=7)
     assert rate == 1.0

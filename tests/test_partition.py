@@ -124,22 +124,34 @@ class TestRegionMass:
         with pytest.raises(ml.InvalidArgumentError, match="1 <= K"):
             ml.positive_mass_subsets(bench_truth, K, UNIT, 100)
         with pytest.raises(ml.InvalidArgumentError, match="1 <= K"):
-            ml.partition_match_rate(bench_truth, bench_truth, None, K, K, UNIT, 100)
+            ml.partition_match_rate(bench_truth, bench_truth, K, UNIT, 100)
 
 
 class TestPartitionMatchRate:
     def test_identical_measures(self, bench_truth):
-        rate = ml.partition_match_rate(
-            bench_truth, bench_truth, None, 1, 1, UNIT, 10_000, seed=0
-        )
+        rate = ml.partition_match_rate(bench_truth, bench_truth, 1, UNIT, 10_000, seed=0)
         assert rate == 1.0
+
+    @pytest.mark.parametrize("k_fit, d_fit", [(1, 1), (3, 1), (2, 2)])
+    def test_unequal_k_or_d_rejected_before_drawing(self, bench_truth, k_fit, d_fit):
+        # the selected sets are compared index by index, so the fit needs k*
+        G_fit = ml.MixingMeasure.from_arrays(
+            np.zeros(k_fit), np.zeros((k_fit, d_fit)), np.zeros((k_fit, d_fit)), np.zeros(k_fit), np.ones(k_fit)
+        )
+
+        def sampler(rng, n):
+            raise AssertionError("drew inputs for a rejected comparison")
+
+        want = f"got k={k_fit}, d={d_fit} for k\\*=2, d\\*=1"
+        with pytest.raises(ml.InvalidArgumentError, match=want):
+            ml.partition_match_rate(bench_truth, G_fit, 1, sampler, 100, seed=0)
 
     def test_tiny_perturbation(self, bench_truth):
         G_fit = ml.MixingMeasure.from_arrays(
             bench_truth.beta0, bench_truth.beta1 + 1e-6,
             bench_truth.a, bench_truth.b, bench_truth.sigma,
         )
-        rate = ml.partition_match_rate(bench_truth, G_fit, None, 1, 1, UNIT, 10_000, seed=0)
+        rate = ml.partition_match_rate(bench_truth, G_fit, 1, UNIT, 10_000, seed=0)
         assert rate == 1.0
 
     def test_sign_flip_destroys_match(self, bench_truth):
@@ -147,21 +159,8 @@ class TestPartitionMatchRate:
             bench_truth.beta0, [[-25.0], [0.0]],
             bench_truth.a, bench_truth.b, bench_truth.sigma,
         )
-        rate = ml.partition_match_rate(bench_truth, G_fit, None, 1, 1, UNIT, 10_000, seed=0)
+        rate = ml.partition_match_rate(bench_truth, G_fit, 1, UNIT, 10_000, seed=0)
         assert rate == pytest.approx(0.0, abs=1e-3)
-
-    def test_overspecified_with_assignment(self, bench_truth):
-        # duplicate component 0; cells {0,1} and {2} mirror the union hypothesis
-        G_fit = ml.MixingMeasure.from_arrays(
-            [-8, -8, 0], [[25.0], [24.9], [0.0]],
-            [[-20], [-20], [20]], [15, 15, -5], [0.3, 0.3, 0.4],
-        )
-        assignment = ml.assign_voronoi(G_fit, bench_truth)
-        assert assignment.cells == ((0, 1), (2,))
-        rate = ml.partition_match_rate(
-            bench_truth, G_fit, assignment, 1, 2, UNIT, 10_000, seed=0
-        )
-        assert rate == pytest.approx(1.0, abs=1e-3)
 
     def test_decreasing_eta_sweep(self, bench_truth):
         # Monotone nondecreasing match rate as the perturbation shrinks,
@@ -177,7 +176,7 @@ class TestPartitionMatchRate:
                 bench_truth.a, bench_truth.b, bench_truth.sigma,
             )
             rates.append(
-                ml.partition_match_rate(bench_truth, G_fit, None, 1, 1, UNIT, n_mc, seed=11)
+                ml.partition_match_rate(bench_truth, G_fit, 1, UNIT, n_mc, seed=11)
             )
         slack = 2.0 / np.sqrt(n_mc)
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
@@ -198,4 +197,4 @@ class TestNonFiniteDraws:
         with pytest.raises(ml.InvalidArgumentError, match="finite"):
             ml.positive_mass_subsets(bench_truth, 1, sampler, 100, seed=0)
         with pytest.raises(ml.InvalidArgumentError, match="finite"):
-            ml.partition_match_rate(bench_truth, bench_truth, None, 1, 1, sampler, 100, seed=0)
+            ml.partition_match_rate(bench_truth, bench_truth, 1, sampler, 100, seed=0)
