@@ -39,6 +39,7 @@ from .model import (
     GatePass,
     MixingMeasure,
     _check_sparsity,
+    _exp,
     _expert_log_densities,
     _masked_logsumexp,
     _selection_mask,
@@ -77,14 +78,50 @@ class InitSpec:
         return len(self.cell_plan)
 
 
+# Rejected draws before random_cell_plan samples its surjection directly.  A
+# draw is surjective with probability k*! S(k, k*) / k*^k, which is k! / k^k
+# at k = k* (2.3e-8 at 20), so rejection alone has no useful bound.
+PLAN_DRAWS = 64
+
+
 def random_cell_plan(k: int, k_star: int, rng) -> tuple:
-    """Uniform random surjective assignment of k fitted onto k* true components."""
-    if k < k_star:
-        raise InvalidArgumentError(f"need k >= k*, got k={k}, k*={k_star}")
-    while True:
+    """Uniform random surjective assignment of k fitted onto k* true components.
+
+    Up to ``PLAN_DRAWS`` uniform assignments are drawn and the first
+    surjective one is kept; after that, :func:`_uniform_surjection` draws
+    one.  Both are uniform over the surjections, so the plan is too.
+    """
+    if not 1 <= k_star <= k:
+        raise InvalidArgumentError(f"need 1 <= k* <= k, got k={k}, k*={k_star}")
+    for _ in range(PLAN_DRAWS):
         plan = tuple(int(j) for j in rng.integers(0, k_star, size=k))
         if set(plan) == set(range(k_star)):
             return plan
+    return _uniform_surjection(k, k_star, rng)
+
+
+def _uniform_surjection(k: int, k_star: int, rng) -> tuple:
+    """A uniform surjection of k items onto k* labels: a uniform partition
+    into k* nonempty blocks, its blocks labelled by a random permutation.
+
+    Items k - 1, ..., 0 are placed in turn.  With n items left (this one
+    included) and j blocks still to open, the item opens block j - 1 with
+    probability S(n - 1, j - 1) / S(n, j), the share of partitions in which
+    it is a singleton; otherwise it joins one of the j blocks the remaining
+    items will open, uniformly.  S is the Stirling number of the second kind.
+    """
+    S = [[1]]  # S[n][j] for 0 <= j <= n
+    for n in range(1, k + 1):
+        S.append([0] + [j * S[n - 1][j] + S[n - 1][j - 1] for j in range(1, n)] + [1])
+    block, j = [0] * k, k_star
+    for n in range(k, 0, -1):
+        if j <= n - 1 and rng.random() >= S[n - 1][j - 1] / S[n][j]:
+            block[n - 1] = int(rng.integers(j))
+        else:
+            j -= 1
+            block[n - 1] = j
+    labels = rng.permutation(k_star)
+    return tuple(int(labels[b]) for b in block)
 
 
 @dataclass(frozen=True)
@@ -163,7 +200,10 @@ def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(norm)
     if np.any(bad):
         raise DegenerateDataError(int(np.nonzero(bad)[0][0]))
-    return np.exp(joint - norm)  # exp(-inf) is exactly 0 off the selection
+    # _exp: exactly 0 off the selection (-inf) and for far experts, whose
+    # thousands of nats below the norm would put np.exp on its slow path
+    resp = joint - norm
+    return _exp(resp, out=resp)
 
 
 def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import partition
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, _checked_box, log_joint, uniform_box_sampler
+from .model import MixingMeasure, _check_sparsity, _checked_box, _exp, log_joint, uniform_box_sampler
 from .polysys import rbar, rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
@@ -287,9 +287,11 @@ def _checked_y_grid(y_grid) -> np.ndarray:
 
 def _root_density(G, K, X, y_grid, out) -> np.ndarray:
     """sqrt of the conditional density of G on the y grid at every row of X,
-    (n, m); the (k, n, m) joint is computed in ``out`` when given."""
+    (n, m); the (k, n, m) joint is computed in ``out`` when given.  The
+    y grid's tails sit far below every expert, so the joint is exponentiated
+    by :func:`~moelab.model._exp`, clear of np.exp's slow underflow path."""
     joint = log_joint(G, X, y_grid[None, :], K, out=out)
-    np.exp(joint, out=joint)
+    _exp(joint, out=joint)
     density = joint.sum(axis=0)
     return np.sqrt(density, out=density)
 

@@ -10,6 +10,21 @@ settings.register_profile("moelab", derandomize=True, deadline=None)
 settings.load_profile("moelab")
 
 
+# sparse-2d's truth: k* = 3 on [-1, 1]^2 with a top-2 gate
+TRUTH_2D = dict(
+    beta0=[-0.5, 0.3, 0.0], beta1=[[4.0, 0.0], [-2.0, 3.5], [0.0, 0.0]],
+    a=[[2.0, -1.0], [-1.5, 2.0], [0.5, 0.5]], b=[1.0, -1.0, 0.0], sigma=[0.3, 0.4, 0.5],
+)
+BOX_2D = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
+def plain_logsumexp(scores):
+    """The masked log-sum-exp over components with plain np.exp, as it was
+    before the floor-clamped ``model._exp``: the reference it must equal."""
+    m = np.max(scores, axis=0)
+    return m + np.log(np.sum(np.exp(scores - m), axis=0))
+
+
 @pytest.fixture
 def bench_truth():
     """The two-component benchmark truth used by the rate experiments."""

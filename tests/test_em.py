@@ -1,17 +1,16 @@
+import collections
+import dataclasses
+import itertools
+import time
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import moelab as ml
 from moelab import em
 
-from conftest import random_measure
-
-
-TRUTH_2D = dict(
-    beta0=[-0.5, 0.3, 0.0], beta1=[[4.0, 0.0], [-2.0, 3.5], [0.0, 0.0]],
-    a=[[2.0, -1.0], [-1.5, 2.0], [0.5, 0.5]], b=[1.0, -1.0, 0.0], sigma=[0.3, 0.4, 0.5],
-)
-BOX_2D = [[-1.0, 1.0], [-1.0, 1.0]]
+from conftest import BOX_2D, TRUTH_2D, plain_logsumexp, random_measure
 
 
 def small_data(bench_truth, n=400, K=2, seed=0):
@@ -189,6 +188,39 @@ class TestInitMeasure:
             em.InitSpec(bench_truth, (0, 0, 0), noise_std=0.05)
 
 
+def surjections(k, k_star):
+    return [p for p in itertools.product(range(k_star), repeat=k) if set(p) == set(range(k_star))]
+
+
+class TestRandomCellPlan:
+    def test_k_equal_to_k_star_is_bounded(self):
+        # rejection alone needs k^k / k! = 4.3e7 draws on average here
+        t0 = time.perf_counter()
+        plan = em.random_cell_plan(20, 20, np.random.default_rng(0))
+        assert time.perf_counter() - t0 < 0.5
+        assert sorted(plan) == list(range(20))
+
+    def test_direct_sampler_is_uniform(self):
+        surj = surjections(4, 2)
+        assert len(surj) == 14
+        rng = np.random.default_rng(41)
+        counts = collections.Counter(em._uniform_surjection(4, 2, rng) for _ in range(7000))
+        assert set(counts) == set(surj)
+        assert stats.chisquare([counts[p] for p in surj]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k, k_star", [(5, 3), (6, 6), (3, 1)])
+    def test_direct_sampler_is_a_surjection(self, k, k_star):
+        rng = np.random.default_rng([k, k_star])
+        for _ in range(50):
+            plan = em._uniform_surjection(k, k_star, rng)
+            assert len(plan) == k and set(plan) == set(range(k_star))
+
+    @pytest.mark.parametrize("k, k_star", [(2, 3), (2, 0)])
+    def test_rejects_impossible_plans(self, k, k_star):
+        with pytest.raises(ml.InvalidArgumentError):
+            em.random_cell_plan(k, k_star, np.random.default_rng(0))
+
+
 class TestEStep:
     def test_single_expert_all_ones(self):
         G = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[-1.0]], [0.5], [0.8])
@@ -222,6 +254,23 @@ class TestEStep:
         assert np.array_equal(resp == 0.0, np.isneginf(logw)) or np.all(
             (resp > 0) <= np.isfinite(logw)
         )
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_plain_exp(self, K, bench_truth):
+        # the responsibilities are np.exp(joint - lse) wherever the argument
+        # is at or above the clamp, 0 below it (and off the selection), and
+        # still sum to 1
+        data = small_data(bench_truth, n=1000, seed=8)
+        G = em.init_measure(em.InitSpec(bench_truth, (0, 1, 1), 0.3), seed=9)
+        resp = em.e_step(data, G, K)
+        joint = ml.log_joint(G, data.x, data.y, K)
+        x = joint - plain_logsumexp(joint)
+        above = x >= ml.model._EXP_FLOOR
+        assert np.any(np.isfinite(x) & ~above)  # far experts inside the selection
+        assert np.array_equal(resp[above], np.exp(x[above]))
+        assert np.all(resp[~above] == 0.0) and np.all(resp[np.isneginf(joint)] == 0.0)
+        assert np.any(np.isneginf(joint)) == (K < G.k)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestMStepExperts:
@@ -582,3 +631,26 @@ class TestFit:
         res = ml.fit(data, cfg)
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
         assert res.measure.a[0, 0] == pytest.approx(1.0, abs=0.15)
+
+
+def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
+    # every np.exp call of 50 EM iterations on overspec-k3's n = 1000 row, and
+    # of a dense 1-D expected Hellinger distance, gets arguments at or above
+    # the clamp of model._exp: np.exp computes underflowing lanes on a scalar
+    # path, 4-115 ns a lane against about 1 ns
+    plain_exp, lowest = np.exp, []
+
+    def guarded(x, *args, **kwargs):
+        x_arr = np.asarray(x)
+        lowest.append(float(np.min(x_arr)) if x_arr.size else np.inf)
+        return plain_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", guarded)
+    data, cfg = reference_case("dense-1d", bench_truth)
+    assert ml.fit(data, dataclasses.replace(cfg, max_iters=50)).iterations == 50
+    fit_calls = len(lowest)
+    G_fit = em.init_measure(cfg.init, seed=4)
+    grid = ml.default_y_grid(G_fit, bench_truth, [[0.0, 1.0]])
+    ml.expected_hellinger(G_fit, 3, bench_truth, 2, ml.uniform_box_sampler([[0.0, 1.0]]), 20, grid, seed=1)
+    assert fit_calls > 50 and len(lowest) > fit_calls
+    assert min(lowest) >= ml.model._EXP_FLOOR

@@ -8,7 +8,7 @@ import pytest
 import moelab as ml
 from moelab.metrics import score
 
-from conftest import random_measure
+from conftest import BOX_2D, TRUTH_2D, random_measure
 
 UNIT = ml.uniform_box_sampler([[0.0, 1.0]])
 
@@ -500,6 +500,56 @@ class TestHellinger:
         grid = ml.default_y_grid(Ga, Gb, [[-1, 1]], 4001)
         est = ml.expected_hellinger(Ga, 1, Gb, 1, sym, 400, grid, seed=4)
         assert est.mean == pytest.approx(0.5, abs=0.06)
+
+
+def plain_exp_expected_hellinger(G_a, K_a, G_b, K_b, sampler, n_mc, y_grid, seed=0):
+    """expected_hellinger with plain np.exp on the joints, as it was before
+    the floor-clamped ``model._exp``: the reference it must equal."""
+    X = sampler(np.random.default_rng(seed), n_mc)
+    rows = min(n_mc, ml.metrics.HELLINGER_BLOCK)
+    bufs = [np.empty((G.k, rows, y_grid.size)) for G in (G_a, G_b)]
+    vals = []
+    for i in range(0, n_mc, rows):
+        Xi = X[i : i + rows]
+        roots = []
+        for G, K, buf in ((G_a, K_a, bufs[0]), (G_b, K_b, bufs[1])):
+            joint = ml.log_joint(G, Xi, y_grid[None, :], K, out=buf[:, : len(Xi)])
+            np.exp(joint, out=joint)
+            density = joint.sum(axis=0)
+            roots.append(np.sqrt(density, out=density))
+        h2 = 0.5 * np.trapezoid((roots[0] - roots[1]) ** 2, y_grid, axis=-1)
+        vals.append(np.sqrt(np.clip(h2, 0.0, 1.0)))
+    vals = np.concatenate(vals)
+    return vals.mean(), (vals.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0)
+
+
+class TestHellingerMatchesPlainExp:
+    """The benchmark's analysis kinds: truth at K_true, a jittered fit of the
+    truth's components (by plan) at K_fit, and the box."""
+
+    KINDS = {
+        "1d-dense": (None, 2, [0, 1], 2, [[0.0, 1.0]]),
+        "1d-top1-over": (None, 1, [0, 1, 1], 1, [[0.0, 1.0]]),
+        "2d-sparse": (TRUTH_2D, 2, [0, 1, 2], 2, BOX_2D),
+        "2d-dense-over": (TRUTH_2D, 3, [0, 1, 2, 0], 3, BOX_2D),
+        "single": (dict(beta0=[0.0], beta1=[[0.0]], a=[[1.5]], b=[-0.5], sigma=[0.6]), 1, [0], 1, [[0.0, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_plain_exp(self, kind, bench_truth):
+        arrays, K_true, plan, K_fit, box = self.KINDS[kind]
+        truth = bench_truth if arrays is None else ml.MixingMeasure.from_arrays(**arrays)
+        rng = np.random.default_rng(list(self.KINDS).index(kind))
+        for _ in range(4):
+            G = ml.MixingMeasure.from_arrays(truth.beta0[plan], truth.beta1[plan], truth.a[plan],
+                                             truth.b[plan], truth.sigma[plan])
+            fit = perturbed(G, rng, 0.1)
+            grid = ml.default_y_grid(fit, truth, box)
+            sampler = ml.uniform_box_sampler(box)
+            est = ml.expected_hellinger(fit, K_fit, truth, K_true, sampler, 40, grid, seed=5)
+            want = plain_exp_expected_hellinger(fit, K_fit, truth, K_true, sampler, 40, grid, seed=5)
+            assert (est.mean, est.stderr) == want
+            assert est.mean > 0.0
 
 
 class TestScore:

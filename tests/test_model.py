@@ -9,7 +9,9 @@ from scipy import special, stats
 
 import moelab as ml
 
-from conftest import random_measure, selected
+from conftest import plain_logsumexp, random_measure, selected
+
+FLOOR = ml.model._EXP_FLOOR
 
 
 def single_expert(family, a, b, sigma, dof=5.0):
@@ -291,6 +293,57 @@ class TestLogJoint:
         joint = ml.log_joint(bench_truth, X, y, 2)
         np.testing.assert_allclose(ml.conditional_log_density(bench_truth, 2, X, y),
                                    np.log(np.exp(joint).sum(axis=0)), rtol=1e-12)
+
+
+class TestExp:
+    """model._exp is np.exp at or above its floor and +0.0 below it."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 40)),
+                  elements=st.one_of(st.floats(), st.floats(FLOOR - 20.0, FLOOR + 20.0),
+                                     st.sampled_from([FLOOR, -np.inf, np.inf, np.nan, -0.0]))))
+    def test_contract(self, x):
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.exp(x)
+            got = ml.model._exp(x)
+            alias = x.copy()
+            assert ml.model._exp(alias, out=alias) is alias
+        above, below = x >= FLOOR, x < FLOOR
+        assert np.array_equal(got[above], want[above])
+        assert np.all(got[below] == 0.0) and not np.any(np.signbit(got[below]))
+        assert np.all(np.isnan(got[np.isnan(x)]))
+        assert np.all(got[x == np.inf] == np.inf)
+        assert np.array_equal(alias, got, equal_nan=True)
+
+    def test_minus_inf_is_plus_zero(self):
+        got = ml.model._exp(np.array([-np.inf, FLOOR - 1e-9, -1e300]))
+        assert np.array_equal(got, [0.0, 0.0, 0.0]) and not np.any(np.signbit(got))
+
+
+class TestMaskedLogSumExp:
+    """The log-sum-exp through model._exp equals the plain np.exp formula bit
+    for bit: its largest term is exactly 1, so no sum sees a dropped term."""
+
+    @given(st.data())
+    def test_equals_plain_exp(self, data):
+        k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 30))
+        scores = data.draw(arrays(np.float64, (k, n), elements=st.floats(-1e4, 50.0)))
+        drop = data.draw(arrays(np.bool_, (k, n)))
+        drop[np.argmax(scores, axis=0), np.arange(n)] = False  # one finite entry per input
+        scores[drop] = -np.inf
+        assert np.array_equal(ml.model._masked_logsumexp(scores), plain_logsumexp(scores))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_equals_plain_exp_on_log_joints(self, K, bench_truth):
+        # a k = 3 fit on overspec-k3's 1-D data: far experts thousands of
+        # nats down, and -inf off a top-2 selection
+        data = ml.sample_dataset(bench_truth, 2, 2000, seed=3)
+        G = ml.em.init_measure(ml.em.InitSpec(bench_truth, (0, 1, 1), 0.3), seed=4)
+        joint = ml.log_joint(G, data.x, data.y, K)
+        shifted = joint - joint.max(axis=0)
+        assert np.any(np.isfinite(shifted) & (shifted < FLOOR))
+        assert np.any(np.isneginf(joint)) == (K == 2)
+        assert np.array_equal(ml.model._masked_logsumexp(joint), plain_logsumexp(joint))
+        assert np.array_equal(ml.conditional_log_density(G, K, data.x, data.y), plain_logsumexp(joint))
 
 
 class TestInPlaceKernel:
