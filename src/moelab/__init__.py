@@ -11,10 +11,6 @@ from .errors import (
     UnsupportedValueError,
 )
 from .model import (
-    FAMILIES,
-    GAUSSIAN,
-    LAPLACE,
-    STUDENT_T,
     Dataset,
     MixingMeasure,
     conditional_log_density,

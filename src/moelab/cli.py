@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,9 +35,13 @@ def _read_measure(path):
 def _read_dataset(path):
     text = _read_text(path, "dataset")
     try:
-        data = np.loadtxt(text.splitlines(), delimiter="\t", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows; rejected below
+            data = np.loadtxt(text.splitlines(), delimiter="\t", ndmin=2)
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed dataset {path}: {exc}") from exc
+    if data.shape[0] < 1:
+        raise InvalidArgumentError(f"dataset {path} has no rows")
     if data.shape[1] < 2:
         raise InvalidArgumentError(f"dataset {path} needs x columns and a final y column")
     return Dataset(x=data[:, :-1], y=data[:, -1])
@@ -146,8 +151,8 @@ def cmd_polysys(args):
         _print_residual_table(inst, cand)
         return 0
     if args.m != 2:
-        print("the built-in constructive witness exists for m=2 only", file=sys.stderr)
-        return 1
+        raise InvalidArgumentError(f"the built-in constructive witness exists for m=2 only, got m={args.m}; "
+                                   "pass --search to search for solutions")
     cand = polysys.constructive_witness_m2(c=args.witness_c, d=args.d)
     _print_residual_table(inst, cand)
     return 0

@@ -32,9 +32,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidArgumentError
 from .model import (
-    GAUSSIAN,
-    LAPLACE,
-    STUDENT_T,
     Dataset,
     GatePass,
     MixingMeasure,
@@ -193,7 +190,7 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
              t.a[j] + s * rng.standard_normal(t.d),
              t.b[j] + s * rng.standard_normal(),
              t.sigma[j] * np.exp(s * rng.standard_normal())) for j in spec.cell_plan]
-    return MixingMeasure(*map(np.array, zip(*rows)), family=t.family, dof=t.dof)
+    return MixingMeasure(*map(np.array, zip(*rows)))
 
 
 def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -229,13 +226,12 @@ def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):
     return beta
 
 
-def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=MixingMeasure.dof, sigma_floor=FitConfig.sigma_floor):
-    """Closed-form expert updates on the design Z = [X, 1] (n, d + 1).
+def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor):
+    """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
+    one weighted least squares per component, then its weighted residual scale.
 
     ``resp`` is (k, n); components with zero responsibility mass are left
-    unchanged.  The Laplace IRLS and the Student-t ECM pass start from the
-    current expert, so neither lowers its weighted log-likelihood (up to the
-    IRLS residual clamp).
+    unchanged.
     Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
     :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
@@ -245,40 +241,14 @@ def m_step_experts(Z, y, resp, a, b, sigma, family=GAUSSIAN, dof=MixingMeasure.d
         s = float(w.sum())
         if s <= 0.0:
             continue
-        if family == LAPLACE:
-            beta, sigma[i] = _laplace_expert(Z, w, y, s, sigma_floor, np.append(a[i], b[i]))
-        elif family == STUDENT_T:
-            beta, sigma[i] = _student_expert(Z, w, y, s, sigma_floor, dof, np.append(a[i], b[i]), sigma[i])
-        else:
-            beta = _wls_solve(Z, w, y)
-            resid = y - Z @ beta
-            sigma[i] = max(np.sqrt(float(w @ resid**2) / s), sigma_floor)
+        beta = _wls_solve(Z, w, y)
+        resid = y - Z @ beta
+        sigma[i] = max(np.sqrt(float(w @ resid**2) / s), sigma_floor)
         a[i], b[i] = beta[:d], beta[d]
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
             and (sigma > 0.0).all()):
         raise InvalidArgumentError(f"expert step left a={a}, b={b}, sigma={sigma}")
     return a, b, sigma
-
-
-def _laplace_expert(Z, w, y, s, sigma_floor, beta, n_irls: int = 10):
-    """Weighted median regression via IRLS from the current coefficients
-    beta = [a_i, b_i], then the Laplace scale MLE."""
-    for _ in range(n_irls):
-        resid = y - Z @ beta
-        u = w / np.maximum(np.abs(resid), 1e-8)
-        beta = _wls_solve(Z, u, y)
-    resid = y - Z @ beta
-    return beta, max(float(w @ np.abs(resid)) / s, sigma_floor)
-
-
-def _student_expert(Z, w, y, s, sigma_floor, dof, beta_old, sigma_old):
-    """One ECM pass at fixed dof: robustness weights from the current expert's
-    residuals, WLS, scale update."""
-    u = (dof + 1.0) / (dof + ((y - Z @ beta_old) / sigma_old) ** 2)
-    beta = _wls_solve(Z, w * u, y)
-    resid = y - Z @ beta
-    sigma2 = float(w @ (u * resid**2)) / s
-    return beta, max(np.sqrt(sigma2), sigma_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +363,13 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
         raise InvalidArgumentError("data dimension does not match the init truth")
     t0 = time.perf_counter()
     G = init_measure(cfg.init, cfg.seed)
-    family, dof, K = G.family, G.dof, cfg.K
+    K = cfg.K
     X, y = data.x, data.y
     Z = np.column_stack([X, np.ones(data.n)])
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logw = gate.log_weights()
-    logf = _expert_log_densities(X, y, a, b, sigma, family, dof)
+    logf = _expert_log_densities(X, y, a, b, sigma)
     joint = logw + logf
     norm = _masked_logsumexp(joint)
     trace = [float(norm.mean())]
@@ -408,8 +378,8 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
         ll = trace[-1]
-        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, family, dof, cfg.sigma_floor)
-        logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e, family, dof)
+        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, cfg.sigma_floor)
+        logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e)
         joint_e = logw + logf_e
         norm_e = _masked_logsumexp(joint_e)
         ll_e = float(norm_e.mean())
@@ -435,7 +405,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
             converged = True
             break
     return FitResult(
-        measure=MixingMeasure.from_arrays(gate.beta0, gate.beta1, a, b, sigma, family=family, dof=dof),
+        measure=MixingMeasure.from_arrays(gate.beta0, gate.beta1, a, b, sigma),
         loglik_trace=np.array(trace),
         iterations=iterations,
         converged=converged,

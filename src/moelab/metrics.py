@@ -10,7 +10,9 @@ applied inside cells with more than one member:
 * D1: first powers everywhere (exact-specified regime),
 * D2: exponents rbar(|C|) on the gating slope and intercept differences and
   rbar(|C|)/2 on the expert slope and scale differences (Gaussian experts),
-* D3: squares (strongly identifiable expert families).
+* D3: squares, the exponents of strongly identifiable experts; moelab's
+  experts are Gaussian, whose over-specified exponents are D2's, so D3 is a
+  comparison loss for them.
 
 The assignment is one (k,) array, the index of each fitted component's
 nearest true component.  :func:`assign_voronoi` turns it into cells; the
@@ -138,10 +140,7 @@ def _scored_fit(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool):
         return w, G_fit
     w_true = np.exp(G_true.beta0)
     t1 = w @ G_fit.beta1 / w.sum() - w_true @ G_true.beta1 / w_true.sum()
-    G_fit = MixingMeasure.from_arrays(
-        G_fit.beta0, G_fit.beta1 - t1, G_fit.a, G_fit.b, G_fit.sigma,
-        family=G_fit.family, dof=G_fit.dof,
-    )
+    G_fit = MixingMeasure.from_arrays(G_fit.beta0, G_fit.beta1 - t1, G_fit.a, G_fit.b, G_fit.sigma)
     return w * (w_true.sum() / w.sum()), G_fit
 
 
@@ -232,7 +231,8 @@ def loss_d2(G_fit, G_true, K, rbar_fn, *, renormalize=False, subsets=None) -> Lo
 
 
 def loss_d3(G_fit, G_true, K, *, renormalize=False, subsets=None) -> LossReport:
-    """Over-specified loss for strongly identifiable expert families: squares.
+    """Over-specified loss with squares in multi-member cells, the exponents
+    of strongly identifiable experts.
 
     ``renormalize`` and ``subsets`` act as in :func:`loss_d1`.
     """
@@ -250,8 +250,8 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
     """Quadrature grid spanning every component mean by 8 max scales.
 
     The mean of each expert varies over the input box; the grid covers the
-    extreme means of both measures.  Gaussian and Laplace tails are below
-    1e-14 beyond 8 scales.
+    extreme means of both measures.  A Gaussian expert keeps 1.2e-15 of its
+    mass beyond 8 scales of its mean.
     """
     if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
         raise InvalidArgumentError(f"a y grid needs an integer n_points >= 2, got {n_points!r}")

@@ -45,14 +45,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AssumptionError, InvalidArgumentError
-
-GAUSSIAN = "gaussian"
-LAPLACE = "laplace"
-STUDENT_T = "student-t"
-FAMILIES = (GAUSSIAN, LAPLACE, STUDENT_T)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -60,7 +54,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # eq=False: arrays have no single truth value, so measures compare by identity
 @dataclass(frozen=True, eq=False)
 class MixingMeasure:
-    """k gated-expert components as stacked arrays, plus the expert family.
+    """k gated Gaussian-expert components as stacked arrays.
 
     Row i of beta0 (k,), beta1 (k, d), a (k, d), b (k,) and sigma (k,) is
     component i.  The arrays are stored as read-only float copies; a flat
@@ -74,8 +68,6 @@ class MixingMeasure:
     a: np.ndarray
     b: np.ndarray
     sigma: np.ndarray
-    family: str = GAUSSIAN
-    dof: float = 5.0
 
     def __post_init__(self):
         names = ("beta0", "beta1", "a", "b", "sigma")
@@ -97,10 +89,6 @@ class MixingMeasure:
             object.__setattr__(self, name, arr)
         if not np.all(self.sigma > 0.0):
             raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma}")
-        if self.family not in FAMILIES:
-            raise InvalidArgumentError(f"unknown family {self.family!r}")
-        if self.family == STUDENT_T and not 2.0 < self.dof < math.inf:
-            raise InvalidArgumentError(f"student-t requires finite dof > 2, got {self.dof}")
 
     @property
     def k(self) -> int:
@@ -111,9 +99,9 @@ class MixingMeasure:
         return self.beta1.shape[1]
 
     @classmethod
-    def from_arrays(cls, *arrays, **settings):
+    def from_arrays(cls, beta0, beta1, a, b, sigma):
         """The measure with these arrays; the same as the constructor."""
-        return cls(*arrays, **settings)
+        return cls(beta0, beta1, a, b, sigma)
 
     def truth_violations(self) -> list:
         """Names of the modelling assumptions this measure violates as a truth."""
@@ -128,9 +116,9 @@ class MixingMeasure:
         return out
 
 
-def true_measure(beta0, beta1, a, b, sigma, family=GAUSSIAN, dof=MixingMeasure.dof) -> MixingMeasure:
+def true_measure(beta0, beta1, a, b, sigma) -> MixingMeasure:
     """Construct a ground-truth measure, enforcing the U.2-U.4 checks."""
-    G = MixingMeasure.from_arrays(beta0, beta1, a, b, sigma, family=family, dof=dof)
+    G = MixingMeasure.from_arrays(beta0, beta1, a, b, sigma)
     violations = G.truth_violations()
     if violations:
         raise AssumptionError(violations)
@@ -310,10 +298,10 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
 
 
-def _expert_log_densities(X, y, a, b, sigma, family: str, dof: float, out=None) -> np.ndarray:
-    """log f(y | a_i.x + b_i, sigma_i) at stacked expert arrays, on inputs
-    already checked to be finite (n, d) rows: (k, n) for y (n,), (k, n, m)
-    for y (n, m) or (1, m).
+def _expert_log_densities(X, y, a, b, sigma, out=None) -> np.ndarray:
+    """Gaussian log N(y | a_i.x + b_i, sigma_i^2) at stacked expert arrays, on
+    inputs already checked to be finite (n, d) rows: (k, n) for y (n,),
+    (k, n, m) for y (n, m) or (1, m).
 
     Computed in one array, ``out`` when given: the standardized residual z
     is overwritten step by step by the log density.
@@ -323,30 +311,15 @@ def _expert_log_densities(X, y, a, b, sigma, family: str, dof: float, out=None) 
         mu, sigma = mu[:, :, None], sigma[:, :, None]
     z = np.subtract(y, mu, out=out)
     z /= sigma
-    log_sig = np.log(sigma)
-    if family == GAUSSIAN:
-        z *= z
-        z *= -0.5  # -0.5 * (z * z) == (-0.5 * z) * z: scaling by 2**-1 is exact
-        z -= log_sig
-        z -= 0.5 * _LOG_2PI
-        return z
-    if family == LAPLACE:
-        np.abs(z, out=z)
-        np.negative(z, out=z)
-        z -= log_sig
-        z -= math.log(2.0)
-        return z
-    nu = dof
-    c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
     z *= z
-    z /= nu
-    np.log1p(z, out=z)
-    z *= 0.5 * (nu + 1.0)
-    return np.subtract(c - log_sig, z, out=z)
+    z *= -0.5  # -0.5 * (z * z) == (-0.5 * z) * z: scaling by 2**-1 is exact
+    z -= np.log(sigma)
+    z -= 0.5 * _LOG_2PI
+    return z
 
 
 def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
-    """Per-expert log densities log f(y | a_i.x + b_i, sigma_i).
+    """Per-expert Gaussian log densities log N(y | a_i.x + b_i, sigma_i^2).
 
     ``y`` is (n,), one response per row of ``X``, giving shape (k, n); or
     (n, m) / (1, m), m responses per row, giving (k, n, m).  Components sit
@@ -357,7 +330,7 @@ def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
         raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
-    return _expert_log_densities(X, y, G.a, G.b, G.sigma, G.family, G.dof, out=out)
+    return _expert_log_densities(X, y, G.a, G.b, G.sigma, out=out)
 
 
 def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
@@ -438,13 +411,7 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     idx = np.sum(cdf < u, axis=0)
     idx = np.minimum(idx, G.k - 1)
     mu = np.sum(X * G.a[idx], axis=1) + G.b[idx]
-    sig = G.sigma[idx]
-    if G.family == GAUSSIAN:
-        y = mu + sig * rng.standard_normal(n)
-    elif G.family == LAPLACE:
-        y = mu + sig * rng.laplace(0.0, 1.0, size=n)
-    else:
-        y = mu + sig * rng.standard_t(G.dof, size=n)
+    y = mu + G.sigma[idx] * rng.standard_normal(n)
     return Dataset(x=X, y=y, bounds=bounds)
 
 
@@ -452,15 +419,17 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
 # Text serialization of measures
 # ---------------------------------------------------------------------------
 
+# The expert family every measure document names in its header: the only one
+_FAMILY = "gaussian"
+
+
 def measure_to_text(G: MixingMeasure) -> str:
     """Human-readable measure document; round-trips bit-exactly.
 
-    Header line ``family=<name> d=<int> k=<int> [dof=<float>]`` followed by one
-    component per line: ``beta0 beta1[0..d) a[0..d) b sigma``.
+    Header line ``family=gaussian d=<int> k=<int>`` followed by one component
+    per line: ``beta0 beta1[0..d) a[0..d) b sigma``.
     """
-    head = f"family={G.family} d={G.d} k={G.k}"
-    if G.family == STUDENT_T:
-        head += f" dof={_fmt(G.dof)}"
+    head = f"family={_FAMILY} d={G.d} k={G.k}"
     rows = np.column_stack([G.beta0, G.beta1, G.a, G.b, G.sigma])
     lines = [head] + [" ".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -481,20 +450,21 @@ def _settings(pairs, known, what: str) -> dict:
 
 def measure_from_text(text: str) -> MixingMeasure:
     """The measure of a :func:`measure_to_text` document; the header sets
-    each of family, d, k and (optionally) dof once."""
+    each of family, d and k once, and the family must be gaussian."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InvalidArgumentError("empty measure document")
     head = _settings((tok.partition("=")[::2] for tok in lines[0].split()),
-                     ("family", "d", "k", "dof"), "measure header")
+                     ("family", "d", "k"), "measure header")
     try:
         family, d, k = head["family"], int(head["d"]), int(head["k"])
-        settings = {"dof": float(head["dof"])} if "dof" in head else {}
         rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
     except KeyError as exc:
         raise InvalidArgumentError(f"measure header missing field {exc}") from exc
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed measure document: {exc}") from exc
+    if family != _FAMILY:
+        raise InvalidArgumentError(f"unsupported expert family {family!r}: experts are {_FAMILY}")
     if d < 1 or k < 1:
         raise InvalidArgumentError(f"measure header needs d >= 1 and k >= 1, got d={d}, k={k}")
     if len(rows) != k:
@@ -503,10 +473,7 @@ def measure_from_text(text: str) -> MixingMeasure:
         if len(vals) != 2 * d + 3:
             raise InvalidArgumentError(f"component line has {len(vals)} fields, expected {2 * d + 3}")
     v = np.array(rows)
-    return MixingMeasure.from_arrays(
-        v[:, 0], v[:, 1 : 1 + d], v[:, 1 + d : 1 + 2 * d], v[:, 1 + 2 * d], v[:, 2 + 2 * d],
-        family=family, **settings,
-    )
+    return MixingMeasure(v[:, 0], v[:, 1 : 1 + d], v[:, 1 + d : 1 + 2 * d], v[:, 1 + 2 * d], v[:, 2 + 2 * d])
 
 
 def _fmt(v: float) -> str:

@@ -37,7 +37,7 @@ def bench_truth():
     )
 
 
-def random_measure(rng, k, d=1, family=ml.GAUSSIAN, pinned=False):
+def random_measure(rng, k, d=1, pinned=False):
     """A random fitted-style measure; pin the last component on request."""
     beta0 = rng.normal(0.0, 1.0, size=k)
     beta1 = rng.normal(0.0, 2.0, size=(k, d))
@@ -47,7 +47,7 @@ def random_measure(rng, k, d=1, family=ml.GAUSSIAN, pinned=False):
     if pinned:
         beta0[-1] = 0.0
         beta1[-1] = 0.0
-    return ml.MixingMeasure.from_arrays(beta0, beta1, a, b, sigma, family=family)
+    return ml.MixingMeasure.from_arrays(beta0, beta1, a, b, sigma)
 
 
 def selected(G, x, K):

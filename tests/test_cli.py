@@ -280,7 +280,7 @@ class TestMalformedInput:
         "family=gaussian d=one k=1\n-8 25 -20 15 0.3\n",  # non-integer d
         "family=gaussian d=1 k=2.5\n-8 25 -20 15 0.3\n",  # non-integer k
         "family=gaussian d=1 k=2\n-8 25 -20 15 0.3\n0 0 20 -5 wide\n",  # non-numeric value
-        "family=student-t d=1 k=2 dof=inf\n-8 25 -20 15 0.3\n0 0 20 -5 0.4\n",  # infinite dof
+        "family=student-t d=1 k=2 dof=inf\n-8 25 -20 15 0.3\n0 0 20 -5 0.4\n",  # retired family and key
     ])
     def test_malformed_measure(self, tmp_path, truth_file, text, capsys):
         bad = tmp_path / "bad.txt"
@@ -288,14 +288,41 @@ class TestMalformedInput:
         self.assert_clean_error(["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file], capsys)
 
     @pytest.mark.parametrize("head, message", [
-        ("family=student-t d=1 k=2 dfo=3", "unknown measure header key 'dfo'"),
-        ("family=student-t d=1 k=2 dof=3 dof=4", "repeated measure header key 'dof'"),
+        ("family=gaussian d=1 k=2 dfo=3", "unknown measure header key 'dfo'"),
+        ("family=gaussian d=1 k=2 d=1", "repeated measure header key 'd'"),
     ], ids=["unknown", "repeated"])
     def test_measure_header_key(self, tmp_path, truth_file, head, message, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(head + "\n" + BENCH_TEXT.split("\n", 1)[1])
         self.assert_clean_error(["loss", "--metric", "d1", "--K", 1, "--fit", bad, "--true", truth_file],
                                 capsys, message)
+
+    @pytest.mark.parametrize("head, message", [
+        ("family=laplace d=1 k=2", "unsupported expert family 'laplace'"),
+        ("family=student-t d=1 k=2", "unsupported expert family 'student-t'"),
+        ("family=gaussian d=1 k=2 dof=5", "unknown measure header key 'dof'"),
+    ], ids=["laplace", "student-t", "dof"])
+    @pytest.mark.parametrize("reader", ["gen", "fit", "loss", "hellinger", "partition-check", "sweep"])
+    def test_retired_measure_document(self, tmp_path, truth_file, head, message, reader, capsys):
+        # every command that reads a measure rejects the retired families and dof key
+        bad = tmp_path / "bad.txt"
+        bad.write_text(head + "\n" + BENCH_TEXT.split("\n", 1)[1])
+        data = tmp_path / "d.tsv"
+        data.write_text("0.1\t1.0\n0.2\t2.0\n")
+        cfg = sweep_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(BENCH_TEXT, bad.read_text()))
+        argv = {
+            "gen": ["gen", "--truth", bad, "--K", 1, "--n", 5, "--seed", 0, "--out", tmp_path / "o.tsv"],
+            "fit": ["fit", "--data", data, "--truth", bad, "--k", 2, "--K", 2, "--seed", 0,
+                    "--out-measure", tmp_path / "m.txt"],
+            "loss": ["loss", "--metric", "d1", "--K", 1, "--fit", truth_file, "--true", bad],
+            "hellinger": ["hellinger", "--fit", bad, "--K-fit", 1, "--true", truth_file, "--K-true", 1,
+                          "--seed", 0],
+            "partition-check": ["partition-check", "--truth", bad, "--K", 1, "--seed", 0],
+            "sweep": ["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1],
+        }[reader]
+        self.assert_clean_error(argv, capsys, message)
+        assert not any((tmp_path / name).exists() for name in ("o.tsv", "m.txt", "o.csv"))
 
     @pytest.mark.parametrize("kind", ["measure", "sweep config", "dataset"])
     def test_undecodable_file(self, tmp_path, truth_file, kind, capsys):
@@ -351,6 +378,10 @@ class TestMalformedInput:
     def test_partition_check_bad_setting(self, truth_file, args, capsys):
         self.assert_clean_error(["partition-check", "--truth", truth_file, "--seed", 0, *args], capsys)
 
+    def test_polysys_witness_beyond_m2(self, capsys):
+        self.assert_clean_error(["polysys", "--m", 3, "--r", 5, "--seed", 0], capsys,
+                                "the built-in constructive witness exists for m=2 only")
+
     @pytest.mark.parametrize("command, bounds, shown", [
         ("partition-check", "0,inf", "[[0.0, inf]]"),
         ("partition-check", "nan,1", "[[nan, 1.0]]"),
@@ -390,7 +421,7 @@ class TestMalformedInput:
             capsys,
         )
 
-    @pytest.mark.parametrize("text", ["0.1\t1.0\n0.2\tfoo\n", "0.1\t1.0\n0.2\n", "0.5\n0.7\n"])
+    @pytest.mark.parametrize("text", ["0.1\t1.0\n0.2\tfoo\n", "0.1\t1.0\n0.2\n", "0.5\n0.7\n", "# no rows\n"])
     def test_malformed_tsv(self, tmp_path, truth_file, text, capsys):
         data = tmp_path / "d.tsv"
         data.write_text(text)

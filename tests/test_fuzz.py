@@ -1,0 +1,104 @@
+"""Every text reader either parses a document or raises a MoeError, never
+another exception or a warning: derandomized hypothesis fuzzing of the
+measure reader, the sweep-config reader, the sweep-CSV reader and the CLI's
+TSV dataset reader.  Documents are arbitrary text, token soup, or a valid
+document with a few characters inserted, deleted or replaced."""
+
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import moelab as ml
+from moelab import cli
+
+MEASURE = "family=gaussian d=1 k=2\n-8 25 -20 15 0.3\n0 0 20 -5 0.4\n"
+SWEEP = ("data_k = 2\nfit_k = 2\nfit_big_k = 2\nsample_sizes = 100, 316\nreplicates = 2\n"
+         "metric = d1\nbounds = 0,1\nloss_terms = a,b\n\n[truth]\n" + MEASURE)
+CSV = ml.experiments.CSV_HEADER + "\n100,0,5,0.5,-1,3,true\n316,1,6,0.25,-1.5,4,false\n"
+TSV = "0.1\t1.0\n0.2\t2.0\n0.3\t-1.5\n"
+
+# characters and tokens that the readers give meaning to, and a few they do not
+CHARS = "0123456789.-+eE=,;:\t \n\r#[]_adfgiklnrstuxyé٣"
+TOKENS = ["family=gaussian", "family=laplace", "d=1", "d=2", "d=0", "k=1", "k=2", "k=-1", "k=2.5",
+          "dof=5", "=", "d=", "[truth]", "[extra]", "data_k", "fit_k", "fit_big_k", "sample_sizes",
+          "replicates", "bounds", "metric", "d1", "hellinger", "true", "false", ",", ";", "\t",
+          "0", "1", "-8", "25", "0.3", "1e400", "nan", "inf", "-inf", "x", "#", "\n"]
+
+
+@st.composite
+def edited(draw, base):
+    """``base`` with up to six characters inserted, deleted or replaced."""
+    text = list(base)
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text.insert(at, draw(st.sampled_from(CHARS)))
+        elif at < len(text):
+            if op == "delete":
+                del text[at]
+            else:
+                text[at] = draw(st.sampled_from(CHARS))
+    return "".join(text)
+
+
+def documents(base):
+    lines = st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join)
+    return st.one_of(st.text(max_size=200), st.lists(lines, max_size=8).map("\n".join), edited(base))
+
+
+def parses_or_moe_error(read, text):
+    # a warning would print a second stderr line beside the CLI's error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            read(text)
+        except ml.MoeError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.txt"
+
+
+def from_file(read, path):
+    """``read`` of a path, as a reader of the text written there."""
+    def read_text(text):
+        path.write_bytes(text.encode("utf-8"))
+        return read(path)
+    return read_text
+
+
+@settings(max_examples=200)
+@given(text=documents(MEASURE))
+def test_measure_reader(text):
+    parses_or_moe_error(ml.measure_from_text, text)
+
+
+@settings(max_examples=200)
+@given(text=documents(SWEEP))
+def test_sweep_config_reader(text):
+    parses_or_moe_error(ml.parse_sweep_config, text)
+
+
+@settings(max_examples=200)
+@given(text=documents(CSV))
+def test_csv_reader(doc_path, text):
+    parses_or_moe_error(from_file(ml.parse_csv, doc_path), text)
+
+
+@settings(max_examples=200)
+@given(text=documents(TSV))
+def test_tsv_dataset_reader(doc_path, text):
+    parses_or_moe_error(from_file(cli._read_dataset, doc_path), text)
+
+
+@pytest.mark.parametrize("reader, base", [("measure", MEASURE), ("sweep", SWEEP), ("csv", CSV), ("tsv", TSV)])
+def test_valid_bases_parse(doc_path, reader, base):
+    # the documents the fuzzing edits are themselves valid
+    read = {"measure": ml.measure_from_text, "sweep": ml.parse_sweep_config,
+            "csv": from_file(ml.parse_csv, doc_path), "tsv": from_file(cli._read_dataset, doc_path)}[reader]
+    assert read(base) is not None

@@ -20,7 +20,6 @@ def perturbed(G, rng, scale):
         G.a + scale * rng.standard_normal((G.k, G.d)),
         G.b + scale * rng.standard_normal(G.k),
         G.sigma * np.exp(scale * rng.standard_normal(G.k)),
-        family=G.family,
     )
 
 
@@ -55,7 +54,7 @@ class TestAssignVoronoi:
         G_fit = perturbed(G_true, rng, 0.01)
         perm = rng.permutation(3)
         G_perm = ml.MixingMeasure.from_arrays(G_fit.beta0[perm], G_fit.beta1[perm], G_fit.a[perm],
-                                              G_fit.b[perm], G_fit.sigma[perm], family=G_fit.family)
+                                              G_fit.b[perm], G_fit.sigma[perm])
         base = ml.assign_voronoi(G_fit, G_true)
         permuted = ml.assign_voronoi(G_perm, G_true)
         inv = np.argsort(perm)
@@ -147,7 +146,7 @@ def translated(G, c0, c1):
     """G with one common (beta0, beta1) translation applied to every component."""
     return ml.MixingMeasure.from_arrays(
         G.beta0 + c0, G.beta1 + np.asarray(c1, dtype=float),
-        G.a, G.b, G.sigma, family=G.family,
+        G.a, G.b, G.sigma,
     )
 
 
