@@ -210,41 +210,79 @@ def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:
     return _resp_from_joint(joint, _masked_logsumexp(joint))
 
 
-def _wls_solve(Z: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """Weighted least squares with a ridge fallback on singular systems."""
-    A = Z.T @ (w[:, None] * Z)
-    rhs = Z.T @ (w * y)
+def _row_products(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The per-row terms of the expert step's normal equations, one row each:
+    z_i z_j for i, j < p (p * p rows), then z_i y (p rows), on the design
+    Z (n, p); shape (p * p + p, n).
+
+    One row per term keeps the product with the (k, n) responsibilities on
+    a fast matrix path, about three times faster than one column per term at
+    n = 1e4.  The array depends only on the data, so :func:`fit` builds it
+    once."""
+    ZT = np.ascontiguousarray(Z.T)
+    p, n = ZT.shape
+    out = np.empty((p * p + p, n))
+    np.multiply(ZT[:, None, :], ZT[None, :, :], out=out[: p * p].reshape(p, p, n))
+    np.multiply(ZT, y, out=out[p * p :])
+    return out
+
+
+def _ridge_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One normal-equation system, with a ridge fallback when it is singular
+    or its solution is not finite."""
     try:
         beta = np.linalg.solve(A, rhs)
-        if not np.all(np.isfinite(beta)):
-            raise np.linalg.LinAlgError
+        if np.all(np.isfinite(beta)):
+            return beta
     except np.linalg.LinAlgError:
-        lam = 1e-8 * np.trace(A) / A.shape[0]
-        if not lam > 0:
-            lam = 1e-12
-        beta = np.linalg.solve(A + lam * np.eye(A.shape[0]), rhs)
-    return beta
+        pass
+    lam = 1e-8 * np.trace(A) / A.shape[0]
+    if not lam > 0:
+        lam = 1e-12
+    return np.linalg.solve(A + lam * np.eye(A.shape[0]), rhs)
 
 
-def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor):
+def _wls_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked weighted least squares: beta (m, p) from the normal equations
+    A (m, p, p) and rhs (m, p) in one batched solve.  A singular or
+    non-finite system fails the batch, which is then solved system by system
+    through :func:`_ridge_solve`; a regular system solves to the same bits
+    either way."""
+    try:
+        beta = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+        if np.all(np.isfinite(beta)):
+            return beta
+    except np.linalg.LinAlgError:
+        pass
+    return np.array([_ridge_solve(A_i, rhs_i) for A_i, rhs_i in zip(A, rhs)])
+
+
+def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *, _products=None):
     """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
-    one weighted least squares per component, then its weighted residual scale.
+    a weighted least squares per component, then its weighted residual scale.
 
-    ``resp`` is (k, n); components with zero responsibility mass are left
-    unchanged.
+    The components are solved together: one product of ``resp`` (k, n) with
+    the design's row products gives every component's normal equations, one
+    batched solve their coefficients, and one pass their residual scales.
+    Components with zero responsibility mass are left unchanged.
+    ``_products`` is ``_row_products(Z, y)``, which :func:`fit` builds once
+    per fit; it is built here when None.
     Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
     :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
-    d = Z.shape[1] - 1
+    p = Z.shape[1]
+    k = resp.shape[0]
+    products = _row_products(Z, y) if _products is None else _products
+    sums = products @ resp.T  # (p * p + p, k)
+    mass = resp.sum(axis=1)
+    live = mass > 0.0
+    beta = np.zeros((k, p))
+    beta[live] = _wls_solve(sums[: p * p].T.reshape(k, p, p)[live], sums[p * p :].T[live])
+    resid = y - beta @ Z.T
+    resid *= resid
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
-    for i, w in enumerate(resp):
-        s = float(w.sum())
-        if s <= 0.0:
-            continue
-        beta = _wls_solve(Z, w, y)
-        resid = y - Z @ beta
-        sigma[i] = max(np.sqrt(float(w @ resid**2) / s), sigma_floor)
-        a[i], b[i] = beta[:d], beta[d]
+    a[live], b[live] = beta[live, :-1], beta[live, -1]
+    sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, resid)[live] / mass[live]), sigma_floor)
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
             and (sigma > 0.0).all()):
         raise InvalidArgumentError(f"expert step left a={a}, b={b}, sigma={sigma}")
@@ -311,6 +349,10 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
     """
     n = X.shape[0]
     setup = _gating_setup(X, resp, gate.mask)
+    # the frozen selection as 0 on it and -inf off it: adding it to the
+    # logits masks them as np.where(mask, logits, -inf) does, at a sixth of
+    # the cost
+    offset = None if gate.mask is None else np.where(gate.mask, 0.0, -np.inf)
     q = _surrogate(setup, gate)
     tol = 1e-12 * max(1.0, abs(q))
     backtracks = 0
@@ -323,7 +365,11 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
                     cand = GatePass.softmax(gate.beta0 + step_lr * grad / n, gate.beta1,
                                             gate.mask, gate.logits)
                 else:
-                    cand = GatePass.under(X, gate.beta0, gate.beta1 + step_lr * grad / n, gate.mask)
+                    beta1 = gate.beta1 + step_lr * grad / n
+                    logits = beta1 @ X.T
+                    if offset is not None:
+                        logits += offset
+                    cand = GatePass.softmax(gate.beta0, beta1, gate.mask, logits)
                 q_new = _surrogate(setup, cand)
                 if q_new >= q - tol:
                     gate, q = cand, q_new
@@ -366,6 +412,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     K = cfg.K
     X, y = data.x, data.y
     Z = np.column_stack([X, np.ones(data.n)])
+    products = _row_products(Z, y)
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logw = gate.log_weights()
@@ -378,7 +425,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
         ll = trace[-1]
-        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, cfg.sigma_floor)
+        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, cfg.sigma_floor, _products=products)
         logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e)
         joint_e = logw + logf_e
         norm_e = _masked_logsumexp(joint_e)

@@ -27,9 +27,11 @@ Conventions used throughout the library:
   sits thousands of nats down, and NumPy's SIMD ``exp`` computes every lane
   whose result underflows on a scalar path.  With NumPy 2.4 on an AVX-512
   x86 host a lane took about 0.9 ns for a normal result, 4-18 ns below
-  -746, 4 ns at -inf and 115 ns in the subnormal band.  The gate softmax
-  keeps ``np.exp``: its arguments underflow only at masked -inf lanes, and
-  the clamp's extra passes would cost dense gates more than they save.
+  -746, 4 ns at -inf and 115 ns in the subnormal band.  A top-K gate's
+  softmax and the sampler's gate weights, -inf off the selection, go
+  through :func:`_exp` too.  A dense gate's softmax keeps ``np.exp``: its
+  arguments underflow only for weights below 1e-304, and the clamp's extra
+  passes would cost it more than they save.
 * Components sit on axis 0: an array over components and inputs is (k, n),
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
@@ -272,13 +274,18 @@ class GatePass(NamedTuple):
         """The masked softmax of logits + beta0 over the components, from
         logits already -inf off the selection.
 
-        Plain ``np.exp``, not :func:`_exp`: gate arguments underflow only at
-        the masked -inf lanes, and the clamp's extra passes would cost a dense
-        gate more than the slow path does."""
+        A masked gate (``mask`` not None) exponentiates through :func:`_exp`,
+        since its -inf lanes put ``np.exp`` on its slow path; a dense gate
+        keeps plain ``np.exp``, whose arguments underflow only for weights
+        below 1e-304, so the clamp's extra passes would cost it more than
+        they save."""
         e = logits + beta0[:, None]
         m = e.max(axis=0)
         np.subtract(e, m, out=e)
-        np.exp(e, out=e)
+        if mask is None:
+            np.exp(e, out=e)
+        else:
+            _exp(e, out=e)
         Z = e.sum(axis=0)
         return cls(beta0, beta1, mask, logits, m + np.log(Z), np.divide(e, Z, out=e))
 
@@ -406,7 +413,7 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     bounds = _checked_box(bounds, G.d)
     rng = np.random.default_rng(seed)
     X = uniform_box_sampler(bounds)(rng, n)
-    cdf = np.cumsum(np.exp(gate_log_weights(G, X, K)), axis=0)
+    cdf = np.cumsum(_exp(gate_log_weights(G, X, K)), axis=0)  # -inf off a top-K selection
     u = rng.random(n)
     idx = np.sum(cdf < u, axis=0)
     idx = np.minimum(idx, G.k - 1)

@@ -298,6 +298,40 @@ class TestMStepExperts:
         assert np.array_equal(a[1], bench_truth.a[1])
         assert (b[1], sigma[1]) == (bench_truth.b[1], bench_truth.sigma[1])
 
+    @pytest.mark.parametrize("case", ["top2-2d", "zero-mass", "one-singular", "all-singular"])
+    def test_matches_component_loop(self, case, monkeypatch):
+        # the stacked solve against one WLS per component, at rtol 1e-12: the
+        # sums run in another order; a singular system (x = 0 wherever its
+        # component has mass) fails the batched solve, and every system is
+        # then solved alone, the singular ones by the ridge fallback
+        rng = np.random.default_rng(17)
+        truth = ml.true_measure(**TRUTH_2D)
+        if case == "top2-2d":
+            data = ml.sample_dataset(truth, 2, 3000, seed=6, bounds=BOX_2D)
+            G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=7)
+            resp = em.e_step(data, G, 2)
+        else:
+            x = rng.uniform(-1.0, 1.0, size=(500, 2))
+            x[:100] = 0.0
+            if case == "all-singular":
+                x[:] = 0.0
+            data = ml.Dataset(x=x, y=rng.normal(size=500), bounds=BOX_2D)
+            G = random_measure(rng, 3, 2)
+            resp = rng.random((3, 500))
+            if case == "zero-mass":
+                resp[1] = 0.0
+            elif case == "one-singular":
+                resp[1, 100:] = 0.0
+        ridge_solve, ridged = em._ridge_solve, []
+        monkeypatch.setattr(em, "_ridge_solve", lambda A, rhs: ridged.append(A) or ridge_solve(A, rhs))
+        got = experts_step(data, resp, G, sigma_floor=1e-3)
+        want = reference_expert_step(data, resp, G, sigma_floor=1e-3)
+        assert len(ridged) == (3 if case.endswith("singular") else 0)
+        for field, value in zip(("a", "b", "sigma"), got):
+            np.testing.assert_allclose(value, getattr(want, field), rtol=1e-12, atol=0.0)
+        if case == "zero-mass":
+            assert (got[1][1] == G.b[1]) and (got[2][1] == G.sigma[1]) and np.array_equal(got[0][1], G.a[1])
+
     @pytest.mark.parametrize("seed", range(6))
     def test_local_maximum_property(self, seed, bench_truth):
         # perturbing an updated expert never raises the weighted likelihood
@@ -510,7 +544,7 @@ class TestFit:
     def test_invalid_expert_step_fails_the_fit(self, bench_truth, monkeypatch):
         # a non-finite expert update is an error, never a silent NaN fit, and
         # a sweep turns it into a failed row
-        monkeypatch.setattr(em, "_wls_solve", lambda Z, w, y: np.full(Z.shape[1], np.nan))
+        monkeypatch.setattr(em, "_wls_solve", lambda A, rhs: np.full(rhs.shape, np.nan))
         data = small_data(bench_truth, n=200, K=2, seed=4)
         cfg = ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05))
         with pytest.raises(ml.MoeError):
@@ -582,10 +616,13 @@ class TestFit:
 
 
 def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
-    # every np.exp call of 50 EM iterations on overspec-k3's n = 1000 row, and
-    # of a dense 1-D expected Hellinger distance, gets arguments at or above
-    # the clamp of model._exp: np.exp computes underflowing lanes on a scalar
-    # path, 4-115 ns a lane against about 1 ns
+    # every np.exp call gets arguments at or above the clamp of model._exp:
+    # np.exp computes underflowing lanes on a scalar path, 4-115 ns a lane
+    # against about 1 ns.  Checked on 50 EM iterations of overspec-k3's
+    # n = 1000 row, a dense 1-D expected Hellinger distance, and their top-2
+    # 2-D counterparts: the top2-2d reference fit, from its sampled data on,
+    # and a sparse-2d expected Hellinger distance, whose gates are -inf off
+    # the selection
     plain_exp, lowest = np.exp, []
 
     def guarded(x, *args, **kwargs):
@@ -601,4 +638,11 @@ def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
     grid = ml.default_y_grid(G_fit, bench_truth, [[0.0, 1.0]])
     ml.expected_hellinger(G_fit, 3, bench_truth, 2, ml.uniform_box_sampler([[0.0, 1.0]]), 20, grid, seed=1)
     assert fit_calls > 50 and len(lowest) > fit_calls
+    dense_calls = len(lowest)
+    data, cfg = reference_case("top2-2d", bench_truth)
+    assert ml.fit(data, cfg).reverted_gating >= 1  # a selection flip, as the reference test pins
+    G_fit, truth = em.init_measure(cfg.init, seed=4), cfg.init.truth
+    grid = ml.default_y_grid(G_fit, truth, BOX_2D)
+    ml.expected_hellinger(G_fit, 2, truth, 2, ml.uniform_box_sampler(BOX_2D), 20, grid, seed=1)
+    assert len(lowest) > dense_calls + 50
     assert min(lowest) >= ml.model._EXP_FLOOR

@@ -10,7 +10,7 @@ from scipy import stats
 
 import moelab as ml
 
-from conftest import plain_logsumexp, random_measure, selected
+from conftest import BOX_2D, TRUTH_2D, plain_logsumexp, random_measure, selected
 
 FLOOR = ml.model._EXP_FLOOR
 
@@ -292,6 +292,37 @@ class TestExp:
         assert np.array_equal(got, [0.0, 0.0, 0.0]) and not np.any(np.signbit(got))
 
 
+def plain_softmax(beta0, logits):
+    """GatePass.softmax with plain np.exp, as it was before masked gates went
+    through model._exp: the logsumexp, the weights and the shifted arguments."""
+    e = logits + beta0[:, None]
+    m = e.max(axis=0)
+    np.subtract(e, m, out=e)
+    shifted = e.copy()
+    np.exp(e, out=e)
+    Z = e.sum(axis=0)
+    return m + np.log(Z), np.divide(e, Z, out=e), shifted
+
+
+class TestMaskedSoftmax:
+    """A top-K gate's softmax goes through model._exp: its logsumexp equals
+    the plain np.exp formula bit for bit, and so do its weights wherever the
+    shifted argument is at or above the floor; below it they are 0."""
+
+    @given(st.data())
+    def test_equals_plain_exp(self, data):
+        k, d, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 30))
+        wide = st.floats(-1e3, 1e3)  # logits far enough apart to fall below the floor
+        beta0 = data.draw(arrays(np.float64, k, elements=wide))
+        beta1 = data.draw(arrays(np.float64, (k, d), elements=wide))
+        X = data.draw(arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)))
+        gate = ml.model.GatePass.at(X, beta0, beta1, data.draw(st.integers(1, k - 1)))
+        lse, w, shifted = plain_softmax(beta0, np.where(gate.mask, beta1 @ X.T, -np.inf))
+        above = shifted >= FLOOR
+        assert gate.mask is not None and np.array_equal(gate.lse, lse)
+        assert np.array_equal(gate.w[above], w[above]) and np.all(gate.w[~above] == 0.0)
+
+
 class TestMaskedLogSumExp:
     """The log-sum-exp through model._exp equals the plain np.exp formula bit
     for bit: its largest term is exactly 1, so no sum sees a dropped term."""
@@ -409,6 +440,22 @@ class TestSampleDataset:
         d1 = ml.sample_dataset(bench_truth, 2, 500, seed=123)
         d2 = ml.sample_dataset(bench_truth, 2, 500, seed=123)
         assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.y, d2.y)
+
+    def test_equals_plain_exp_on_sparse_2d_rows(self):
+        # the gate weights are -inf off the top-2 selection and go through
+        # model._exp; every dataset of sparse-2d's sweep (base seed 505) is
+        # the one the plain np.exp sampler draws
+        truth = ml.true_measure(**TRUTH_2D)
+        for n in (316, 631, 1259, 2512, 5012, 10000):
+            for rep in range(4):
+                seed = ml.experiments.row_seed(505, n, rep, "data")
+                data = ml.sample_dataset(truth, 2, n, seed=seed, bounds=BOX_2D)
+                rng = np.random.default_rng(seed)
+                X = ml.uniform_box_sampler(BOX_2D)(rng, n)
+                cdf = np.cumsum(np.exp(ml.gate_log_weights(truth, X, 2)), axis=0)
+                idx = np.minimum(np.sum(cdf < rng.random(n), axis=0), truth.k - 1)
+                y = np.sum(X * truth.a[idx], axis=1) + truth.b[idx] + truth.sigma[idx] * rng.standard_normal(n)
+                assert np.array_equal(data.x, X) and np.array_equal(data.y, y)
 
     def test_conditional_mean_near_half(self, bench_truth):
         # K=1 keeps expert 1 everywhere: E[y | x=0.5] = -20*0.5 + 15 = 5
