@@ -16,11 +16,14 @@ density: :func:`fit` works on a measure's stacked arrays, beta0 (k,),
 beta1 (k, d), a (k, d), b (k,) and sigma (k,), from the initialization to
 the returned measure, which it builds once.  Its gate is a
 :class:`~moelab.model.GatePass`, one evaluation of the selected softmax that
-keeps its masked logits, logsumexp and weights.  Every gating proposal makes
-one; the last accepted one is both the next iteration's gate and the first
-pass of the next gating M-step, as long as the new slopes select what it was
-computed under.  When the selection flips, the gate is recomputed under the
-new one.
+keeps its masked logits, logsumexp and weights.  A gating proposal moves
+the logits by a known shift, so it is scored from the current pass's
+logsumexp and weights by the softmax shift identity (:func:`_shifted`), with
+no masked softmax; only a step too large for the identity gets an exact
+pass.  Each gating M-step ends with one exact pass at its accepted
+parameters, under their own top-K selection: the next iteration's gate and
+the first pass of the next gating M-step, so nothing drifts across
+iterations.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .model import (
     _exp,
     _expert_log_densities,
     _masked_logsumexp,
-    _selection_mask,
+    _project,
     log_joint,
 )
 
@@ -278,7 +281,7 @@ def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *
     live = mass > 0.0
     beta = np.zeros((k, p))
     beta[live] = _wls_solve(sums[: p * p].T.reshape(k, p, p)[live], sums[p * p :].T[live])
-    resid = y - beta @ Z.T
+    resid = y - _project(beta, Z)
     resid *= resid
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
     a[live], b[live] = beta[live, :-1], beta[live, -1]
@@ -295,27 +298,28 @@ def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *
 
 def _gating_setup(X, resp, mask):
     """The surrogate's constants while the gate moves: of resp zeroed off the
-    selection, its sums per input (n,) and per component (k,) and resp @ X
-    (k, d)."""
+    selection, its sums per input rsum (n,) and per component (k,), resp @ X
+    (k, d), and the inputs weighted by rsum (n, d)."""
     if mask is not None:
-        resp = np.where(mask, resp, 0.0)
-    return resp.sum(axis=0), resp.sum(axis=1), resp @ X
+        resp = resp * mask  # as np.where(mask, resp, 0.0) on finite resp, at a third of the cost
+    rsum = resp.sum(axis=0)
+    return rsum, resp.sum(axis=1), resp @ X, rsum[:, None] * X
 
 
-def _gradient(X, setup, w, block: int) -> np.ndarray:
+def _gradient(setup, w, block: int) -> np.ndarray:
     """The surrogate's gradient w.r.t. beta0 (block 0) or beta1 (block 1) at
     selected softmax weights w: sum_j (r_ij - rsum_j w_i(x_j)), times x_j for
-    beta1, with rsum_j the selected responsibility at x_j."""
-    rsum, colsum, rX = setup
-    rw = rsum * w
-    return colsum - rw.sum(axis=1) if block == 0 else rX - rw @ X
+    beta1, with rsum_j the selected responsibility at x_j; one matrix
+    product with w each."""
+    rsum, colsum, rX, rsumX = setup
+    return colsum - w @ rsum if block == 0 else rX - w @ rsumX
 
 
-def _surrogate(setup, gate: GatePass) -> float:
+def _surrogate(setup, beta0, beta1, lse) -> float:
     """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
-    the component sums . beta0, so the surrogate needs only the pass's lse."""
-    rsum, colsum, rX = setup
-    return float((rX * gate.beta1).sum() + colsum @ gate.beta0 - rsum @ gate.lse)
+    the component sums . beta0, so the surrogate needs only the gate's lse."""
+    rsum, colsum, rX, _ = setup
+    return float((rX * beta1).sum() + colsum @ beta0 - rsum @ lse)
 
 
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
@@ -325,7 +329,7 @@ def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     ``resp`` and ``mask`` are (k, n); the value is the one
     :func:`m_step_gating` ascends.
     """
-    return _surrogate(_gating_setup(X, resp, mask), GatePass.under(X, beta0, beta1, mask))
+    return _surrogate(_gating_setup(X, resp, mask), beta0, beta1, GatePass.under(X, beta0, beta1, mask).lse)
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
@@ -335,7 +339,37 @@ def gating_gradients(X, resp, mask, beta0, beta1):
     """
     setup = _gating_setup(X, resp, mask)
     w = GatePass.under(X, beta0, beta1, mask).w
-    return _gradient(X, setup, w, 0), _gradient(X, setup, w, 1)
+    return _gradient(setup, w, 0), _gradient(setup, w, 1)
+
+
+# Largest bound c on a proposal's logit shift that :func:`_shifted` scores.
+# At |shift| <= c every exp(shift) lies in [exp(-c), exp(c)] and, as the
+# weights sum to 1, so does their weighted sum: at c <= 32 (1.3e-14 to 7.9e13)
+# nothing overflows or underflows, every argument of exp stays far above
+# model._EXP_FLOOR and off np.exp's slow path, and lse + log(sum) rounds
+# within about an ulp of |lse| + 32.  On a larger step the sum can overflow
+# or underflow, and a -inf logsumexp would score as a +inf gain, so such a
+# step is scored by an exact pass.
+SHIFT_BOUND = 32.0
+
+
+def _shifted(lse, w, shift):
+    """The logsumexp (n,) and weights (k, n) of a gate with logsumexp ``lse``
+    and weights ``w`` after its logits move by ``shift``: (k,), the same at
+    every input, or (k, n), bounded by ``SHIFT_BOUND`` in absolute value.
+
+    By the softmax shift identity, lse' = lse + log s and w' = w exp(shift) / s
+    with s = sum_i w_i exp(shift_i): no masked logit is exponentiated, and
+    w' is 0 wherever w is, off the selection."""
+    e = np.exp(shift)
+    if e.ndim == 1:
+        s = e @ w
+        w = w * e[:, None]
+    else:
+        w = np.multiply(w, e, out=e)
+        s = w.sum(axis=0)
+    w /= s
+    return lse + np.log(s), w
 
 
 def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
@@ -344,45 +378,46 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
     ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
     selection stays frozen while the blocks move.  Each block proposal is
     backtracked (halving the step) until the surrogate does not decrease; the
-    worst case accepts a zero step.  Returns the gate at the updated
-    parameters, under their own selection, and the number of halvings.
+    worst case accepts a zero step, and a proposal whose surrogate is not
+    finite counts as a decrease.  A proposal moves the logits by delta_i
+    (beta0) or delta_i . x (beta1), at most c = max_i |delta_i| or
+    max_i |delta_i| . max|x| (per axis) in absolute value; at c within
+    ``SHIFT_BOUND`` it is scored from the current lse and weights by
+    :func:`_shifted`, beyond it by an exact :class:`GatePass`.  Returns the
+    exact gate at the updated parameters, under their own selection, and the
+    number of halvings.
     """
     n = X.shape[0]
     setup = _gating_setup(X, resp, gate.mask)
-    # the frozen selection as 0 on it and -inf off it: adding it to the
-    # logits masks them as np.where(mask, logits, -inf) does, at a sixth of
-    # the cost
-    offset = None if gate.mask is None else np.where(gate.mask, 0.0, -np.inf)
-    q = _surrogate(setup, gate)
+    x_max = np.abs(X).max(axis=0)
+    beta0, beta1, lse, w = gate.beta0, gate.beta1, gate.lse, gate.w
+    q = _surrogate(setup, beta0, beta1, lse)
     tol = 1e-12 * max(1.0, abs(q))
     backtracks = 0
     for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
-            grad = _gradient(X, setup, gate.w, block)
+            grad = _gradient(setup, w, block)
             step_lr = lr
             for _ in range(30):
-                if block == 0:  # the masked logits do not depend on beta0
-                    cand = GatePass.softmax(gate.beta0 + step_lr * grad / n, gate.beta1,
-                                            gate.mask, gate.logits)
+                delta = step_lr * grad / n
+                if block == 0:
+                    cand0, cand1, c = beta0 + delta, beta1, np.abs(delta).max()
                 else:
-                    beta1 = gate.beta1 + step_lr * grad / n
-                    logits = beta1 @ X.T
-                    if offset is not None:
-                        logits += offset
-                    cand = GatePass.softmax(gate.beta0, beta1, gate.mask, logits)
-                q_new = _surrogate(setup, cand)
-                if q_new >= q - tol:
-                    gate, q = cand, q_new
+                    cand0, cand1, c = beta0, beta1 + delta, (np.abs(delta) @ x_max).max()
+                if c <= SHIFT_BOUND:
+                    lse_new, w_new = _shifted(lse, w, delta if block == 0 else _project(delta, X))
+                else:
+                    exact = GatePass.under(X, cand0, cand1, gate.mask)
+                    lse_new, w_new = exact.lse, exact.w
+                q_new = _surrogate(setup, cand0, cand1, lse_new)
+                if np.isfinite(q_new) and q_new >= q - tol:
+                    beta0, beta1, lse, w, q = cand0, cand1, lse_new, w_new, q_new
                     break
                 step_lr *= 0.5
                 backtracks += 1
-    if not (np.isfinite(gate.beta0).all() and np.isfinite(gate.beta1).all()):
-        raise InvalidArgumentError(f"gating step left beta0={gate.beta0}, beta1={gate.beta1}")
-    if gate.mask is not None:
-        mask = _selection_mask(gate.beta1 @ X.T, K)
-        if not np.array_equal(mask, gate.mask):
-            gate = GatePass.under(X, gate.beta0, gate.beta1, mask)
-    return gate, backtracks
+    if not (np.isfinite(beta0).all() and np.isfinite(beta1).all()):
+        raise InvalidArgumentError(f"gating step left beta0={beta0}, beta1={beta1}")
+    return GatePass.at(X, beta0, beta1, K), backtracks
 
 
 def fit(data: Dataset, cfg: FitConfig) -> FitResult:
@@ -401,9 +436,8 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     gating step leaves the expert part untouched, so each half is reused.
     Each half is a proposal beside the state: a kept one replaces its part
     of the state, and a rejected one is dropped, leaving the state as it
-    was, so a revert recomputes nothing.  The last accepted gating pass is
-    the next gate, so no gate is computed from scratch except on a selection
-    flip.
+    was, so a revert recomputes nothing.  The exact pass that ends the
+    gating M-step is the next gate.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
@@ -411,7 +445,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     G = init_measure(cfg.init, cfg.seed)
     K = cfg.K
     X, y = data.x, data.y
-    Z = np.column_stack([X, np.ones(data.n)])
+    Z = np.asfortranarray(np.column_stack([X, np.ones(data.n)]))  # column-major, as data.x
     products = _row_products(Z, y)
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)

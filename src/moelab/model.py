@@ -36,6 +36,15 @@ Conventions used throughout the library:
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
   k = 3 components takes about 50 times longer on (n, k) than on (k, n).
+* Inputs are (n, d) rows, and a :class:`Dataset` stores them column-major
+  (Fortran order): the (k, n) @ (n, d) products of EM's gating step and the
+  (k, d) @ (d, n) projections then run on BLAS's fast layout for d >= 2.  At
+  n = 1e4, d = 2 and k = 3 on a 2-core AVX-512 x86 host, ``resp @ X`` took
+  9-10 us column-major against 16-24 us row-major, with equal bits.  Every
+  projection ``W @ X.T`` of rows W (k, d) onto the inputs goes through
+  :func:`_project`, which at d = 1 multiplies by broadcasting instead: a
+  matmul with an inner dimension of 1 took 60-100 us there against 10 us,
+  and each entry is one product either way, so the bits are equal.
 * An input box is a (d, 2) array of finite lo <= hi pairs, one per input
   dimension.  Every reader of a box checks it with :func:`_checked_box`.
 """
@@ -149,7 +158,7 @@ class Dataset:
         bounds = _checked_box(bounds, x.shape[1])
         if np.any(x < bounds[:, 0] - 1e-12) or np.any(x > bounds[:, 1] + 1e-12):
             raise AssumptionError(["U.1 (inputs outside the bounded box)"])
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", np.asfortranarray(x))  # column-major: see the module docstring
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "bounds", bounds)
 
@@ -199,6 +208,13 @@ def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
         ahead[:j] += logits[j] > logits[:j]
         ahead[j + 1 :] += logits[j] >= logits[j + 1 :]
     return ahead < K
+
+
+def _project(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W @ X.T, shape (k, n), for rows W (k, d) and inputs X (n, d), bit for
+    bit; at d = 1 by a broadcast multiply, which is several times faster
+    than a matmul with an inner dimension of 1."""
+    return W * X.T if X.shape[1] == 1 else W @ X.T
 
 
 # exp(x) is a normal float, computed on NumPy's vector path, for x >= this
@@ -257,7 +273,7 @@ class GatePass(NamedTuple):
     @classmethod
     def at(cls, X, beta0, beta1, K: int) -> GatePass:
         """The gate at (beta0, beta1) under the top-K selection of beta1."""
-        logits = beta1 @ X.T
+        logits = _project(beta1, X)
         if K == len(beta0):
             return cls.softmax(beta0, beta1, None, logits)
         mask = _selection_mask(logits, K)
@@ -266,7 +282,7 @@ class GatePass(NamedTuple):
     @classmethod
     def under(cls, X, beta0, beta1, mask) -> GatePass:
         """The gate at (beta0, beta1) under a given selection (None: all)."""
-        logits = beta1 @ X.T
+        logits = _project(beta1, X)
         return cls.softmax(beta0, beta1, mask, logits if mask is None else np.where(mask, logits, -np.inf))
 
     @classmethod
@@ -313,7 +329,7 @@ def _expert_log_densities(X, y, a, b, sigma, out=None) -> np.ndarray:
     Computed in one array, ``out`` when given: the standardized residual z
     is overwritten step by step by the log density.
     """
-    mu, sigma = a @ X.T + b[:, None], sigma[:, None]
+    mu, sigma = _project(a, X) + b[:, None], sigma[:, None]
     if y.ndim == 2:
         mu, sigma = mu[:, :, None], sigma[:, :, None]
     z = np.subtract(y, mu, out=out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _as_rows, _check_sparsity, _selection_mask
+from .model import MixingMeasure, _as_rows, _check_sparsity, _project, _selection_mask
 
 # Draws behind the positive-mass flag of the sweeps and of ``moelab loss``.
 MASS_N_MC = 20000
@@ -24,7 +24,7 @@ def _selections(sampler, n_mc: int, seed, *gates):
     for G, K in gates:
         _check_sparsity(K, G.k)
     X = _as_rows(sampler(np.random.default_rng(seed), n_mc), gates[0][0].d)
-    return [_selection_mask(G.beta1 @ X.T, K) for G, K in gates]
+    return [_selection_mask(_project(G.beta1, X), K) for G, K in gates]
 
 
 def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):

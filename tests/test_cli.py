@@ -6,6 +6,8 @@ import pytest
 import moelab as ml
 from moelab import cli
 
+from conftest import BOX_2D, TRUTH_2D
+
 BENCH_TEXT = """family=gaussian d=1 k=2
 -8 25 -20 15 0.29999999999999999
 0 0 20 -5 0.40000000000000002
@@ -45,6 +47,22 @@ class TestGen:
         loaded = np.loadtxt(out, delimiter="\t")
         np.testing.assert_array_equal(loaded[:, 0], direct.x[:, 0])
         np.testing.assert_array_equal(loaded[:, 1], direct.y)
+
+    def test_two_dimensional_round_trip(self, tmp_path, capsys):
+        # a read dataset holds the library's draw, column-major as every
+        # Dataset does, and writes back the same bytes
+        truth = tmp_path / "truth2d.txt"
+        truth.write_text(ml.measure_to_text(ml.true_measure(**TRUTH_2D)))
+        out, again = tmp_path / "data.tsv", tmp_path / "again.tsv"
+        code, _, _ = run(["gen", "--truth", truth, "--K", 2, "--n", 50, "--seed", 3,
+                          "--bounds=-1,1;-1,1", "--out", out], capsys)
+        assert code == 0
+        data = cli._read_dataset(out)
+        direct = ml.sample_dataset(ml.true_measure(**TRUTH_2D), 2, 50, seed=3, bounds=BOX_2D)
+        assert data.x.flags.f_contiguous
+        assert np.array_equal(data.x, direct.x) and np.array_equal(data.y, direct.y)
+        cli._write_dataset(data, again)
+        assert again.read_bytes() == out.read_bytes()
 
     def test_invalid_truth_names_assumption(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import moelab as ml
@@ -405,6 +408,28 @@ class TestMStepGating:
         np.testing.assert_allclose(out.beta0, beta0, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.beta1, beta1, rtol=1e-12, atol=1e-12)
 
+    def test_non_finite_surrogate_is_a_failed_proposal(self, monkeypatch):
+        # a -inf logsumexp, as an underflowed shift-identity sum would give,
+        # scores as a +inf gain; the proposal is halved instead
+        truth = ml.true_measure(**TRUTH_2D)
+        data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=BOX_2D)
+        G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=12)
+        resp = em.e_step(data, G, 2)
+        start = ml.model.GatePass.at(data.x, G.beta0, G.beta1, 2)
+        plain, halvings = em.m_step_gating(data.x, resp, start, 2, lr=0.1, steps=1)
+        shifted, calls = em._shifted, []
+
+        def first_underflows(lse, w, shift):
+            calls.append(shift)
+            lse, w = shifted(lse, w, shift)
+            return (np.full_like(lse, -np.inf) if len(calls) == 1 else lse), w
+
+        monkeypatch.setattr(em, "_shifted", first_underflows)
+        out, halvings_out = em.m_step_gating(data.x, resp, start, 2, lr=0.1, steps=1)
+        assert (halvings, halvings_out) == (0, 1)
+        np.testing.assert_array_equal(calls[1], calls[0] / 2)  # the beta0 step, halved
+        assert not np.array_equal(out.beta0, plain.beta0)
+
     @pytest.mark.parametrize("case", ["top2-flip", "top2-still", "dense"])
     def test_returns_gate_at_its_parameters(self, case, bench_truth):
         # the returned pass is the gate at the new parameters under their own
@@ -425,8 +450,9 @@ class TestMStepGating:
         else:
             assert np.array_equal(out.mask, fresh.mask)
             assert np.array_equal(out.mask, start.mask) == (case == "top2-still")
-        for got, want in zip(out[3:], fresh[3:]):  # logits, lse, w
-            assert np.array_equal(got, want)
+        under = ml.model.GatePass.under(data.x, out.beta0, out.beta1, out.mask)
+        for got, want, exact in zip(out[3:], fresh[3:], under[3:]):  # logits, lse, w
+            assert np.array_equal(got, want) and np.array_equal(got, exact)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
@@ -459,6 +485,45 @@ class TestMStepGating:
                     - em.gating_surrogate(X, resp, mask, G.beta0, b1m)
                 ) / (2 * h)
                 assert g1[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@st.composite
+def shift_cases(draw):
+    """A gate, dense or top-K, on up to 20 inputs in d <= 3, and a beta0
+    (block 0) or beta1 (block 1) step whose logit shift stays within
+    em.SHIFT_BOUND."""
+    k, d, n = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    K = draw(st.integers(1, k))
+    coords = st.floats(-5.0, 5.0)
+    beta0, delta0 = draw(arrays(float, k, elements=coords)), draw(arrays(float, k, elements=coords))
+    beta1, delta1 = (draw(arrays(float, (k, d), elements=coords)) for _ in range(2))
+    X = draw(arrays(float, (n, d), elements=st.floats(-2.0, 2.0)))
+    return X, beta0, beta1, K, draw(st.integers(0, 1)), delta0, delta1
+
+
+class TestShiftIdentity:
+    """The gating M-step scores a proposal from the current gate by the
+    softmax shift identity; within em.SHIFT_BOUND its logsumexp and weights
+    are the exact gate's at the moved parameters."""
+
+    @given(shift_cases())
+    def test_equals_exact_gate(self, case):
+        X, beta0, beta1, K, block, delta0, delta1 = case
+        mask = ml.model.GatePass.at(X, beta0, beta1, K).mask
+        gate = ml.model.GatePass.under(X, beta0, beta1, mask)
+        if block == 0:
+            shift, c, moved = delta0, np.abs(delta0).max(), (beta0 + delta0, beta1)
+        else:
+            c = (np.abs(delta1) @ np.abs(X).max(axis=0)).max()
+            shift, moved = delta1 @ X.T, (beta0, beta1 + delta1)
+        assert c <= em.SHIFT_BOUND
+        lse, w = em._shifted(gate.lse, gate.w, shift)
+        exact = ml.model.GatePass.under(X, *moved, mask)
+        # atol: lse may sit at 0, where rounding near c is no relative error
+        np.testing.assert_allclose(lse, exact.lse, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w, exact.w, rtol=1e-12, atol=0.0)
+        if mask is not None:
+            assert np.all(w[~mask] == 0.0)
 
 
 class TestGatePass:
@@ -511,6 +576,14 @@ def reference_case(case, bench_truth):
         truth = ml.true_measure(**TRUTH_2D)
         data = ml.sample_dataset(truth, 2, 400, seed=5, bounds=BOX_2D)
         return data, ml.FitConfig(K=2, init=em.InitSpec(truth, (0, 1, 2), 0.05), seed=205)
+    if case == "huge-step":
+        # sparse-2d's truth on a wide box with a huge gating step: its first
+        # proposals move the logits far beyond em.SHIFT_BOUND, where only an
+        # exact pass scores them
+        truth = ml.true_measure(**TRUTH_2D)
+        data = ml.sample_dataset(truth, 2, 2000, seed=1, bounds=[[-20.0, 20.0]] * 2)
+        return data, ml.FitConfig(K=2, init=em.InitSpec(truth, (0, 1, 2), 0.05), seed=3,
+                                  gating_lr=1e8, gating_steps_per_m=2)
     data = ml.sample_dataset(bench_truth, 2, 500, seed=1)
     if case == "sigma-floor":
         # a scale floor above the init's scales: the floored expert step
@@ -523,7 +596,7 @@ def reference_case(case, bench_truth):
 
 
 class TestFit:
-    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "long-step", "sigma-floor"])
+    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "long-step", "sigma-floor", "huge-step"])
     def test_matches_reference_em_loop(self, case, bench_truth):
         data, cfg = reference_case(case, bench_truth)
         G, trace, iterations, converged, counts = reference_fit(data, cfg)
@@ -538,7 +611,7 @@ class TestFit:
             assert counts["flips"] >= 1 and counts["reverted_gating"] >= 1
         elif case == "sigma-floor":
             assert counts["reverted_experts"] >= 1
-        elif case == "long-step":
+        elif case in ("long-step", "huge-step"):
             assert counts["backtracks"] >= 1
 
     def test_invalid_expert_step_fails_the_fit(self, bench_truth, monkeypatch):
@@ -615,14 +688,8 @@ class TestFit:
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
 
 
-def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
-    # every np.exp call gets arguments at or above the clamp of model._exp:
-    # np.exp computes underflowing lanes on a scalar path, 4-115 ns a lane
-    # against about 1 ns.  Checked on 50 EM iterations of overspec-k3's
-    # n = 1000 row, a dense 1-D expected Hellinger distance, and their top-2
-    # 2-D counterparts: the top2-2d reference fit, from its sampled data on,
-    # and a sparse-2d expected Hellinger distance, whose gates are -inf off
-    # the selection
+def spy_exp_arguments(monkeypatch):
+    """The least argument of every later np.exp call, in call order."""
     plain_exp, lowest = np.exp, []
 
     def guarded(x, *args, **kwargs):
@@ -631,6 +698,18 @@ def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
         return plain_exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", guarded)
+    return lowest
+
+
+def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
+    # every np.exp call gets arguments at or above the clamp of model._exp:
+    # np.exp computes underflowing lanes on a scalar path, 4-115 ns a lane
+    # against about 1 ns.  Checked on 50 EM iterations of overspec-k3's
+    # n = 1000 row, a dense 1-D expected Hellinger distance, and their top-2
+    # 2-D counterparts: the top2-2d reference fit, from its sampled data on,
+    # and a sparse-2d expected Hellinger distance, whose gates are -inf off
+    # the selection
+    lowest = spy_exp_arguments(monkeypatch)
     data, cfg = reference_case("dense-1d", bench_truth)
     assert ml.fit(data, dataclasses.replace(cfg, max_iters=50)).iterations == 50
     fit_calls = len(lowest)
@@ -645,4 +724,15 @@ def test_log_joints_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
     grid = ml.default_y_grid(G_fit, truth, BOX_2D)
     ml.expected_hellinger(G_fit, 2, truth, 2, ml.uniform_box_sampler(BOX_2D), 20, grid, seed=1)
     assert len(lowest) > dense_calls + 50
+    assert min(lowest) >= ml.model._EXP_FLOOR
+
+
+def test_huge_gating_steps_stay_off_the_slow_exp_path(bench_truth, monkeypatch):
+    # the huge-step reference fit proposes logit shifts far beyond
+    # em.SHIFT_BOUND; those are scored by exact passes, whose masked softmax
+    # clamps at model._EXP_FLOOR, so no np.exp argument falls below it, as
+    # the shift identity's exp(shift) would on shifts of thousands of nats
+    lowest = spy_exp_arguments(monkeypatch)
+    data, cfg = reference_case("huge-step", bench_truth)
+    assert ml.fit(data, cfg).backtracks >= 1
     assert min(lowest) >= ml.model._EXP_FLOOR

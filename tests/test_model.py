@@ -526,6 +526,27 @@ class TestDataset:
         with pytest.raises(ml.InvalidArgumentError, match="index 2"):
             ml.Dataset(x=x_bad, y=y_bad)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inputs_stored_column_major(self, d):
+        # EM's (k, n) @ (n, d) products and W @ X.T projections run on
+        # BLAS's fast layout when the inputs are column-major
+        x = np.random.default_rng(d).uniform(size=(50, d))
+        for data in (ml.Dataset(x=x, y=np.zeros(50)), ml.Dataset(x=x.tolist(), y=np.zeros(50))):
+            assert data.x.flags.f_contiguous and np.array_equal(data.x, x)
+        assert ml.sample_dataset(ml.true_measure(**TRUTH_2D), 2, 50, seed=0, bounds=BOX_2D).x.flags.f_contiguous
+
+
+class TestProject:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_matmul_in_either_layout(self, d):
+        # bit for bit, at d = 1 (a broadcast multiply) as at d >= 2
+        rng = np.random.default_rng(40 + d)
+        W = rng.normal(size=(3, d))
+        X = rng.uniform(-2.0, 2.0, size=(1001, d))
+        for layout in (X, np.asfortranarray(X)):
+            got = ml.model._project(W, layout)
+            assert np.array_equal(got, W @ layout.T) and np.array_equal(got, W @ X.T)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("seed", range(5))
