@@ -176,7 +176,7 @@ def cmd_sweep(args):
     if np.isfinite(result.slope):
         print(f"slope = {result.slope:.4f} +/- {result.slope_stderr:.4f}")
     if args.plot:
-        experiments.emit_svg_loglog(result, args.plot, allow_no_fit=True)
+        experiments.emit_svg_loglog(result.rows, args.plot, allow_no_fit=True)
         print(f"wrote plot to {args.plot}")
     if result.n_failures:
         print(f"{result.n_failures} fit(s) failed", file=sys.stderr)
@@ -185,9 +185,7 @@ def cmd_sweep(args):
 
 
 def cmd_plot(args):
-    rows = experiments.parse_csv(args.csv)
-    result = experiments.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
-    experiments.emit_svg_loglog(result, args.out, allow_no_fit=args.allow_no_fit)
+    experiments.emit_svg_loglog(experiments.parse_csv(args.csv), args.out, allow_no_fit=args.allow_no_fit)
     print(f"wrote plot to {args.out}")
     return 0
 

@@ -20,10 +20,10 @@ keeps its masked logits, logsumexp and weights.  A gating proposal moves
 the logits by a known shift, so it is scored from the current pass's
 logsumexp and weights by the softmax shift identity (:func:`_shifted`), with
 no masked softmax; only a step too large for the identity gets an exact
-pass.  Each gating M-step ends with one exact pass at its accepted
-parameters, under their own top-K selection: the next iteration's gate and
-the first pass of the next gating M-step, so nothing drifts across
-iterations.
+pass.  Each M-step only proposes parameters: :func:`fit` builds the exact
+gate at the gating step's parameters, under their own top-K selection, and
+scores each proposal with one helper (:func:`_scored`), so nothing drifts
+across iterations.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .model import (
 
 # Monotonicity slack per EM step, in mean log-likelihood units.
 ASCENT_SLACK = 1e-9
+SIGMA_FLOOR = 1e-3  # lower bound of every fitted expert scale
 
 
 @dataclass(frozen=True)
@@ -135,27 +136,23 @@ class FitConfig:
     max_iters: int = 2000
     gating_lr: float = 0.1
     gating_steps_per_m: int = 5
-    sigma_floor: float = 1e-3
 
     def __post_init__(self):
         _check_sparsity(self.K, self.init.k)
-        _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
-                            self.sigma_floor)
+        _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m)
 
 
-def _check_fit_settings(tol, max_iters, gating_lr, gating_steps_per_m, sigma_floor) -> None:
+def _check_fit_settings(tol, max_iters, gating_lr, gating_steps_per_m) -> None:
     """Reject EM settings that would stall or corrupt a fit instead of failing it.
 
     A NaN tol never stops EM, a NaN gating_lr freezes the gate, and a negative
-    tol or sigma_floor turns fits into NaN; max_iters = 0 is allowed and
-    returns the initialization untouched (pipeline checks).
+    tol turns fits into NaN; max_iters = 0 is allowed and returns the
+    initialization untouched (pipeline checks).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     if not (np.isfinite(gating_lr) and gating_lr > 0):
         raise InvalidArgumentError(f"gating_lr must be finite and > 0, got {gating_lr}")
-    if not sigma_floor > 0:
-        raise InvalidArgumentError(f"sigma_floor must be > 0, got {sigma_floor}")
     if max_iters < 0 or gating_steps_per_m < 1:
         raise InvalidArgumentError("max_iters >= 0 and gating_steps_per_m >= 1 required")
 
@@ -260,22 +257,21 @@ def _wls_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array([_ridge_solve(A_i, rhs_i) for A_i, rhs_i in zip(A, rhs)])
 
 
-def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *, _products=None):
+def m_step_experts(Z, y, products, resp, a, b, sigma):
     """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
-    a weighted least squares per component, then its weighted residual scale.
+    a weighted least squares per component, then its weighted residual scale,
+    floored at ``SIGMA_FLOOR``.
 
     The components are solved together: one product of ``resp`` (k, n) with
-    the design's row products gives every component's normal equations, one
-    batched solve their coefficients, and one pass their residual scales.
-    Components with zero responsibility mass are left unchanged.
-    ``_products`` is ``_row_products(Z, y)``, which :func:`fit` builds once
-    per fit; it is built here when None.
-    Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
+    ``products``, the design's row products ``_row_products(Z, y)`` that
+    :func:`fit` builds once per fit, gives every component's normal
+    equations, one batched solve their coefficients, and one pass their
+    residual scales.  Components with zero responsibility mass are left
+    unchanged.  Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
     :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
     p = Z.shape[1]
     k = resp.shape[0]
-    products = _row_products(Z, y) if _products is None else _products
     sums = products @ resp.T  # (p * p + p, k)
     mass = resp.sum(axis=1)
     live = mass > 0.0
@@ -285,7 +281,7 @@ def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *
     resid *= resid
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
     a[live], b[live] = beta[live, :-1], beta[live, -1]
-    sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, resid)[live] / mass[live]), sigma_floor)
+    sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, resid)[live] / mass[live]), SIGMA_FLOOR)
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
             and (sigma > 0.0).all()):
         raise InvalidArgumentError(f"expert step left a={a}, b={b}, sigma={sigma}")
@@ -296,12 +292,10 @@ def m_step_experts(Z, y, resp, a, b, sigma, sigma_floor=FitConfig.sigma_floor, *
 # Gating M-step
 # ---------------------------------------------------------------------------
 
-def _gating_setup(X, resp, mask):
-    """The surrogate's constants while the gate moves: of resp zeroed off the
-    selection, its sums per input rsum (n,) and per component (k,), resp @ X
-    (k, d), and the inputs weighted by rsum (n, d)."""
-    if mask is not None:
-        resp = resp * mask  # as np.where(mask, resp, 0.0) on finite resp, at a third of the cost
+def _gating_setup(X, resp):
+    """The surrogate's constants while the gate moves, from resp already 0 off
+    the selection: its sums per input rsum (n,) and per component (k,),
+    resp @ X (k, d), and the inputs weighted by rsum (n, d)."""
     rsum = resp.sum(axis=0)
     return rsum, resp.sum(axis=1), resp @ X, rsum[:, None] * X
 
@@ -326,10 +320,11 @@ def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     """Expected complete-data gating log-likelihood with the selection fixed:
     sum_j sum_{i selected at x_j} r_ij log softmax_i(beta1_i . x_j + beta0_i).
 
-    ``resp`` and ``mask`` are (k, n); the value is the one
-    :func:`m_step_gating` ascends.
+    ``resp`` and ``mask`` are (k, n); ``resp`` is zeroed off the selection
+    here, and the value is the one :func:`m_step_gating` ascends.
     """
-    return _surrogate(_gating_setup(X, resp, mask), beta0, beta1, GatePass.under(X, beta0, beta1, mask).lse)
+    resp = resp if mask is None else resp * mask
+    return _surrogate(_gating_setup(X, resp), beta0, beta1, GatePass.under(X, beta0, beta1, mask).lse)
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
@@ -337,7 +332,7 @@ def gating_gradients(X, resp, mask, beta0, beta1):
     the ones :func:`m_step_gating` ascends.  Both vanish identically when
     K = 1 (singleton softmax weights are 1).
     """
-    setup = _gating_setup(X, resp, mask)
+    setup = _gating_setup(X, resp if mask is None else resp * mask)
     w = GatePass.under(X, beta0, beta1, mask).w
     return _gradient(setup, w, 0), _gradient(setup, w, 1)
 
@@ -372,11 +367,12 @@ def _shifted(lse, w, shift):
     return lse + np.log(s), w
 
 
-def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
+def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     """Coordinate (block) gradient ascent on the gating surrogate.
 
     ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
-    selection stays frozen while the blocks move.  Each block proposal is
+    selection stays frozen while the blocks move, and ``resp`` must be 0 off
+    it, as the E-step's responsibilities are.  Each block proposal is
     backtracked (halving the step) until the surrogate does not decrease; the
     worst case accepts a zero step, and a proposal whose surrogate is not
     finite counts as a decrease.  A proposal moves the logits by delta_i
@@ -384,11 +380,10 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
     max_i |delta_i| . max|x| (per axis) in absolute value; at c within
     ``SHIFT_BOUND`` it is scored from the current lse and weights by
     :func:`_shifted`, beyond it by an exact :class:`GatePass`.  Returns the
-    exact gate at the updated parameters, under their own selection, and the
-    number of halvings.
+    updated beta0, beta1 and the number of halvings.
     """
     n = X.shape[0]
-    setup = _gating_setup(X, resp, gate.mask)
+    setup = _gating_setup(X, resp)
     x_max = np.abs(X).max(axis=0)
     beta0, beta1, lse, w = gate.beta0, gate.beta1, gate.lse, gate.w
     q = _surrogate(setup, beta0, beta1, lse)
@@ -417,27 +412,36 @@ def m_step_gating(X, resp, gate: GatePass, K: int, lr: float, steps: int):
                 backtracks += 1
     if not (np.isfinite(beta0).all() and np.isfinite(beta1).all()):
         raise InvalidArgumentError(f"gating step left beta0={beta0}, beta1={beta1}")
-    return GatePass.at(X, beta0, beta1, K), backtracks
+    return beta0, beta1, backtracks
 
 
+def _scored(logw, logf):
+    """The log joint of log gate weights and expert log densities, both (k, n),
+    its logsumexp over the components, and the mean log-likelihood."""
+    joint = logw + logf
+    norm = _masked_logsumexp(joint)
+    return joint, norm, float(norm.mean())
+
+
+# An input whose density overflows to 0 at every component has a NaN logsumexp,
+# which the E-step raises as DegenerateDataError; NumPy's warnings add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     """Alternate E-step, expert M-step and gating M-step until the mean
     log-likelihood moves by less than tol or max_iters is hit.
 
     Deterministic given (data, cfg).  The trace is nondecreasing within
-    1e-9 per step: the expert or gating update is reverted whenever it would
+    1e-9 per step: each M-step proposes parameters, and a proposal that would
     lower the data log-likelihood (a degenerate WLS fallback, a selection
-    flip).
+    flip) is reverted.
 
     The state between iterations is the stacked expert arrays, the
-    :class:`GatePass` at the gating parameters, and the log gate weights,
-    expert log densities, log joint and its logsumexp over the components.
-    The expert step leaves the gate part of the joint untouched and the
-    gating step leaves the expert part untouched, so each half is reused.
-    Each half is a proposal beside the state: a kept one replaces its part
-    of the state, and a rejected one is dropped, leaving the state as it
-    was, so a revert recomputes nothing.  The exact pass that ends the
-    gating M-step is the next gate.
+    :class:`GatePass` at the gating parameters, the log gate weights and
+    expert log densities, and their :func:`_scored` joint, logsumexp and
+    log-likelihood.  Each half proposes its part of the state beside it (the
+    gating half with the exact gate at its parameters, under their own top-K
+    selection) and reuses the other part; a kept proposal replaces its part,
+    and a rejected one is dropped, so a revert recomputes nothing.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
@@ -451,31 +455,26 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logw = gate.log_weights()
     logf = _expert_log_densities(X, y, a, b, sigma)
-    joint = logw + logf
-    norm = _masked_logsumexp(joint)
-    trace = [float(norm.mean())]
+    joint, norm, ll = _scored(logw, logf)
+    trace = [ll]
     converged = False
     iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
         resp = _resp_from_joint(joint, norm)
-        ll = trace[-1]
-        a_e, b_e, sigma_e = m_step_experts(Z, y, resp, a, b, sigma, cfg.sigma_floor, _products=products)
-        logf_e = _expert_log_densities(X, y, a_e, b_e, sigma_e)
-        joint_e = logw + logf_e
-        norm_e = _masked_logsumexp(joint_e)
-        ll_e = float(norm_e.mean())
+        experts = m_step_experts(Z, y, products, resp, a, b, sigma)
+        logf_e = _expert_log_densities(X, y, *experts)
+        joint_e, norm_e, ll_e = _scored(logw, logf_e)
         if ll_e < ll - ASCENT_SLACK:
             # a degenerate WLS fallback, or a scale floor above the current
             # scale, produced a worse point; keep the old experts
             reverted_experts += 1
         else:
-            a, b, sigma, logf, joint, norm, ll = a_e, b_e, sigma_e, logf_e, joint_e, norm_e, ll_e
-        gate_g, halvings = m_step_gating(X, resp, gate, K, cfg.gating_lr, cfg.gating_steps_per_m)
+            (a, b, sigma), logf, joint, norm, ll = experts, logf_e, joint_e, norm_e, ll_e
+        beta0, beta1, halvings = m_step_gating(X, resp, gate, cfg.gating_lr, cfg.gating_steps_per_m)
         backtracks += halvings
+        gate_g = GatePass.at(X, beta0, beta1, K)
         logw_g = gate_g.log_weights()
-        joint_g = logw_g + logf
-        norm_g = _masked_logsumexp(joint_g)
-        ll_g = float(norm_g.mean())
+        joint_g, norm_g, ll_g = _scored(logw_g, logf)
         if ll_g < ll - ASCENT_SLACK:
             # selection flip hurt the data likelihood; accept a zero gating step
             reverted_gating += 1

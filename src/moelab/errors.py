@@ -25,11 +25,9 @@ class AssumptionError(MoeError, ValueError):
 class DegenerateDataError(MoeError, RuntimeError):
     """A sample produced a numerically impossible mixture likelihood."""
 
-    def __init__(self, sample_index, message=None):
+    def __init__(self, sample_index):
         self.sample_index = int(sample_index)
-        super().__init__(
-            message or f"degenerate likelihood at sample index {self.sample_index}"
-        )
+        super().__init__(f"degenerate likelihood at sample index {self.sample_index}")
 
 
 class InsufficientDataError(MoeError, ValueError):

@@ -25,6 +25,7 @@ from .metrics import METRICS, LossSpec
 from .model import (
     MixingMeasure,
     _check_sparsity,
+    _check_truth,
     _checked_box,
     _settings,
     measure_from_text,
@@ -65,9 +66,8 @@ class SweepConfig:
         if self.fit_k < self.truth.k:
             raise InvalidArgumentError(f"need fit_k >= k*, got fit_k={self.fit_k}, k*={self.truth.k}")
         _check_sparsity(self.fit_K, self.fit_k, "fit_K")
-        # every row fits at FitConfig's sigma_floor
-        em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m,
-                               em.FitConfig.sigma_floor)
+        em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m)
+        _check_truth(self.truth)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "bounds", _checked_box(self.bounds, self.truth.d))
 
@@ -90,7 +90,6 @@ class SweepResult:
     rows: tuple
     slope: float
     slope_stderr: float
-    intercept: float
     n_failures: int = 0
 
 
@@ -153,13 +152,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     rows.sort(key=lambda r: (r.n, r.replicate))
     n_failures = sum(1 for r in rows if not math.isfinite(r.loss))
     try:
-        slope, stderr, intercept = fit_slope(rows)
+        slope, stderr, _ = fit_slope(rows)
     except InsufficientDataError:
-        slope, stderr, intercept = math.nan, math.nan, math.nan
-    return SweepResult(
-        rows=tuple(rows), slope=slope, slope_stderr=stderr,
-        intercept=intercept, n_failures=n_failures,
-    )
+        slope, stderr = math.nan, math.nan
+    return SweepResult(rows=tuple(rows), slope=slope, slope_stderr=stderr, n_failures=n_failures)
 
 
 def rescore_rows(cfg: SweepConfig, rows, loss: LossSpec):
@@ -288,21 +284,22 @@ def parse_csv(path):
 # SVG log-log plot
 # ---------------------------------------------------------------------------
 
-def emit_svg_loglog(result: SweepResult, path, allow_no_fit: bool = False) -> None:
-    """Self-contained SVG: per-n mean markers with +/-2 std error bars on
-    log-log axes and a dashed fitted regression line annotated with the slope.
+def emit_svg_loglog(rows, path, allow_no_fit: bool = False) -> None:
+    """Self-contained SVG of sweep rows: per-n mean markers with +/-2 std
+    error bars on log-log axes and a dashed fitted regression line annotated
+    with the slope.
 
     With a single sample size the regression is impossible; that is an error
     unless allow_no_fit is set, in which case the plot is emitted without the
     line.
     """
-    ns, means, stds = mean_loss_by_n(result.rows)
+    ns, means, stds = mean_loss_by_n(rows)
     keep = np.isfinite(means) & (means > 0)
     ns, means, stds = ns[keep], means[keep], stds[keep]
     if ns.size == 0:
         raise InsufficientDataError("no positive mean losses to plot")
     try:
-        slope, _, intercept = fit_slope(result.rows)
+        slope, _, intercept = fit_slope(rows)
         have_fit = True
     except InsufficientDataError:
         if not allow_no_fit:

@@ -127,13 +127,17 @@ class MixingMeasure:
         return out
 
 
-def true_measure(beta0, beta1, a, b, sigma) -> MixingMeasure:
-    """Construct a ground-truth measure, enforcing the U.2-U.4 checks."""
-    G = MixingMeasure.from_arrays(beta0, beta1, a, b, sigma)
+def _check_truth(G: MixingMeasure) -> MixingMeasure:
+    """G if it passes a truth's U.2-U.4 checks, else AssumptionError naming the violations."""
     violations = G.truth_violations()
     if violations:
         raise AssumptionError(violations)
     return G
+
+
+def true_measure(beta0, beta1, a, b, sigma) -> MixingMeasure:
+    """Construct a ground-truth measure, enforcing the U.2-U.4 checks."""
+    return _check_truth(MixingMeasure.from_arrays(beta0, beta1, a, b, sigma))
 
 
 @dataclass(frozen=True)
@@ -423,9 +427,7 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    violations = G.truth_violations()
-    if violations:
-        raise AssumptionError(violations)
+    _check_truth(G)
     bounds = _checked_box(bounds, G.d)
     rng = np.random.default_rng(seed)
     X = uniform_box_sampler(bounds)(rng, n)

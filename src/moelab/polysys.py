@@ -246,23 +246,21 @@ def _jacobian(vec: np.ndarray, inst: PolySystemInstance, z3_floor: float) -> np.
     return jac
 
 
-def search_nontrivial(
-    inst: PolySystemInstance,
-    restarts: int,
-    seed,
-    *,
-    tol: float = 1e-10,
-    z3_floor: float = 0.3,
-):
+SEARCH_TOL = 1e-10  # the largest max |residual| the search accepts
+Z3_FLOOR = 0.3  # the search's penalty keeps ||z3|| above this
+
+
+def search_nontrivial(inst: PolySystemInstance, restarts: int, seed):
     """Randomized multistart search for a verified non-trivial solution.
 
     z5 is parameterized as exp(t) so it can never vanish (only z5^2 enters the
-    equations, so the sign is irrelevant); a penalty keeps ||z3|| above a floor
-    so the minimizer cannot retreat to the trivial z3 = 0 family.  Each restart
-    runs a bounded trust-region least-squares solve with the exact Jacobian
-    from the coefficient table.  Returns the first candidate whose exact max
-    |residual| is <= tol, or None.  Absence of a returned candidate is NOT a
-    proof that the system is unsolvable.
+    equations, so the sign is irrelevant); a penalty keeps ||z3|| above
+    ``Z3_FLOOR`` so the minimizer cannot retreat to the trivial z3 = 0 family.
+    Each restart runs a bounded trust-region least-squares solve with the
+    exact Jacobian from the coefficient table.  Returns the first candidate
+    whose exact max |residual| is <= ``SEARCH_TOL`` and whose z3 clears half
+    the floor, or None.  Absence of a returned candidate is NOT a proof that
+    the system is unsolvable.
     """
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
@@ -284,11 +282,11 @@ def search_nontrivial(
             ]
         )
         sol = least_squares(
-            _objective, x0, jac=_jacobian, bounds=(lo, hi), args=(inst, z3_floor),
+            _objective, x0, jac=_jacobian, bounds=(lo, hi), args=(inst, Z3_FLOOR),
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
         cand = _unpack(inst, sol.x)
-        if max_abs_residual(inst, cand) <= tol and cand.is_nontrivial(tol=z3_floor * 0.5):
+        if max_abs_residual(inst, cand) <= SEARCH_TOL and cand.is_nontrivial(tol=Z3_FLOOR * 0.5):
             return cand
     # every restart failed verification; report nothing rather than a bad candidate
     return None

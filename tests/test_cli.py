@@ -197,6 +197,16 @@ class TestSweepAndPlot:
         assert code == 0
         assert out_svg2.read_text().startswith("<svg")
 
+    def test_failed_fit_exits_2(self, tmp_path, monkeypatch, capsys):
+        # every fit fails (a NaN expert step): the rows are still written,
+        # as NaN rows, and the exit code says they failed
+        monkeypatch.setattr(ml.em, "_wls_solve", lambda A, rhs: np.full(rhs.shape, np.nan))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", out_csv, "--seed", 1], capsys)
+        assert (code, err) == (2, "2 fit(s) failed\n")
+        assert "wrote 2 rows" in out
+        assert all(np.isnan(r.loss) and r.iterations == 0 for r in ml.parse_csv(out_csv))
+
     def test_byte_identical_across_jobs(self, tmp_path, truth_file, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -384,6 +394,23 @@ class TestMalformedInput:
     ])
     def test_sweep_setting_rejected_before_any_fit(self, tmp_path, line, capsys):
         self.assert_sweep_rejected(tmp_path, line, capsys)
+
+    def test_sweep_truth_violating_assumptions(self, tmp_path, capsys):
+        # an unpinned last component, which fails every row if it is let through
+        cfg = sweep_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("0 0 20 -5 0.40000000000000002", "0.5 0 20 -5 0.4"))
+        self.assert_clean_error(["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1], capsys,
+                                "assumption check failed: U.2 (last component not pinned")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_fit_degenerate_likelihood(self, tmp_path, truth_file, capsys):
+        data = tmp_path / "d.tsv"
+        data.write_text("0.1\t1e308\n0.5\t1.0\n0.9\t2.0\n")
+        self.assert_clean_error(
+            ["fit", "--data", data, "--truth", truth_file, "--k", 2, "--K", 2, "--seed", 0,
+             "--out-measure", tmp_path / "m.txt"],
+            capsys, "degenerate likelihood at sample index 0")
+        assert not (tmp_path / "m.txt").exists()
 
     def test_sweep_zero_jobs(self, tmp_path, capsys):
         cfg = sweep_config(tmp_path)

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,15 +26,16 @@ def design(x):
     return np.column_stack([x, np.ones(len(x))])
 
 
-def experts_step(data, resp, G, **kw):
+def experts_step(data, resp, G):
     """em.m_step_experts on G's stacked expert arrays: (a, b, sigma)."""
-    return em.m_step_experts(design(data.x), data.y, resp, G.a, G.b, G.sigma, **kw)
+    Z = design(data.x)
+    return em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, G.a, G.b, G.sigma)
 
 
 def gating_step(X, resp, G, K, lr, steps):
-    """em.m_step_gating from the gate at G's gating parameters."""
-    gate, _ = em.m_step_gating(X, resp, ml.model.GatePass.at(X, G.beta0, G.beta1, K), K, lr=lr, steps=steps)
-    return gate
+    """em.m_step_gating from the gate at G's gating parameters: (beta0, beta1)."""
+    beta0, beta1, _ = em.m_step_gating(X, resp, ml.model.GatePass.at(X, G.beta0, G.beta1, K), lr=lr, steps=steps)
+    return beta0, beta1
 
 
 def reference_block_ascent(X, resp, K, G, lr, steps):
@@ -87,9 +89,9 @@ def reference_wls(Z, w, y):
     return beta
 
 
-def reference_expert_step(data, resp, G, sigma_floor):
+def reference_expert_step(data, resp, G):
     """The expert M-step one component at a time on a measure's rows: a
-    Gaussian WLS and its weighted residual scale."""
+    Gaussian WLS and its weighted residual scale, floored at em.SIGMA_FLOOR."""
     Z, y, d = design(data.x), data.y, data.d
     a, b, sigma = G.a.copy(), G.b.copy(), G.sigma.copy()
     for i, w in enumerate(resp):
@@ -97,7 +99,7 @@ def reference_expert_step(data, resp, G, sigma_floor):
         if s <= 0.0:
             continue
         beta = reference_wls(Z, w, y)
-        sigma[i] = max(np.sqrt(float(w @ (y - Z @ beta) ** 2) / s), sigma_floor)
+        sigma[i] = max(np.sqrt(float(w @ (y - Z @ beta) ** 2) / s), em.SIGMA_FLOOR)
         a[i], b[i] = beta[:d], beta[d]
     return ml.MixingMeasure.from_arrays(G.beta0, G.beta1, a, b, sigma)
 
@@ -122,7 +124,7 @@ def reference_fit(data, cfg):
     converged, iterations = False, 0
     for iterations in range(1, cfg.max_iters + 1):
         resp = np.exp(joint - norm)
-        G_e = reference_expert_step(data, resp, G, cfg.sigma_floor)
+        G_e = reference_expert_step(data, resp, G)
         logf_e = densities(G_e, X, y)
         joint_e = logw + logf_e
         norm_e = lse(joint_e)
@@ -178,6 +180,11 @@ class TestInitMeasure:
     def test_empty_cell_rejected(self, bench_truth):
         with pytest.raises(ml.InvalidArgumentError):
             em.InitSpec(bench_truth, (0, 0, 0), noise_std=0.05)
+
+    @pytest.mark.parametrize("noise_std", [-0.1, float("nan")])
+    def test_bad_noise_rejected(self, bench_truth, noise_std):
+        with pytest.raises(ml.InvalidArgumentError, match="noise_std must be >= 0"):
+            em.InitSpec(bench_truth, (0, 1), noise_std=noise_std)
 
 
 def surjections(k, k_star):
@@ -327,8 +334,8 @@ class TestMStepExperts:
                 resp[1, 100:] = 0.0
         ridge_solve, ridged = em._ridge_solve, []
         monkeypatch.setattr(em, "_ridge_solve", lambda A, rhs: ridged.append(A) or ridge_solve(A, rhs))
-        got = experts_step(data, resp, G, sigma_floor=1e-3)
-        want = reference_expert_step(data, resp, G, sigma_floor=1e-3)
+        got = experts_step(data, resp, G)
+        want = reference_expert_step(data, resp, G)
         assert len(ridged) == (3 if case.endswith("singular") else 0)
         for field, value in zip(("a", "b", "sigma"), got):
             np.testing.assert_allclose(value, getattr(want, field), rtol=1e-12, atol=0.0)
@@ -364,9 +371,9 @@ class TestMStepGating:
     def test_k1_gradients_zero(self, bench_truth):
         data = small_data(bench_truth, K=1)
         resp = em.e_step(data, bench_truth, 1)
-        out = gating_step(data.x, resp, bench_truth, 1, lr=0.5, steps=3)
-        assert np.array_equal(out.beta0, bench_truth.beta0)
-        assert np.array_equal(out.beta1, bench_truth.beta1)
+        beta0, beta1 = gating_step(data.x, resp, bench_truth, 1, lr=0.5, steps=3)
+        assert np.array_equal(beta0, bench_truth.beta0)
+        assert np.array_equal(beta1, bench_truth.beta1)
 
     def test_stationary_when_resp_equals_gate(self):
         G = ml.MixingMeasure.from_arrays(
@@ -375,9 +382,9 @@ class TestMStepGating:
         x = np.linspace(0, 1, 80)[:, None]
         data = ml.Dataset(x=x, y=np.zeros(80))
         resp = np.exp(ml.model.gate_log_weights(G, x, 2))
-        out = gating_step(data.x, resp, G, 2, lr=0.5, steps=4)
-        np.testing.assert_allclose(out.beta0, G.beta0, atol=1e-9)
-        np.testing.assert_allclose(out.beta1, G.beta1, atol=1e-9)
+        beta0, beta1 = gating_step(data.x, resp, G, 2, lr=0.5, steps=4)
+        np.testing.assert_allclose(beta0, G.beta0, atol=1e-9)
+        np.testing.assert_allclose(beta1, G.beta1, atol=1e-9)
 
     def test_surrogate_never_decreases(self, bench_truth):
         rng = np.random.default_rng(1)
@@ -386,8 +393,7 @@ class TestMStepGating:
         resp = em.e_step(data, G, 2)
         mask = ml.model._selection_mask(G.beta1 @ data.x.T, 2)
         q0 = em.gating_surrogate(data.x, resp, mask, G.beta0, G.beta1)
-        out = gating_step(data.x, resp, G, 2, lr=2.0, steps=5)
-        q1 = em.gating_surrogate(data.x, resp, mask, out.beta0, out.beta1)
+        q1 = em.gating_surrogate(data.x, resp, mask, *gating_step(data.x, resp, G, 2, lr=2.0, steps=5))
         assert q1 >= q0 - 1e-9
 
     @pytest.mark.parametrize("case", ["dense-1d", "top2-2d"])
@@ -402,11 +408,11 @@ class TestMStepGating:
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
         G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
         resp = em.e_step(data, G, K)
-        out = gating_step(data.x, resp, G, K, lr=lr, steps=steps)
+        got0, got1 = gating_step(data.x, resp, G, K, lr=lr, steps=steps)
         beta0, beta1, _ = reference_block_ascent(data.x, resp, K, G, lr, steps)
-        assert not np.allclose(out.beta1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
-        np.testing.assert_allclose(out.beta0, beta0, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.beta1, beta1, rtol=1e-12, atol=1e-12)
+        assert not np.allclose(got1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
+        np.testing.assert_allclose(got0, beta0, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got1, beta1, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_surrogate_is_a_failed_proposal(self, monkeypatch):
         # a -inf logsumexp, as an underflowed shift-identity sum would give,
@@ -416,7 +422,7 @@ class TestMStepGating:
         G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=12)
         resp = em.e_step(data, G, 2)
         start = ml.model.GatePass.at(data.x, G.beta0, G.beta1, 2)
-        plain, halvings = em.m_step_gating(data.x, resp, start, 2, lr=0.1, steps=1)
+        plain0, _, halvings = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         shifted, calls = em._shifted, []
 
         def first_underflows(lse, w, shift):
@@ -425,34 +431,10 @@ class TestMStepGating:
             return (np.full_like(lse, -np.inf) if len(calls) == 1 else lse), w
 
         monkeypatch.setattr(em, "_shifted", first_underflows)
-        out, halvings_out = em.m_step_gating(data.x, resp, start, 2, lr=0.1, steps=1)
+        out0, _, halvings_out = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         assert (halvings, halvings_out) == (0, 1)
         np.testing.assert_array_equal(calls[1], calls[0] / 2)  # the beta0 step, halved
-        assert not np.array_equal(out.beta0, plain.beta0)
-
-    @pytest.mark.parametrize("case", ["top2-flip", "top2-still", "dense"])
-    def test_returns_gate_at_its_parameters(self, case, bench_truth):
-        # the returned pass is the gate at the new parameters under their own
-        # selection, bit for bit, whether or not the selection flipped
-        if case == "dense":
-            truth, plan, K, lr, steps, bounds = bench_truth, (0, 1, 1), 3, 2.0, 2, None
-        else:
-            truth, plan, K, steps, bounds = ml.true_measure(**TRUTH_2D), (0, 1, 2), 2, 5, BOX_2D
-            lr = 0.1 if case == "top2-flip" else 1e-4
-        data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
-        G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
-        start = ml.model.GatePass.at(data.x, G.beta0, G.beta1, K)
-        out, _ = em.m_step_gating(data.x, em.e_step(data, G, K), start, K, lr=lr, steps=steps)
-        fresh = ml.model.GatePass.at(data.x, out.beta0, out.beta1, K)
-        assert not np.array_equal(out.beta1, G.beta1)
-        if case == "dense":
-            assert out.mask is None
-        else:
-            assert np.array_equal(out.mask, fresh.mask)
-            assert np.array_equal(out.mask, start.mask) == (case == "top2-still")
-        under = ml.model.GatePass.under(data.x, out.beta0, out.beta1, out.mask)
-        for got, want, exact in zip(out[3:], fresh[3:], under[3:]):  # logits, lse, w
-            assert np.array_equal(got, want) and np.array_equal(got, exact)
+        assert not np.array_equal(out0, plain0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
@@ -548,12 +530,16 @@ BAD_SETTINGS = [
 
 
 class TestFitSettings:
-    @pytest.mark.parametrize(
-        "bad", BAD_SETTINGS + [dict(sigma_floor=-1.0), dict(sigma_floor=0.0), dict(sigma_floor=float("nan"))]
-    )
+    @pytest.mark.parametrize("bad", BAD_SETTINGS)
     def test_fit_config_rejects(self, bench_truth, bad):
         with pytest.raises(ml.InvalidArgumentError):
             ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05), **bad)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_data_of_another_dimension_rejected(self, bench_truth, d):
+        data = ml.Dataset(x=np.full((10, d), 0.5), y=np.zeros(10))
+        with pytest.raises(ml.InvalidArgumentError, match="data dimension does not match the init truth"):
+            ml.fit(data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05)))
 
     @pytest.mark.parametrize("bad", BAD_SETTINGS)
     def test_sweep_config_rejects(self, bench_truth, bad):
@@ -586,10 +572,9 @@ def reference_case(case, bench_truth):
                                   gating_lr=1e8, gating_steps_per_m=2)
     data = ml.sample_dataset(bench_truth, 2, 500, seed=1)
     if case == "sigma-floor":
-        # a scale floor above the init's scales: the floored expert step
-        # lowers the likelihood, and the ascent guard undoes it
-        return data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1, 1), 0.05), seed=3,
-                                  sigma_floor=1.0, max_iters=300)
+        # with em.SIGMA_FLOOR at 1.0, above the init's scales, the floored
+        # expert step lowers the likelihood, and the ascent guard undoes it
+        return data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1, 1), 0.05), seed=3, max_iters=300)
     # long-step: a gating step so long that the line search halves it
     return data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (1, 0, 0), 0.05), seed=3,
                               gating_lr=50.0, gating_steps_per_m=2, max_iters=300)
@@ -597,7 +582,9 @@ def reference_case(case, bench_truth):
 
 class TestFit:
     @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "long-step", "sigma-floor", "huge-step"])
-    def test_matches_reference_em_loop(self, case, bench_truth):
+    def test_matches_reference_em_loop(self, case, bench_truth, monkeypatch):
+        if case == "sigma-floor":
+            monkeypatch.setattr(em, "SIGMA_FLOOR", 1.0)
         data, cfg = reference_case(case, bench_truth)
         G, trace, iterations, converged, counts = reference_fit(data, cfg)
         res = ml.fit(data, cfg)
@@ -614,6 +601,37 @@ class TestFit:
         elif case in ("long-step", "huge-step"):
             assert counts["backtracks"] >= 1
 
+    @pytest.mark.parametrize("case", ["top2-flip", "top2-still", "dense"])
+    def test_gate_is_the_exact_pass_at_its_parameters(self, case, bench_truth, monkeypatch):
+        # each gating M-step starts from the gate before it, after a revert,
+        # or else from the exact pass at the last step's parameters under
+        # their own selection, bit for bit, whether or not the selection flipped
+        if case == "dense":
+            truth, plan, K, lr, bounds = bench_truth, (0, 1, 1), 3, 2.0, None
+        else:
+            truth, plan, K, bounds = ml.true_measure(**TRUTH_2D), (0, 1, 2), 2, BOX_2D
+            lr = 0.1 if case == "top2-flip" else 1e-4
+        data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
+        step, calls = em.m_step_gating, []
+
+        def spy(X, resp, gate, lr, steps):
+            calls.append((gate, step(X, resp, gate, lr, steps)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(em, "m_step_gating", spy)
+        ml.fit(data, ml.FitConfig(K=K, init=em.InitSpec(truth, plan, 0.3), seed=12, gating_lr=lr, max_iters=10))
+        kept = []
+        for (gate, (beta0, beta1, _)), (nxt, _) in zip(calls, calls[1:]):
+            if nxt is not gate:
+                exact = ml.model.GatePass.at(data.x, beta0, beta1, K)
+                assert all(np.array_equal(got, want) for got, want in zip(nxt, exact))
+                kept.append(not np.array_equal(nxt.mask, gate.mask))
+        assert len(calls) == 10 and kept
+        if case == "dense":
+            assert all(gate.mask is None for gate, _ in calls)
+        else:
+            assert any(kept) == (case == "top2-flip")
+
     def test_invalid_expert_step_fails_the_fit(self, bench_truth, monkeypatch):
         # a non-finite expert update is an error, never a silent NaN fit, and
         # a sweep turns it into a failed row
@@ -627,6 +645,18 @@ class TestFit:
         (row,) = sweep.rows
         assert np.isnan(row.loss) and np.isnan(row.loglik) and not row.converged
         assert sweep.n_failures == 1
+
+    def test_degenerate_likelihood_raises_without_warnings(self, bench_truth):
+        # y = 1e308 overflows every expert's standardized residual, so sample
+        # 0 has no likelihood under any component
+        data = ml.Dataset(x=[0.1, 0.5, 0.9], y=[1e308, 1.0, 2.0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ml.DegenerateDataError) as err:
+                ml.fit(data, ml.FitConfig(K=2, init=em.InitSpec(bench_truth, (0, 1), 0.05)))
+        assert [str(w.message) for w in seen] == []
+        assert err.value.sample_index == 0
+        assert str(err.value) == "degenerate likelihood at sample index 0"
 
     def test_single_expert_recovery(self):
         truth = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[2.0]], [-1.0], [0.5])

@@ -126,21 +126,21 @@ class TestRunSweep:
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
-        res = ex.SweepResult(rows=(), slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
+        res = ex.SweepResult(rows=(), slope=np.nan, slope_stderr=np.nan)
         path = tmp_path / "empty.csv"
         ex.emit_csv(res, path)
         assert path.read_text() == ex.CSV_HEADER + "\n"
 
     def test_round_trip_identity(self, tmp_path):
         rows = tuple(synthetic_rows(-0.5, sizes=(10, 100), reps=2))
-        res = ex.SweepResult(rows=rows, slope=-0.5, slope_stderr=0.0, intercept=0.0)
+        res = ex.SweepResult(rows=rows, slope=-0.5, slope_stderr=0.0)
         path = tmp_path / "x.csv"
         ex.emit_csv(res, path)
         assert ex.parse_csv(path) == rows
 
     def test_two_by_two_has_four_rows(self, tmp_path):
         rows = tuple(synthetic_rows(-1.0, sizes=(10, 100), reps=2))
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
+        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan)
         path = tmp_path / "y.csv"
         ex.emit_csv(res, path)
         assert len(path.read_text().splitlines()) == 5
@@ -156,7 +156,7 @@ class TestCsv:
             ex.SweepRow(n=10, replicate=0, seed=1, loss=1.0 / 3.0, loglik=-0.1,
                         iterations=3, converged=True),
         )
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
+        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan)
         path = tmp_path / "z.csv"
         ex.emit_csv(res, path)
         raw = path.read_bytes()
@@ -167,9 +167,8 @@ class TestCsv:
 class TestSvg:
     def test_power_law_line_hits_markers(self, tmp_path):
         rows = tuple(synthetic_rows(-0.5))
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
         path = tmp_path / "p.svg"
-        ex.emit_svg_loglog(res, path)
+        ex.emit_svg_loglog(rows, path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "slope = -0.500" in text
@@ -177,19 +176,17 @@ class TestSvg:
 
     def test_single_n_requires_flag(self, tmp_path):
         rows = tuple(synthetic_rows(-0.5, sizes=(100,)))
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
         with pytest.raises(ml.InsufficientDataError):
-            ex.emit_svg_loglog(res, tmp_path / "no.svg")
-        ex.emit_svg_loglog(res, tmp_path / "ok.svg", allow_no_fit=True)
+            ex.emit_svg_loglog(rows, tmp_path / "no.svg")
+        ex.emit_svg_loglog(rows, tmp_path / "ok.svg", allow_no_fit=True)
         text = (tmp_path / "ok.svg").read_text()
         assert "<circle" in text
         assert "slope" not in text
 
     def test_self_contained(self, tmp_path):
         rows = tuple(synthetic_rows(-1.0))
-        res = ex.SweepResult(rows=rows, slope=np.nan, slope_stderr=np.nan, intercept=np.nan)
         path = tmp_path / "s.svg"
-        ex.emit_svg_loglog(res, path)
+        ex.emit_svg_loglog(rows, path)
         text = path.read_text()
         assert "http://www.w3.org/2000/svg" in text
         assert "href" not in text  # no external assets
@@ -263,10 +260,22 @@ class TestSamplingSettings:
         dict(bounds=[[0.0, 1.0], [0.0, 1.0]]), dict(bounds=[0.0, 1.0, 2.0]),
         # each of these would otherwise fail every row, not the config
         dict(data_K=3), dict(data_K=0), dict(fit_K=3), dict(fit_k=1, fit_K=1), dict(parallelism=0),
+        dict(sample_sizes=(100, 100)), dict(sample_sizes=(100, 50)), dict(sample_sizes=()), dict(replicates=0),
     ])
     def test_sweep_config_rejects(self, tiny_cfg, setting):
         with pytest.raises(ml.InvalidArgumentError):
             replace(tiny_cfg, **setting)
+
+    @pytest.mark.parametrize("rows, violation", [
+        ("-8 25 -20 15 0.3\n0.5 0 20 -5 0.4", "U.2"),
+        ("-8 25 20 -5 0.4\n0 0 20 -5 0.4", "U.3"),
+        ("-8 0 -20 15 0.3\n0 0 20 -5 0.4", "U.4"),
+    ], ids=["unpinned", "equal-experts", "flat-gate"])
+    def test_truth_checked_before_any_fit(self, tiny_cfg, rows, violation):
+        head = ex.sweep_config_to_text(tiny_cfg).split("[truth]")[0]
+        with pytest.raises(ml.AssumptionError) as err:
+            ex.parse_sweep_config(head + "[truth]\nfamily=gaussian d=1 k=2\n" + rows + "\n")
+        assert [v[:3] for v in err.value.violations] == [violation]
 
 
 class TestConfigDocument:

@@ -238,6 +238,15 @@ class TestOuterMaxOverSubsets:
                 assert rep.argmax_subset == subset
                 assert rep.per_cell_terms == tuple(terms[j] for j in subset)
 
+    @pytest.mark.parametrize("subsets, message", [
+        ([(0,)], r"subset \(0,\) is not a K-subset"),
+        ([(0, 1), (0, 2)], r"subset \(0, 2\) is not a K-subset"),
+        ([], "no candidate subsets supplied"),
+    ], ids=["short", "out-of-range", "empty"])
+    def test_explicit_subsets_checked(self, bench_truth, subsets, message):
+        with pytest.raises(ml.InvalidArgumentError, match=message):
+            ml.loss_d1(bench_truth, bench_truth, 2, subsets=subsets)
+
     def test_large_true_order(self):
         # C(24, 12) = 2.7e6 subsets; the smaller index wins each tie
         # and there are twelve tied 0.25 terms for six places
@@ -446,6 +455,17 @@ class TestHellinger:
     def test_empty_grid_rejected(self, bench_truth):
         with pytest.raises(ml.InvalidArgumentError):
             ml.hellinger_pointwise(bench_truth, 1, bench_truth, 1, [0.5], [1.0])
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [0.0, 1.0, 1.0]], ids=["decreasing", "repeated"])
+    def test_grid_must_increase(self, bench_truth, grid):
+        with pytest.raises(ml.InvalidArgumentError, match="y_grid must be strictly increasing"):
+            ml.hellinger_pointwise(bench_truth, 1, bench_truth, 1, [0.5], grid)
+
+    @pytest.mark.parametrize("n_mc", [0, -3])
+    def test_expected_needs_a_draw(self, bench_truth, n_mc):
+        with pytest.raises(ml.InvalidArgumentError, match="n_mc must be >= 1"):
+            ml.expected_hellinger(bench_truth, 1, bench_truth, 1, ml.uniform_box_sampler([[0.0, 1.0]]), n_mc,
+                                  np.linspace(-1.0, 1.0, 5))
 
     @pytest.mark.parametrize("n_points", [1, 0, -5])
     def test_grid_needs_two_points(self, bench_truth, n_points):

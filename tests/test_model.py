@@ -236,6 +236,11 @@ class TestExpertDensity:
         with pytest.raises(ml.InvalidArgumentError):
             ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [0.0])
 
+    @pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], np.zeros((2, 2, 2))], ids=["three-for-two", "3-d"])
+    def test_responses_must_pair_with_inputs(self, bench_truth, y):
+        with pytest.raises(ml.InvalidArgumentError, match="does not pair with 2 inputs"):
+            ml.model.expert_log_density_matrix(bench_truth, [[0.1], [0.2]], y)
+
 
 class TestLogJoint:
     @pytest.mark.parametrize("d", [1, 2])
@@ -515,6 +520,15 @@ class TestBoxCheck:
 
 
 class TestDataset:
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(x=np.zeros(3), y=np.zeros(2)), ml.InvalidArgumentError, r"need \|x\| == \|y\| >= 1"),
+        (dict(x=np.zeros((0, 1)), y=[]), ml.InvalidArgumentError, r"need \|x\| == \|y\| >= 1"),
+        (dict(x=[0.5, 2.0], y=[0.0, 0.0], bounds=[[0.0, 1.0]]), ml.AssumptionError, "U.1"),
+    ], ids=["unpaired", "empty", "outside-bounds"])
+    def test_bad_data_rejected(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            ml.Dataset(**kwargs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_values_rejected_with_index(self, bad):
         x, y = np.linspace(0.0, 1.0, 5), np.zeros(5)
@@ -581,6 +595,15 @@ class TestSerialization:
         with pytest.raises(ml.InvalidArgumentError):
             ml.measure_from_text("family=gaussian d=1 k=2\n0 0 0 0 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("family=gaussian d=0 k=1\n0 1 1\n", "measure header needs d >= 1 and k >= 1, got d=0"),
+        ("family=gaussian d=1 k=1\n0 0 1 1\n", "component line has 4 fields, expected 5"),
+        ("family=gaussian d=1 k=1\n0 0 1 0 1 7\n", "component line has 6 fields, expected 5"),
+    ], ids=["d0", "short-line", "long-line"])
+    def test_bad_document_rejected(self, text, message):
+        with pytest.raises(ml.InvalidArgumentError, match=message):
+            ml.measure_from_text(text)
+
     @pytest.mark.parametrize("head, message", [
         ("family=gaussian d=1 k=1 dfo=3", "unknown measure header key 'dfo'"),
         ("family=student-t d=1 k=1 dof=3 dof=4", "unknown measure header key 'dof'"),
@@ -603,6 +626,15 @@ class TestMeasureValidation:
     def test_extra_entries_rejected(self):
         with pytest.raises(ml.InvalidArgumentError):
             ml.MixingMeasure.from_arrays([0, 0], [[1], [0]], [[1], [2]], [1, 2, 3], [1, 1, 5])
+
+    @pytest.mark.parametrize("arrays, message", [
+        (([], [], [], [], []), "a measure needs k >= 1 and d >= 1, got k=0"),
+        (([0, 0], [[1], [0]], [[1], [2]], [0, np.nan], [1, 1]), "b must be finite"),
+        (([0, 0], [[1], [np.inf]], [[1], [2]], [0, 0], [1, 1]), "beta1 must be finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_arrays_rejected(self, arrays, message):
+        with pytest.raises(ml.InvalidArgumentError, match=message):
+            ml.MixingMeasure.from_arrays(*arrays)
 
     @pytest.mark.parametrize("beta1", [[1.0, 2.0, 3.0], [[1.0], [2.0, 3.0]]])
     def test_slopes_that_do_not_fit_k_rejected(self, beta1):

@@ -178,6 +178,21 @@ class TestResidual:
         with pytest.raises(ml.InvalidArgumentError, match="dimensions"):
             ml.max_abs_residual(inst_r4, ml.constructive_witness_m2(d=2))
 
+    @pytest.mark.parametrize("m, d, r", [(1, 1, 3), (2, 0, 3), (2, 1, 0)])
+    def test_instance_sizes_checked(self, m, d, r):
+        with pytest.raises(ml.InvalidArgumentError, match="need m >= 2, d >= 1, r >= 1"):
+            ml.PolySystemInstance(m=m, d=d, r=r)
+
+    @pytest.mark.parametrize("z, message", [
+        (dict(z3=[1.0, 2.0, 3.0]), "z1..z5 must agree on the number of components"),
+        (dict(z5=[1.0]), "z1..z5 must agree on the number of components"),
+        (dict(z2=np.zeros((2, 2))), "z1 and z2 must share their shape"),
+    ], ids=["z3-long", "z5-short", "z2-wide"])
+    def test_candidate_shapes_checked(self, z, message):
+        parts = dict(z1=np.zeros((2, 1)), z2=np.zeros((2, 1)), z3=[1.0, -1.0], z4=[0.0, 0.0], z5=[1.0, 1.0])
+        with pytest.raises(ml.InvalidArgumentError, match=message):
+            PolyCandidate(**{**parts, **z})
+
     @settings(max_examples=300)
     @given(systems())
     def test_vector_matches_reference_loop_bit_for_bit(self, system):
@@ -237,6 +252,11 @@ class TestSearchNontrivial:
         assert cand is not None
         assert ml.max_abs_residual(inst, cand) <= 1e-10
         assert cand.is_nontrivial(tol=1e-3)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ml.InvalidArgumentError, match="restarts must be >= 1"):
+            ml.search_nontrivial(ml.PolySystemInstance(m=2, d=1, r=3), restarts=restarts, seed=0)
 
     def test_deterministic(self):
         inst = ml.PolySystemInstance(m=2, d=1, r=3)
