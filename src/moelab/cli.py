@@ -21,6 +21,7 @@ from .errors import InvalidArgumentError, MoeError
 from .experiments import _parse_bounds, _read_text, _write_text
 from .model import (
     Dataset,
+    _fmt,
     measure_from_text,
     measure_to_text,
     sample_dataset,
@@ -48,7 +49,7 @@ def _read_dataset(path):
 
 
 def _write_dataset(data: Dataset, path):
-    rows = ["\t".join(format(v, ".17g") for v in (*data.x[i], data.y[i])) for i in range(data.n)]
+    rows = ["\t".join(_fmt(v) for v in (*data.x[i], data.y[i])) for i in range(data.n)]
     _write_text(path, "\n".join(rows) + "\n", "dataset")
 
 
@@ -162,7 +163,7 @@ def _print_residual_table(inst, cand):
     print("eta1\teta2\tresidual")
     for eta1, eta2, value in polysys.residual_table(inst, cand):
         eta1_s = ",".join(str(e) for e in eta1)
-        print(f"{eta1_s}\t{eta2}\t{format(value, '.17g')}")
+        print(f"{eta1_s}\t{eta2}\t{_fmt(value)}")
 
 
 def cmd_sweep(args):

@@ -24,6 +24,11 @@ pass.  Each M-step only proposes parameters: :func:`fit` builds the exact
 gate at the gating step's parameters, under their own top-K selection, and
 scores each proposal with one helper (:func:`_scored`), so nothing drifts
 across iterations.
+
+The gate, the E-step and every log-likelihood share one softmax,
+:func:`~moelab.model._softmax`, so :func:`_scored` gives a proposal's
+responsibilities with its log-likelihood, and a kept one carries the next
+E-step.
 """
 
 from __future__ import annotations
@@ -39,10 +44,9 @@ from .model import (
     GatePass,
     MixingMeasure,
     _check_sparsity,
-    _exp,
     _expert_log_densities,
-    _masked_logsumexp,
     _project,
+    _softmax,
     log_joint,
 )
 
@@ -193,21 +197,21 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
     return MixingMeasure(*map(np.array, zip(*rows)))
 
 
-def _resp_from_joint(joint: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(norm)
-    if np.any(bad):
-        raise DegenerateDataError(int(np.nonzero(bad)[0][0]))
-    # _exp: exactly 0 off the selection (-inf) and for far experts, whose
-    # thousands of nats below the norm would put np.exp on its slow path
-    resp = joint - norm
-    return _exp(resp, out=resp)
+def _scored(joint):
+    """The responsibilities (k, n) of a log joint (k, n), its softmax over the
+    components, and the mean log-likelihood.  An input whose logsumexp is
+    not finite, one no expert gives any density, is a DegenerateDataError."""
+    lse, resp = _softmax(joint)
+    bad = ~np.isfinite(lse)
+    if bad.any():
+        raise DegenerateDataError(int(np.argmax(bad)))
+    return resp, float(lse.mean())
 
 
 def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:
-    """Responsibilities r[i, j], shape (k, n), columns summing to 1, exactly
-    zero outside the top-K selection at x_j."""
-    joint = log_joint(G, data.x, data.y, K)
-    return _resp_from_joint(joint, _masked_logsumexp(joint))
+    """Responsibilities r[i, j], shape (k, n): the softmax of the log joint,
+    columns summing to 1, exactly zero outside the top-K selection at x_j."""
+    return _scored(log_joint(G, data.x, data.y, K))[0]
 
 
 def _row_products(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -415,17 +419,6 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     return beta0, beta1, backtracks
 
 
-def _scored(logw, logf):
-    """The log joint of log gate weights and expert log densities, both (k, n),
-    its logsumexp over the components, and the mean log-likelihood."""
-    joint = logw + logf
-    norm = _masked_logsumexp(joint)
-    return joint, norm, float(norm.mean())
-
-
-# An input whose density overflows to 0 at every component has a NaN logsumexp,
-# which the E-step raises as DegenerateDataError; NumPy's warnings add nothing.
-@np.errstate(over="ignore", invalid="ignore")
 def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     """Alternate E-step, expert M-step and gating M-step until the mean
     log-likelihood moves by less than tol or max_iters is hit.
@@ -437,11 +430,13 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
 
     The state between iterations is the stacked expert arrays, the
     :class:`GatePass` at the gating parameters, the log gate weights and
-    expert log densities, and their :func:`_scored` joint, logsumexp and
+    expert log densities, and their :func:`_scored` responsibilities and
     log-likelihood.  Each half proposes its part of the state beside it (the
     gating half with the exact gate at its parameters, under their own top-K
     selection) and reuses the other part; a kept proposal replaces its part,
-    and a rejected one is dropped, so a revert recomputes nothing.
+    and a rejected one is dropped, so a revert recomputes nothing.  An input
+    no expert gives any density raises :class:`DegenerateDataError` naming
+    it, without a NumPy warning.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
@@ -455,31 +450,31 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logw = gate.log_weights()
     logf = _expert_log_densities(X, y, a, b, sigma)
-    joint, norm, ll = _scored(logw, logf)
+    resp, ll = _scored(logw + logf)
     trace = [ll]
     converged = False
     iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
-        resp = _resp_from_joint(joint, norm)
+        # both M-steps propose from the E-step's responsibilities, resp
         experts = m_step_experts(Z, y, products, resp, a, b, sigma)
+        beta0, beta1, halvings = m_step_gating(X, resp, gate, cfg.gating_lr, cfg.gating_steps_per_m)
         logf_e = _expert_log_densities(X, y, *experts)
-        joint_e, norm_e, ll_e = _scored(logw, logf_e)
+        resp_e, ll_e = _scored(logw + logf_e)
         if ll_e < ll - ASCENT_SLACK:
             # a degenerate WLS fallback, or a scale floor above the current
             # scale, produced a worse point; keep the old experts
             reverted_experts += 1
         else:
-            (a, b, sigma), logf, joint, norm, ll = experts, logf_e, joint_e, norm_e, ll_e
-        beta0, beta1, halvings = m_step_gating(X, resp, gate, cfg.gating_lr, cfg.gating_steps_per_m)
+            (a, b, sigma), logf, resp, ll = experts, logf_e, resp_e, ll_e
         backtracks += halvings
         gate_g = GatePass.at(X, beta0, beta1, K)
         logw_g = gate_g.log_weights()
-        joint_g, norm_g, ll_g = _scored(logw_g, logf)
+        resp_g, ll_g = _scored(logw_g + logf)
         if ll_g < ll - ASCENT_SLACK:
             # selection flip hurt the data likelihood; accept a zero gating step
             reverted_gating += 1
         else:
-            gate, logw, joint, norm, ll = gate_g, logw_g, joint_g, norm_g, ll_g
+            gate, logw, resp, ll = gate_g, logw_g, resp_g, ll_g
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True

@@ -27,6 +27,7 @@ from .model import (
     _check_sparsity,
     _check_truth,
     _checked_box,
+    _fmt,
     _settings,
     measure_from_text,
     measure_to_text,
@@ -101,6 +102,17 @@ def row_seed(base_seed, n: int, replicate: int, role: str = "row") -> int:
     return int.from_bytes(digest, "little")
 
 
+def _mass_subsets(cfg: SweepConfig, loss: LossSpec):
+    """The subsets of ``loss``'s outer max for the whole sweep, drawn with its "mass" seed."""
+    return metrics.loss_subsets(loss, cfg.truth, cfg.data_K, cfg.bounds, row_seed(cfg.base_seed, 0, 0, "mass"))
+
+
+def _row_loss(cfg: SweepConfig, loss: LossSpec, measure, n: int, rep: int, subsets) -> float:
+    """``loss`` of the (n, rep) row's fitted measure, with the row's "loss" seed."""
+    return metrics.score(loss, measure, cfg.fit_K, cfg.truth, cfg.data_K, cfg.bounds,
+                         row_seed(cfg.base_seed, n, rep, "loss"), subsets).value
+
+
 def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
     seed = row_seed(cfg.base_seed, n, rep)
     try:
@@ -120,10 +132,8 @@ def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
             gating_steps_per_m=cfg.gating_steps_per_m,
         )
         result = em.fit(data, fit_cfg)
-        loss = metrics.score(cfg.loss, result.measure, cfg.fit_K, cfg.truth, cfg.data_K, cfg.bounds,
-                             row_seed(cfg.base_seed, n, rep, "loss"), subsets)
         return SweepRow(
-            n=n, replicate=rep, seed=seed, loss=loss.value,
+            n=n, replicate=rep, seed=seed, loss=_row_loss(cfg, cfg.loss, result.measure, n, rep, subsets),
             loglik=float(result.loglik_trace[-1]),
             iterations=result.iterations, converged=result.converged,
             measure=result.measure,
@@ -141,8 +151,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     Individual fit failures are recorded as NaN-loss rows and never abort the
     sweep.  Deterministic given the config, at any parallelism level.
     """
-    subsets = metrics.loss_subsets(cfg.loss, cfg.truth, cfg.data_K, cfg.bounds,
-                                   row_seed(cfg.base_seed, 0, 0, "mass"))
+    subsets = _mass_subsets(cfg, cfg.loss)
     tasks = [(n, rep) for n in cfg.sample_sizes for rep in range(cfg.replicates)]
     if cfg.parallelism > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -165,17 +174,9 @@ def rescore_rows(cfg: SweepConfig, rows, loss: LossSpec):
     Loss seeds are derived exactly as run_sweep derives them, so rescoring a
     sweep under its own loss spec reproduces it.
     """
-    subsets = metrics.loss_subsets(loss, cfg.truth, cfg.data_K, cfg.bounds,
-                                   row_seed(cfg.base_seed, 0, 0, "mass"))
-    out = []
-    for r in rows:
-        if r.measure is None:
-            value = math.nan
-        else:
-            value = metrics.score(loss, r.measure, cfg.fit_K, cfg.truth, cfg.data_K, cfg.bounds,
-                                  row_seed(cfg.base_seed, r.n, r.replicate, "loss"), subsets).value
-        out.append(replace(r, loss=value))
-    return tuple(out)
+    subsets = _mass_subsets(cfg, loss)
+    return tuple(replace(r, loss=math.nan if r.measure is None else
+                         _row_loss(cfg, loss, r.measure, r.n, r.replicate, subsets)) for r in rows)
 
 
 def mean_loss_by_n(rows):
@@ -240,17 +241,13 @@ def _write_text(path, text: str, what: str) -> None:
 CSV_HEADER = "n,replicate,seed,loss,loglik,iterations,converged"
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def emit_csv(result: SweepResult, path) -> None:
     """One row per record under the fixed header; 17 significant digits,
     LF line endings."""
     lines = [CSV_HEADER]
     for r in result.rows:
         lines.append(
-            f"{r.n},{r.replicate},{r.seed},{_g17(r.loss)},{_g17(r.loglik)},"
+            f"{r.n},{r.replicate},{r.seed},{_fmt(r.loss)},{_fmt(r.loglik)},"
             f"{r.iterations},{'true' if r.converged else 'false'}"
         )
     _write_text(path, "\n".join(lines) + "\n", "CSV")
@@ -399,12 +396,12 @@ def _parse_bounds(text, d: int = None) -> np.ndarray:
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 # (text -> value, value -> text) of each kind of config value
-_INT, _FLOAT, _WORD = (int, str), (float, _g17), (str, str)
+_INT, _FLOAT, _WORD = (int, str), (float, _fmt), (str, str)
 _FLAG = (lambda text: _BOOL[text.lower()], lambda value: "true" if value else "false")
 _INTS = (lambda text: tuple(int(tok) for tok in text.replace(",", " ").split()),
          lambda values: ",".join(str(v) for v in values))
 _WORDS = (lambda text: tuple(text.replace(",", " ").split()), ",".join)
-_BOX = (_parse_bounds, lambda box: ";".join(f"{_g17(lo)},{_g17(hi)}" for lo, hi in box))
+_BOX = (_parse_bounds, lambda box: ";".join(f"{_fmt(lo)},{_fmt(hi)}" for lo, hi in box))
 
 # Every config key in written order: (key, the dataclass holding its field,
 # the field, its kind).  A None value is not written.

@@ -21,17 +21,21 @@ Conventions used throughout the library:
   densities overwrite their standardized residuals in place and the gate
   weights are added into them, so a caller that passes ``out=`` (as
   Hellinger does, block by block) allocates no (k, n, m) temporaries.
+* Every normalization over the components (the gate's softmax, EM's
+  responsibilities, every log-likelihood) is one kernel, :func:`_softmax`.
+  An input with no finite score, such as a response no expert gives any
+  density, gets logsumexp -inf, with no warning.
 * Log joints are exponentiated by :func:`_exp`, which clamps arguments at
-  ``_EXP_FLOOR`` and writes 0 below it: in EM's log-sum-exp and
-  responsibilities and in the Hellinger densities, a far expert's log joint
-  sits thousands of nats down, and NumPy's SIMD ``exp`` computes every lane
-  whose result underflows on a scalar path.  With NumPy 2.4 on an AVX-512
-  x86 host a lane took about 0.9 ns for a normal result, 4-18 ns below
-  -746, 4 ns at -inf and 115 ns in the subnormal band.  A top-K gate's
-  softmax and the sampler's gate weights, -inf off the selection, go
-  through :func:`_exp` too.  A dense gate's softmax keeps ``np.exp``: its
-  arguments underflow only for weights below 1e-304, and the clamp's extra
-  passes would cost it more than they save.
+  ``_EXP_FLOOR`` and writes 0 below it: in :func:`_softmax` and in the
+  Hellinger densities, a far expert's log joint sits thousands of nats
+  down, and NumPy's SIMD ``exp`` computes every lane whose result
+  underflows on a scalar path.  With NumPy 2.4 on an AVX-512 x86 host a
+  lane took about 0.9 ns for a normal result, 4-18 ns below -746, 4 ns at
+  -inf and 115 ns in the subnormal band.  A top-K gate's softmax and the
+  sampler's gate weights, -inf off the selection, go through :func:`_exp`
+  too.  A dense gate's softmax keeps ``np.exp``: its arguments underflow
+  only for weights below 1e-304, and the clamp's extra passes would cost it
+  more than they save.
 * Components sit on axis 0: an array over components and inputs is (k, n),
   or (k, n, m) with m responses per input, and sums over components reduce
   axis 0.  NumPy reduces a short last axis slowly: at n = 1e4 the max over
@@ -244,18 +248,19 @@ def _exp(x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _masked_logsumexp(scores: np.ndarray) -> np.ndarray:
-    """Logsumexp over axis 0, the components, of scores that may hold -inf.
-
-    Every input must keep at least one finite entry (the gate always selects
-    one expert), so the max is finite.  The shifted scores go through
-    :func:`_exp`: -inf lanes and far experts, thousands of nats below the
-    max, give 0 without the slow path, and the largest term is exactly 1, so
-    the sum cannot see what :func:`_exp` drops.
-    """
-    m = np.max(scores, axis=0)
-    e = scores - m
-    return m + np.log(np.sum(_exp(e, out=e), axis=0))
+def _softmax(e: np.ndarray, exp=_exp):
+    """(lse, w): the logsumexp over axis 0, the components, of scores e (k, n)
+    or (k, n, m) that may hold -inf, and their softmax weights, in place in e.
+    The default ``exp``, :func:`_exp`, gives 0 for -inf lanes and far experts
+    without np.exp's slow path; the largest term is exactly 1, so the sum
+    cannot see what it drops.  An input with no finite score has lse -inf."""
+    m = e.max(axis=0)
+    m[m == -np.inf] = 0.0  # no finite score: every term is exp(-inf) = 0
+    np.subtract(e, m, out=e)
+    exp(e, out=e)
+    Z = e.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m + np.log(Z), np.divide(e, Z, out=e)
 
 
 class GatePass(NamedTuple):
@@ -264,7 +269,8 @@ class GatePass(NamedTuple):
     ``mask`` is the (k, n) selection the pass was computed under, None when
     K == k selects every component; ``logits`` are beta1 . x (k, n), -inf off
     the selection; ``lse`` is the logsumexp over components of logits + beta0
-    (n,), and ``w`` the selected softmax weights (k, n).
+    (n,), and ``w`` the selected softmax weights (k, n), both from
+    :func:`_softmax`.
     """
 
     beta0: np.ndarray
@@ -278,36 +284,22 @@ class GatePass(NamedTuple):
     def at(cls, X, beta0, beta1, K: int) -> GatePass:
         """The gate at (beta0, beta1) under the top-K selection of beta1."""
         logits = _project(beta1, X)
-        if K == len(beta0):
-            return cls.softmax(beta0, beta1, None, logits)
-        mask = _selection_mask(logits, K)
-        return cls.softmax(beta0, beta1, mask, np.where(mask, logits, -np.inf))
+        return cls._of(beta0, beta1, None if K == len(beta0) else _selection_mask(logits, K), logits)
 
     @classmethod
     def under(cls, X, beta0, beta1, mask) -> GatePass:
         """The gate at (beta0, beta1) under a given selection (None: all)."""
-        logits = _project(beta1, X)
-        return cls.softmax(beta0, beta1, mask, logits if mask is None else np.where(mask, logits, -np.inf))
+        return cls._of(beta0, beta1, mask, _project(beta1, X))
 
     @classmethod
-    def softmax(cls, beta0, beta1, mask, logits) -> GatePass:
-        """The masked softmax of logits + beta0 over the components, from
-        logits already -inf off the selection.
-
-        A masked gate (``mask`` not None) exponentiates through :func:`_exp`,
-        since its -inf lanes put ``np.exp`` on its slow path; a dense gate
-        keeps plain ``np.exp``, whose arguments underflow only for weights
-        below 1e-304, so the clamp's extra passes would cost it more than
-        they save."""
-        e = logits + beta0[:, None]
-        m = e.max(axis=0)
-        np.subtract(e, m, out=e)
-        if mask is None:
-            np.exp(e, out=e)
-        else:
-            _exp(e, out=e)
-        Z = e.sum(axis=0)
-        return cls(beta0, beta1, mask, logits, m + np.log(Z), np.divide(e, Z, out=e))
+    def _of(cls, beta0, beta1, mask, logits) -> GatePass:
+        """The gate from the logits beta1 . x, set to -inf off ``mask`` here;
+        only a masked gate exponentiates through :func:`_exp` (see the
+        module docstring)."""
+        if mask is not None:
+            logits = np.where(mask, logits, -np.inf)
+        lse, w = _softmax(logits + beta0[:, None], np.exp if mask is None else _exp)
+        return cls(beta0, beta1, mask, logits, lse, w)
 
     def log_weights(self) -> np.ndarray:
         """Log gate weights (k, n), -inf off the selection."""
@@ -331,14 +323,16 @@ def _expert_log_densities(X, y, a, b, sigma, out=None) -> np.ndarray:
     (k, n, m) for y (n, m) or (1, m).
 
     Computed in one array, ``out`` when given: the standardized residual z
-    is overwritten step by step by the log density.
+    is overwritten step by step by the log density, -inf where z * z
+    overflows.
     """
     mu, sigma = _project(a, X) + b[:, None], sigma[:, None]
     if y.ndim == 2:
         mu, sigma = mu[:, :, None], sigma[:, :, None]
     z = np.subtract(y, mu, out=out)
-    z /= sigma
-    z *= z
+    with np.errstate(over="ignore"):
+        z /= sigma
+        z *= z
     z *= -0.5  # -0.5 * (z * z) == (-0.5 * z) * z: scaling by 2**-1 is exact
     z -= np.log(sigma)
     z -= 0.5 * _LOG_2PI
@@ -378,8 +372,8 @@ def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
 
 def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:
     """log g_G(y | x) = log sum_i gate_i(x) f(y | expert i), shape (n,) for
-    paired y or (n, m) for m responses per row."""
-    return _masked_logsumexp(log_joint(G, X, y, K))
+    paired y or (n, m) for m responses per row; -inf where it underflows."""
+    return _softmax(log_joint(G, X, y, K))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,4 +496,5 @@ def measure_from_text(text: str) -> MixingMeasure:
 
 
 def _fmt(v: float) -> str:
+    """The number format of every text artifact: 17 digits round-trip a float."""
     return format(float(v), ".17g")

@@ -54,7 +54,7 @@ class PolySystemInstance:
 
 @dataclass(frozen=True)
 class PolyCandidate:
-    """Candidate variables z1..z5; z1, z2 are (m, d), z3..z5 are (m,)."""
+    """Finite candidate variables z1..z5; z1, z2 are (m, d), z3..z5 are (m,)."""
 
     z1: np.ndarray
     z2: np.ndarray
@@ -73,6 +73,8 @@ class PolyCandidate:
             raise InvalidArgumentError("z1..z5 must agree on the number of components")
         if z1.shape != z2.shape:
             raise InvalidArgumentError("z1 and z2 must share their shape")
+        if not np.isfinite(np.concatenate((z1, z2, z3, z4, z5), axis=None)).all():
+            raise InvalidArgumentError("z1..z5 must be finite")
         for name, arr in (("z1", z1), ("z2", z2), ("z3", z3), ("z4", z4), ("z5", z5)):
             object.__setattr__(self, name, arr)
 

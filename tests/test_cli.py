@@ -403,6 +403,11 @@ class TestMalformedInput:
                                 "assumption check failed: U.2 (last component not pinned")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_unwritable_output(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "missing" / "x.tsv"
+        self.assert_clean_error(["gen", "--truth", truth_file, "--K", 1, "--n", 5, "--seed", 0, "--out", out],
+                                capsys, f"cannot write dataset to {out}")
+
     def test_fit_degenerate_likelihood(self, tmp_path, truth_file, capsys):
         data = tmp_path / "d.tsv"
         data.write_text("0.1\t1e308\n0.5\t1.0\n0.9\t2.0\n")
@@ -426,6 +431,11 @@ class TestMalformedInput:
     def test_polysys_witness_beyond_m2(self, capsys):
         self.assert_clean_error(["polysys", "--m", 3, "--r", 5, "--seed", 0], capsys,
                                 "the built-in constructive witness exists for m=2 only")
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e200"])
+    def test_polysys_non_finite_witness(self, c, capsys):
+        self.assert_clean_error(["polysys", "--m", 2, "--r", 3, "--seed", 0, "--witness-c", c], capsys,
+                                "z1..z5 must be finite")
 
     @pytest.mark.parametrize("command, bounds, shown", [
         ("partition-check", "0,inf", "[[0.0, inf]]"),

@@ -114,7 +114,7 @@ def reference_fit(data, cfg):
     X, y, K = data.x, data.y, cfg.K
     gate_log_weights = ml.model.gate_log_weights
     densities = ml.model.expert_log_density_matrix
-    lse = ml.model._masked_logsumexp
+    lse = plain_logsumexp
     G = em.init_measure(cfg.init, cfg.seed)
     logw, logf = gate_log_weights(G, X, K), densities(G, X, y)
     joint = logw + logf
@@ -256,20 +256,31 @@ class TestEStep:
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_matches_plain_exp(self, K, bench_truth):
-        # the responsibilities are np.exp(joint - lse) wherever the argument
-        # is at or above the clamp, 0 below it (and off the selection), and
-        # still sum to 1
+        # the responsibilities are the plain softmax np.exp(x) / sum np.exp(x),
+        # x = joint - max, wherever x is at or above the clamp, 0 below it
+        # (and off the selection), and still sum to 1
         data = small_data(bench_truth, n=1000, seed=8)
         G = em.init_measure(em.InitSpec(bench_truth, (0, 1, 1), 0.3), seed=9)
         resp = em.e_step(data, G, K)
         joint = ml.log_joint(G, data.x, data.y, K)
-        x = joint - plain_logsumexp(joint)
+        x = joint - joint.max(axis=0)
         above = x >= ml.model._EXP_FLOOR
         assert np.any(np.isfinite(x) & ~above)  # far experts inside the selection
-        assert np.array_equal(resp[above], np.exp(x[above]))
+        assert np.array_equal(resp[above], (np.exp(x) / np.exp(x).sum(axis=0))[above])
         assert np.all(resp[~above] == 0.0) and np.all(resp[np.isneginf(joint)] == 0.0)
         assert np.any(np.isneginf(joint)) == (K < G.k)
         np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
+    def test_degenerate_input_raises_without_warnings(self, bench_truth):
+        # y = 1e308 overflows every expert's standardized residual, so sample
+        # 0 has no density under any component
+        data = ml.Dataset(x=[0.1, 0.5, 0.9], y=[1e308, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ml.DegenerateDataError) as err:
+                em.e_step(data, bench_truth, 2)
+        assert err.value.sample_index == 0
 
 
 class TestMStepExperts:
@@ -299,6 +310,11 @@ class TestMStepExperts:
         G = ml.MixingMeasure.from_arrays([0.0], [[0.0]], [[0.0]], [0.0], [1.0])
         a, b, _ = experts_step(data, np.ones((1, 50)), G)
         assert a[0, 0] * 0.4 + b[0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_all_zero_system_takes_the_fixed_ridge(self):
+        # a zero trace gives no relative ridge, so the solve falls back to 1e-12
+        beta = em._ridge_solve(np.zeros((2, 2)), np.array([1.0, -2.0]))
+        assert np.array_equal(beta, [1e12, -2e12])
 
     def test_zero_mass_component_unchanged(self, bench_truth):
         data = small_data(bench_truth, n=100)

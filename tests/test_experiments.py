@@ -100,6 +100,13 @@ class TestRunSweep:
         rescored = ex.rescore_rows(tiny_cfg, result.rows, tiny_cfg.loss)
         assert [r.loss for r in rescored] == [r.loss for r in result.rows]
 
+    def test_rescore_keeps_a_failed_row_failed(self, tiny_cfg):
+        # a failed fit has no measure to score
+        failed = ex.SweepRow(n=60, replicate=0, seed=1, loss=math.nan, loglik=math.nan,
+                             iterations=0, converged=False)
+        (row,) = ex.rescore_rows(tiny_cfg, (failed,), ex.LossSpec(metric="d3"))
+        assert math.isnan(row.loss) and row.measure is None
+
     @pytest.mark.parametrize("metric", ["d1", "d2", "d3"])
     def test_one_loss_call_per_fitted_row(self, tiny_cfg, metric, monkeypatch):
         # the benchmark times a row from its data draw to the next loss_d*
@@ -145,6 +152,14 @@ class TestCsv:
         ex.emit_csv(res, path)
         assert len(path.read_text().splitlines()) == 5
 
+    def test_blank_lines_skipped(self, tmp_path):
+        rows = tuple(synthetic_rows(-0.5, sizes=(10, 100), reps=1))
+        path = tmp_path / "x.csv"
+        ex.emit_csv(ex.SweepResult(rows=rows, slope=-0.5, slope_stderr=0.0), path)
+        head, first, second = path.read_text().splitlines()
+        path.write_text(f"{head}\n\n{first}\n\n{second}\n\n")
+        assert ex.parse_csv(path) == rows
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("n,loss\n1,2\n")
@@ -182,6 +197,22 @@ class TestSvg:
         text = (tmp_path / "ok.svg").read_text()
         assert "<circle" in text
         assert "slope" not in text
+
+    def test_no_positive_mean_rejected(self, tmp_path):
+        rows = tuple(synthetic_rows(-0.5, coef=0.0))
+        with pytest.raises(ml.InsufficientDataError, match="no positive mean losses to plot"):
+            ex.emit_svg_loglog(rows, tmp_path / "no.svg", allow_no_fit=True)
+        assert not (tmp_path / "no.svg").exists()
+
+    def test_equal_means_pad_a_flat_y_range(self, tmp_path):
+        # equal losses at every n: the y range is padded to one decade, and
+        # every marker lands mid-plot
+        rows = tuple(synthetic_rows(0.0, coef=2.0))
+        path = tmp_path / "flat.svg"
+        ex.emit_svg_loglog(rows, path)
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert text.count('cy="240.00"') == 3
 
     def test_self_contained(self, tmp_path):
         rows = tuple(synthetic_rows(-1.0))

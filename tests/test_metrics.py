@@ -63,6 +63,11 @@ class TestAssignVoronoi:
 
 
 class TestLossD1:
+    def test_report_value_is_the_sum_of_its_terms(self):
+        assert ml.LossReport(0.75, (0, 1), (0.5, 0.25)).value == 0.75
+        with pytest.raises(ml.InvalidArgumentError, match="value must equal the sum of per_cell_terms"):
+            ml.LossReport(1.0, (0, 1), (0.5, 0.25))
+
     def test_zero_at_truth(self, bench_truth):
         for K in (1, 2):
             assert ml.loss_d1(bench_truth, bench_truth, K).value == 0.0

@@ -298,8 +298,9 @@ class TestExp:
 
 
 def plain_softmax(beta0, logits):
-    """GatePass.softmax with plain np.exp, as it was before masked gates went
-    through model._exp: the logsumexp, the weights and the shifted arguments."""
+    """The gate's softmax with plain np.exp, as it was before masked gates
+    went through model._exp: the logsumexp, the weights and the shifted
+    arguments."""
     e = logits + beta0[:, None]
     m = e.max(axis=0)
     np.subtract(e, m, out=e)
@@ -328,18 +329,43 @@ class TestMaskedSoftmax:
         assert np.array_equal(gate.w[above], w[above]) and np.all(gate.w[~above] == 0.0)
 
 
-class TestMaskedLogSumExp:
-    """The log-sum-exp through model._exp equals the plain np.exp formula bit
-    for bit: its largest term is exactly 1, so no sum sees a dropped term."""
+def softmax_lse(scores):
+    """model._softmax's logsumexp, on a copy: the kernel works in place."""
+    return ml.model._softmax(scores.copy())[0]
 
-    @given(st.data())
-    def test_equals_plain_exp(self, data):
+
+class TestMaskedLogSumExp:
+    """The log-sum-exp of model._softmax, through model._exp, equals the plain
+    np.exp formula bit for bit: its largest term is exactly 1, so no sum sees
+    a dropped term."""
+
+    @staticmethod
+    def draw_scores(data):
+        """(k, n) scores down to -1e4, some -inf, one finite entry per input."""
         k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 30))
         scores = data.draw(arrays(np.float64, (k, n), elements=st.floats(-1e4, 50.0)))
         drop = data.draw(arrays(np.bool_, (k, n)))
-        drop[np.argmax(scores, axis=0), np.arange(n)] = False  # one finite entry per input
+        drop[np.argmax(scores, axis=0), np.arange(n)] = False
         scores[drop] = -np.inf
-        assert np.array_equal(ml.model._masked_logsumexp(scores), plain_logsumexp(scores))
+        return scores
+
+    @given(st.data())
+    def test_equals_plain_exp(self, data):
+        scores = self.draw_scores(data)
+        assert np.array_equal(softmax_lse(scores), plain_logsumexp(scores))
+
+    @given(st.data())
+    def test_no_finite_score_is_minus_inf(self, data):
+        # a column with no finite score gets logsumexp -inf, with no warning,
+        # and leaves every other column as it is alone
+        scores = self.draw_scores(data)
+        dead = data.draw(arrays(np.bool_, scores.shape[1]))
+        both = scores.copy()
+        both[:, dead] = -np.inf
+        lse, w = ml.model._softmax(both)
+        live_lse, live_w = ml.model._softmax(scores[:, ~dead].copy())
+        assert np.all(lse[dead] == -np.inf)
+        assert np.array_equal(lse[~dead], live_lse) and np.array_equal(w[:, ~dead], live_w)
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_equals_plain_exp_on_log_joints(self, K, bench_truth):
@@ -351,7 +377,7 @@ class TestMaskedLogSumExp:
         shifted = joint - joint.max(axis=0)
         assert np.any(np.isfinite(shifted) & (shifted < FLOOR))
         assert np.any(np.isneginf(joint)) == (K == 2)
-        assert np.array_equal(ml.model._masked_logsumexp(joint), plain_logsumexp(joint))
+        assert np.array_equal(softmax_lse(joint), plain_logsumexp(joint))
         assert np.array_equal(ml.conditional_log_density(G, K, data.x, data.y), plain_logsumexp(joint))
 
 
@@ -422,6 +448,14 @@ class TestConditionalLogDensity:
         f2 = stats.norm.pdf(y, 20.0 * x - 5.0, 0.4)
         got = np.exp(ml.conditional_log_density(bench_truth, 2, [[x]], [y])[0])
         assert got == pytest.approx(w[0] * f1 + w[1] * f2, rel=1e-12)
+
+    def test_no_density_is_minus_inf(self, bench_truth):
+        # y = 1e308 overflows every expert's standardized residual: no
+        # density at sample 0, and no warning
+        X, y = np.array([[0.1], [0.5], [0.9]]), np.array([1e308, 1.0, 2.0])
+        got = ml.conditional_log_density(bench_truth, 2, X, y)
+        assert got[0] == -np.inf
+        assert np.array_equal(got[1:], plain_logsumexp(ml.log_joint(bench_truth, X[1:], y[1:], 2)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_normalizes_to_one(self, seed):

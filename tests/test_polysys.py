@@ -193,6 +193,21 @@ class TestResidual:
         with pytest.raises(ml.InvalidArgumentError, match=message):
             PolyCandidate(**{**parts, **z})
 
+    @pytest.mark.parametrize("name", ["z1", "z2", "z3", "z4", "z5"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_rejected(self, name, value):
+        parts = dict(z1=np.zeros((2, 1)), z2=np.zeros((2, 1)), z3=[1.0, -1.0], z4=[0.0, 0.0], z5=[1.0, 1.0])
+        bad = np.array(parts[name], dtype=float)
+        bad.flat[-1] = value
+        with pytest.raises(ml.InvalidArgumentError, match="z1..z5 must be finite"):
+            PolyCandidate(**{**parts, name: bad})
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 1e200])
+    def test_non_finite_witness_rejected(self, c):
+        # 1e200 is finite, but z4 = -c^2 / 2 overflows
+        with pytest.raises(ml.InvalidArgumentError, match="z1..z5 must be finite"):
+            ml.constructive_witness_m2(c)
+
     @settings(max_examples=300)
     @given(systems())
     def test_vector_matches_reference_loop_bit_for_bit(self, system):
