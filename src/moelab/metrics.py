@@ -83,11 +83,15 @@ def _nearest(G_fit: MixingMeasure, G_true: MixingMeasure) -> np.ndarray:
     """(k,) index of each fitted component's nearest true component under the
     Euclidean norm on theta = (beta1, a, b, sigma); ties go to the smaller
     true index."""
-    if G_fit.d != G_true.d:
-        raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
+    _check_dimensions(G_fit, G_true)
     tf, tt = (np.concatenate([G.beta1, G.a, G.b[:, None], G.sigma[:, None]], axis=1)
               for G in (G_fit, G_true))
     return np.argmin(np.linalg.norm(tf[:, None, :] - tt[None, :, :], axis=2), axis=1)
+
+
+def _check_dimensions(G_fit: MixingMeasure, G_true: MixingMeasure) -> None:
+    if G_fit.d != G_true.d:
+        raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
 
 
 def assign_voronoi(G_fit: MixingMeasure, G_true: MixingMeasure) -> tuple:
@@ -382,8 +386,10 @@ def score(spec: LossSpec, G_fit, K_fit, G_true, K_true, bounds=None, seed=0, sub
     given, else over :func:`loss_subsets` of the spec at ``bounds`` and
     ``seed``.  Hellinger averages ``spec.hellinger_n_mc`` inputs drawn
     uniformly from ``bounds`` (None: the unit box) by an rng seeded ``seed``,
-    each over the :func:`default_y_grid` of ``spec.y_points`` points.
+    each over the :func:`default_y_grid` of ``spec.y_points`` points.  Every
+    metric rejects a fit and a truth of different input dimensions.
     """
+    _check_dimensions(G_fit, G_true)
     if spec.metric == "hellinger":
         bounds = _checked_box(bounds, G_true.d)
         grid = default_y_grid(G_fit, G_true, bounds, spec.y_points)

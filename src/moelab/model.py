@@ -16,8 +16,10 @@ Conventions used throughout the library:
 * All density work is done in the log domain with max-subtraction, through
   one kernel, :func:`log_joint`: log gate weight plus expert log density per
   component, -inf outside the top-K selection.  Its two halves, the
-  :class:`GatePass` and :func:`_expert_log_densities`, are also the gate and
-  the expert density of EM.  The kernel computes in one array: the expert
+  :class:`GatePass` and :func:`_expert_log_densities`, are also EM's gate and
+  expert density; EM adds the gate's scores (beta1 . x + beta0) to the
+  densities and takes the gate's logsumexp off its log-likelihood, forming
+  no log gate weights.  The kernel computes in one array: the expert
   densities overwrite their standardized residuals in place and the gate
   weights are added into them, so a caller that passes ``out=`` (as
   Hellinger does, block by block) allocates no (k, n, m) temporaries.
@@ -266,17 +268,14 @@ def _softmax(e: np.ndarray, exp=_exp):
 class GatePass(NamedTuple):
     """The top-K softmax gate at fixed (beta0, beta1) on fixed inputs.
 
-    ``mask`` is the (k, n) selection the pass was computed under, None when
-    K == k selects every component; ``logits`` are beta1 . x (k, n), -inf off
-    the selection; ``lse`` is the logsumexp over components of logits + beta0
-    (n,), and ``w`` the selected softmax weights (k, n), both from
-    :func:`_softmax`.
+    ``scores`` are beta1 . x + beta0 (k, n), -inf off the selection; ``lse``
+    is their logsumexp over components (n,), and ``w`` their softmax weights
+    (k, n), both from :func:`_softmax`.
     """
 
     beta0: np.ndarray
     beta1: np.ndarray
-    mask: np.ndarray | None
-    logits: np.ndarray
+    scores: np.ndarray
     lse: np.ndarray
     w: np.ndarray
 
@@ -293,17 +292,17 @@ class GatePass(NamedTuple):
 
     @classmethod
     def _of(cls, beta0, beta1, mask, logits) -> GatePass:
-        """The gate from the logits beta1 . x, set to -inf off ``mask`` here;
-        only a masked gate exponentiates through :func:`_exp` (see the
-        module docstring)."""
+        """The gate from fresh logits beta1 . x, made its scores in place: -inf
+        off ``mask``, plus beta0.  A masked gate exponentiates by :func:`_exp`."""
         if mask is not None:
             logits = np.where(mask, logits, -np.inf)
-        lse, w = _softmax(logits + beta0[:, None], np.exp if mask is None else _exp)
-        return cls(beta0, beta1, mask, logits, lse, w)
+        logits += beta0[:, None]
+        lse, w = _softmax(logits.copy(), np.exp if mask is None else _exp)
+        return cls(beta0, beta1, logits, lse, w)
 
     def log_weights(self) -> np.ndarray:
         """Log gate weights (k, n), -inf off the selection."""
-        return (self.logits + self.beta0[:, None]) - self.lse
+        return self.scores - self.lse
 
 
 def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
@@ -381,8 +380,8 @@ def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _checked_box(bounds, d: int = None) -> np.ndarray:
-    """Bounds as a (d, 2) float array of finite lo <= hi pairs; None is the
-    unit box.  Without ``d``, every two values are one pair."""
+    """Bounds as a (d, 2) float array of finite lo <= hi pairs of finite
+    width; None is the unit box.  Without ``d``, every two values are one pair."""
     if bounds is None:
         return np.tile([[0.0, 1.0]], (d, 1))
     try:
@@ -395,6 +394,8 @@ def _checked_box(bounds, d: int = None) -> np.ndarray:
     box = box.reshape(d, 2)
     if not (np.all(np.isfinite(box)) and np.all(box[:, 0] <= box[:, 1])):
         raise InvalidArgumentError(f"bounds must be finite with lo <= hi, got {box.tolist()}")
+    if any(hi - lo == math.inf for lo, hi in box.tolist()):  # Python floats overflow without a warning
+        raise InvalidArgumentError(f"bounds need a finite width hi - lo, got {box.tolist()}")
     return box
 
 
@@ -417,7 +418,8 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     """Draw n i.i.d. pairs: x uniform on the box, then y from the gated mixture.
 
     Deterministic given the seed.  The truth measure must pass the U.2-U.4
-    checks; violations raise :class:`AssumptionError` listing them.
+    checks; violations raise :class:`AssumptionError` listing them.  A draw
+    whose gate or response overflows is an InvalidArgumentError, not a warning.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
@@ -425,12 +427,14 @@ def sample_dataset(G: MixingMeasure, K: int, n: int, seed, bounds=None) -> Datas
     bounds = _checked_box(bounds, G.d)
     rng = np.random.default_rng(seed)
     X = uniform_box_sampler(bounds)(rng, n)
-    cdf = np.cumsum(_exp(gate_log_weights(G, X, K)), axis=0)  # -inf off a top-K selection
-    u = rng.random(n)
-    idx = np.sum(cdf < u, axis=0)
-    idx = np.minimum(idx, G.k - 1)
-    mu = np.sum(X * G.a[idx], axis=1) + G.b[idx]
-    y = mu + G.sigma[idx] * rng.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing draw is rejected below
+        cdf = np.cumsum(_exp(gate_log_weights(G, X, K)), axis=0)  # -inf off a top-K selection
+        idx = np.minimum(np.sum(cdf < rng.random(n), axis=0), G.k - 1)
+        mu = np.sum(X * G.a[idx], axis=1) + G.b[idx]
+        y = mu + G.sigma[idx] * rng.standard_normal(n)
+    bad = ~(np.isfinite(cdf[-1]) & np.isfinite(y))
+    if bad.any():
+        raise InvalidArgumentError(f"the draw at sample index {np.argmax(bad)} overflows on bounds {bounds.tolist()}")
     return Dataset(x=X, y=y, bounds=bounds)
 
 

@@ -283,6 +283,9 @@ BAD_SWEEP_LINES = {
     "data_k = 1\ndata_k = 2": "repeated config key 'data_k'",
     "base_seed = 5": "unknown config key 'base_seed'",
     "metric = hellinger\npositive_mass_only = true": "positive_mass_only restricts D1, D2 and D3, not hellinger",
+    "noise_std = -1": "noise_std must be >= 0 and finite",
+    "noise_std = nan": "noise_std must be >= 0 and finite",
+    "noise_std = inf": "noise_std must be >= 0 and finite",
 }
 
 
@@ -390,7 +393,8 @@ class TestMalformedInput:
         "data_k = 3", "data_k = 0", "fit_big_k = 3", "fit_k = 1\nfit_big_k = 1",
         "loss_terms = a,foo", "rbar = nope", "parallelism = 0",
         "loss_k = 1", "gatinglr = 5", "[extra]", "data_k = 1\ndata_k = 2", "base_seed = 5",
-        "metric = hellinger\npositive_mass_only = true",
+        "metric = hellinger\npositive_mass_only = true", "noise_std = -1", "noise_std = nan",
+        "noise_std = inf",
     ])
     def test_sweep_setting_rejected_before_any_fit(self, tmp_path, line, capsys):
         self.assert_sweep_rejected(tmp_path, line, capsys)
@@ -453,6 +457,27 @@ class TestMalformedInput:
         }[command]
         self.assert_clean_error([*argv, "--bounds", bounds], capsys,
                                 f"bounds must be finite with lo <= hi, got {shown}")
+
+    @pytest.mark.parametrize("bounds, message", [
+        ("0,1e308", "the draw at sample index 0 overflows on bounds [[0.0, 1e+308]]"),
+        ("-1e308,1e308", "bounds need a finite width hi - lo, got [[-1e+308, 1e+308]]"),
+    ], ids=["overflowing-draw", "infinite-width"])
+    def test_gen_box_too_wide(self, tmp_path, truth_file, bounds, message, capsys):
+        out = tmp_path / "d.tsv"
+        self.assert_clean_error(["gen", "--truth", truth_file, "--K", 2, "--n", 10, "--seed", 7,
+                                 "--out", out, f"--bounds={bounds}"], capsys, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["loss", "hellinger"])
+    def test_dimension_mismatch(self, tmp_path, truth_file, command, capsys):
+        fit = tmp_path / "fit2d.txt"
+        fit.write_text(ml.measure_to_text(ml.true_measure(**TRUTH_2D)))
+        argv = {
+            "loss": ["loss", "--metric", "d1", "--K", 2],
+            "hellinger": ["hellinger", "--K-fit", 2, "--K-true", 2, "--seed", 0],
+        }[command]
+        self.assert_clean_error([*argv, "--fit", fit, "--true", truth_file], capsys,
+                                "error: dimension mismatch: fit d=2, true d=1")
 
     def test_hellinger_negative_y_points(self, truth_file, capsys):
         self.assert_clean_error(

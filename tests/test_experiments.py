@@ -292,6 +292,7 @@ class TestSamplingSettings:
         # each of these would otherwise fail every row, not the config
         dict(data_K=3), dict(data_K=0), dict(fit_K=3), dict(fit_k=1, fit_K=1), dict(parallelism=0),
         dict(sample_sizes=(100, 100)), dict(sample_sizes=(100, 50)), dict(sample_sizes=()), dict(replicates=0),
+        dict(noise_std=-1.0), dict(noise_std=math.nan), dict(noise_std=math.inf),
     ])
     def test_sweep_config_rejects(self, tiny_cfg, setting):
         with pytest.raises(ml.InvalidArgumentError):

@@ -622,6 +622,14 @@ class TestScore:
         unit = ml.expected_hellinger(fit, 3, truth, 2, UNIT, 30, ml.default_y_grid(fit, truth, None, 401), seed=4)
         assert score(spec, fit, 3, truth, 2, seed=4) == unit
 
+    @pytest.mark.parametrize("metric", ["d1", "d2", "d3", "hellinger"])
+    def test_dimension_mismatch(self, metric):
+        rng = np.random.default_rng(8)
+        fit, truth = random_measure(rng, 3, 2), random_measure(rng, 2, 1)
+        spec = ml.LossSpec(metric=metric, hellinger_n_mc=5, y_points=11)
+        with pytest.raises(ml.InvalidArgumentError, match="^dimension mismatch: fit d=2, true d=1$"):
+            score(spec, fit, 2, truth, 2)
+
 
 class TestRandomMeasureProperties:
     @pytest.mark.parametrize("seed", range(25))

@@ -322,10 +322,12 @@ class TestMaskedSoftmax:
         beta0 = data.draw(arrays(np.float64, k, elements=wide))
         beta1 = data.draw(arrays(np.float64, (k, d), elements=wide))
         X = data.draw(arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)))
-        gate = ml.model.GatePass.at(X, beta0, beta1, data.draw(st.integers(1, k - 1)))
-        lse, w, shifted = plain_softmax(beta0, np.where(gate.mask, beta1 @ X.T, -np.inf))
+        K = data.draw(st.integers(1, k - 1))
+        gate = ml.model.GatePass.at(X, beta0, beta1, K)
+        mask = ml.model._selection_mask(beta1 @ X.T, K)
+        lse, w, shifted = plain_softmax(beta0, np.where(mask, beta1 @ X.T, -np.inf))
         above = shifted >= FLOOR
-        assert gate.mask is not None and np.array_equal(gate.lse, lse)
+        assert np.array_equal(gate.lse, lse)
         assert np.array_equal(gate.w[above], w[above]) and np.all(gate.w[~above] == 0.0)
 
 
@@ -502,6 +504,15 @@ class TestSampleDataset:
         sel = (data.x[:, 0] > 0.49) & (data.x[:, 0] < 0.51)
         assert data.y[sel].mean() == pytest.approx(5.0, abs=0.05)
 
+    @pytest.mark.parametrize("bounds", [[[0.0, 1e308]], [[7.5e306, 8.5e306]]], ids=["all", "gate-only"])
+    def test_overflowing_draw_rejected_without_warnings(self, bench_truth, bounds):
+        # on [0, 1e308] the gate and the responses overflow; on
+        # [7.5e306, 8.5e306] only the gate does (25 x > 1.8e308 > 20 x), and
+        # the sampler would otherwise draw from a NaN gate.  A warning would
+        # fail this test under tier-1's error::RuntimeWarning filter.
+        with pytest.raises(ml.InvalidArgumentError, match="the draw at sample index 0 overflows"):
+            ml.sample_dataset(bench_truth, 2, 10, seed=7, bounds=bounds)
+
     def test_invalid_truth_reports_assumptions(self):
         G = ml.MixingMeasure.from_arrays([0.5], [[1.0]], [[1.0]], [0.0], [1.0])
         with pytest.raises(ml.AssumptionError) as err:
@@ -527,7 +538,8 @@ class TestSampleDataset:
 class TestBoxCheck:
     """Every reader of a box rejects the same bad boxes."""
 
-    BAD_VALUES = [[[0.0, np.inf]], [[np.nan, 1.0]], [[1.0, 0.0]], [["a", "b"]], [0.0, 1.0, 2.0]]
+    BAD_VALUES = [[[0.0, np.inf]], [[np.nan, 1.0]], [[1.0, 0.0]], [["a", "b"]], [0.0, 1.0, 2.0],
+                  [[-1e308, 1e308]]]  # finite bounds whose width overflows
 
     @pytest.mark.parametrize("box", BAD_VALUES + [[[0.0, 1.0], [0.0, 1.0]]])
     def test_readers_reject(self, bench_truth, box):
