@@ -72,8 +72,7 @@ class InitSpec:
                 f"cell plan {plan} must partition the fitted components over all "
                 f"{self.truth.k} true components with no empty cell"
             )
-        if not 0.0 <= self.noise_std < np.inf:
-            raise InvalidArgumentError("noise_std must be >= 0 and finite")
+        _check_noise_std(self.noise_std)
         object.__setattr__(self, "cell_plan", plan)
 
     @property
@@ -142,6 +141,11 @@ class FitConfig:
     def __post_init__(self):
         _check_sparsity(self.K, self.init.k)
         _check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m)
+
+
+def _check_noise_std(noise_std) -> None:
+    if not 0.0 <= noise_std < np.inf:
+        raise InvalidArgumentError("noise_std must be >= 0 and finite")
 
 
 def _check_fit_settings(tol, max_iters, gating_lr, gating_steps_per_m) -> None:

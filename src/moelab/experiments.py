@@ -67,7 +67,7 @@ class SweepConfig:
         if self.fit_k < self.truth.k:
             raise InvalidArgumentError(f"need fit_k >= k*, got fit_k={self.fit_k}, k*={self.truth.k}")
         _check_sparsity(self.fit_K, self.fit_k, "fit_K")
-        em.InitSpec(self.truth, range(self.truth.k), self.noise_std)  # checks noise_std, as each row's init
+        em._check_noise_std(self.noise_std)
         em._check_fit_settings(self.tol, self.max_iters, self.gating_lr, self.gating_steps_per_m)
         _check_truth(self.truth)
         object.__setattr__(self, "sample_sizes", sizes)

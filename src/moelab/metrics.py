@@ -83,15 +83,11 @@ def _nearest(G_fit: MixingMeasure, G_true: MixingMeasure) -> np.ndarray:
     """(k,) index of each fitted component's nearest true component under the
     Euclidean norm on theta = (beta1, a, b, sigma); ties go to the smaller
     true index."""
-    _check_dimensions(G_fit, G_true)
+    if G_fit.d != G_true.d:
+        raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
     tf, tt = (np.concatenate([G.beta1, G.a, G.b[:, None], G.sigma[:, None]], axis=1)
               for G in (G_fit, G_true))
     return np.argmin(np.linalg.norm(tf[:, None, :] - tt[None, :, :], axis=2), axis=1)
-
-
-def _check_dimensions(G_fit: MixingMeasure, G_true: MixingMeasure) -> None:
-    if G_fit.d != G_true.d:
-        raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
 
 
 def assign_voronoi(G_fit: MixingMeasure, G_true: MixingMeasure) -> tuple:
@@ -389,7 +385,8 @@ def score(spec: LossSpec, G_fit, K_fit, G_true, K_true, bounds=None, seed=0, sub
     each over the :func:`default_y_grid` of ``spec.y_points`` points.  Every
     metric rejects a fit and a truth of different input dimensions.
     """
-    _check_dimensions(G_fit, G_true)
+    if G_fit.d != G_true.d:
+        raise InvalidArgumentError(f"dimension mismatch: fit d={G_fit.d}, true d={G_true.d}")
     if spec.metric == "hellinger":
         bounds = _checked_box(bounds, G_true.d)
         grid = default_y_grid(G_fit, G_true, bounds, spec.y_points)
