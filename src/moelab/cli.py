@@ -169,8 +169,6 @@ def _print_residual_table(inst, cand):
 def cmd_sweep(args):
     cfg = experiments.parse_sweep_config(_read_text(args.config, "sweep config"))
     cfg = replace(cfg, base_seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, parallelism=args.jobs)
     result = experiments.run_sweep(cfg)
     experiments.emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -180,6 +178,9 @@ def cmd_sweep(args):
         experiments.emit_svg_loglog(result.rows, args.plot, allow_no_fit=True)
         print(f"wrote plot to {args.plot}")
     if result.n_failures:
+        for r in result.rows:
+            if not np.isfinite(r.loss):
+                print(f"n={r.n} replicate={r.replicate}: {r.error or 'loss is not finite'}", file=sys.stderr)
         print(f"{result.n_failures} fit(s) failed", file=sys.stderr)
         return 2
     return 0
@@ -271,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True)
     sw.add_argument("--plot")
     sw.add_argument("--seed", type=int, required=True, help="base seed for the sweep")
-    sw.add_argument("--jobs", type=int)
     sw.set_defaults(func=cmd_sweep)
 
     pl = sub.add_parser("plot", help="SVG log-log plot from an existing sweep CSV")

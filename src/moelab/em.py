@@ -2,7 +2,11 @@
 
 The E-step and the expert M-step are closed form; the gating parameters have
 no closed-form update, so the M-step ascends the expected complete-data
-log-likelihood by coordinate (block) gradient steps with backtracking.
+log-likelihood by coordinate (block) gradient steps with backtracking.  It
+works in the E-step's frame: the responsibilities r are 0 off the selection
+and sum to 1 at each input, so the surrogate is sum_j (sum_i r_ij eta_ij -
+lse_j) in the selected logits eta, and its gradient sum_j (r_ij - w_ij)
+(1, x_j) at the gate's weights w (Jordan & Jacobs 1994).
 
 The top-K selection at each input is held fixed while the gating blocks move:
 the selection is piecewise constant in the parameters, so its gradient is zero
@@ -187,15 +191,17 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
 
     The scale jitter is applied in the log domain so positivity is preserved;
     the pinning convention of the truth is NOT enforced on the fitted measure.
+    A jitter that overflows is an :class:`InvalidArgumentError`, with no warning.
     """
     rng = np.random.default_rng(seed)
     t, s = spec.truth, spec.noise_std
     # one component at a time, in the order beta0, beta1, a, b, sigma
-    rows = [(t.beta0[j] + s * rng.standard_normal(),
-             t.beta1[j] + s * rng.standard_normal(t.d),
-             t.a[j] + s * rng.standard_normal(t.d),
-             t.b[j] + s * rng.standard_normal(),
-             t.sigma[j] * np.exp(s * rng.standard_normal())) for j in spec.cell_plan]
+    with np.errstate(over="ignore"):  # an overflow is inf, which MixingMeasure rejects
+        rows = [(t.beta0[j] + s * rng.standard_normal(),
+                 t.beta1[j] + s * rng.standard_normal(t.d),
+                 t.a[j] + s * rng.standard_normal(t.d),
+                 t.b[j] + s * rng.standard_normal(),
+                 t.sigma[j] * np.exp(s * rng.standard_normal())) for j in spec.cell_plan]
     return MixingMeasure(*map(np.array, zip(*rows)))
 
 
@@ -291,7 +297,7 @@ def m_step_experts(Z, y, products, resp, a, b, sigma):
     sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, resid)[live] / mass[live]), SIGMA_FLOOR)
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
             and (sigma > 0.0).all()):
-        raise InvalidArgumentError(f"expert step left a={a}, b={b}, sigma={sigma}")
+        raise InvalidArgumentError(f"expert step left a={a.tolist()}, b={b.tolist()}, sigma={sigma.tolist()}")
     return a, b, sigma
 
 
@@ -300,48 +306,43 @@ def m_step_experts(Z, y, products, resp, a, b, sigma):
 # ---------------------------------------------------------------------------
 
 def _gating_setup(X, resp):
-    """The surrogate's constants while the gate moves, from resp already 0 off
-    the selection: its sums per input rsum (n,) and per component (k,),
-    resp @ X (k, d), and the inputs weighted by rsum (n, d)."""
-    rsum = resp.sum(axis=0)
-    return rsum, resp.sum(axis=1), resp @ X, rsum[:, None] * X
+    """The surrogate's constants while the gate moves: resp's sums per
+    component (k,) and resp @ X (k, d)."""
+    return resp.sum(axis=1), resp @ X
 
 
-def _gradient(setup, w, block: int) -> np.ndarray:
+def _gradient(X, setup, w, block: int) -> np.ndarray:
     """The surrogate's gradient w.r.t. beta0 (block 0) or beta1 (block 1) at
-    selected softmax weights w: sum_j (r_ij - rsum_j w_i(x_j)), times x_j for
-    beta1, with rsum_j the selected responsibility at x_j; one matrix
-    product with w each."""
-    rsum, colsum, rX, rsumX = setup
-    return colsum - w @ rsum if block == 0 else rX - w @ rsumX
+    selected softmax weights w: sum_j (r_ij - w_i(x_j)), times x_j for beta1."""
+    colsum, rX = setup
+    return colsum - w.sum(axis=1) if block == 0 else rX - w @ X
 
 
 def _surrogate(setup, beta0, beta1, lse) -> float:
     """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
     the component sums . beta0, so the surrogate needs only the gate's lse."""
-    rsum, colsum, rX, _ = setup
-    return float((rX * beta1).sum() + colsum @ beta0 - rsum @ lse)
+    colsum, rX = setup
+    return float((rX * beta1).sum() + colsum @ beta0 - lse.sum())
 
 
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
-    """Expected complete-data gating log-likelihood with the selection fixed:
-    sum_j sum_{i selected at x_j} r_ij log softmax_i(beta1_i . x_j + beta0_i).
-
-    ``resp`` and ``mask`` are (k, n); ``resp`` is zeroed off the selection
-    here, and the value is the one :func:`m_step_gating` ascends.
+    """Expected complete-data gating log-likelihood with the selection fixed,
+    the one :func:`m_step_gating` ascends: sum_j (sum_i r_ij eta_ij - lse_j)
+    in the selected logits eta.  ``resp`` and ``mask`` are (k, n), and
+    ``resp`` must be 0 off the selection and sum to 1 at each input, as the
+    E-step's responsibilities do.
     """
-    resp = resp if mask is None else resp * mask
     return _surrogate(_gating_setup(X, resp), beta0, beta1, GatePass.under(X, beta0, beta1, mask).lse)
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
     """Analytic gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d),
-    the ones :func:`m_step_gating` ascends.  Both vanish identically when
-    K = 1 (singleton softmax weights are 1).
+    for ``resp`` as :func:`gating_surrogate` takes it.  Both vanish
+    identically when K = 1 (singleton softmax weights are 1).
     """
-    setup = _gating_setup(X, resp if mask is None else resp * mask)
+    setup = _gating_setup(X, resp)
     w = GatePass.under(X, beta0, beta1, mask).w
-    return _gradient(setup, w, 0), _gradient(setup, w, 1)
+    return _gradient(X, setup, w, 0), _gradient(X, setup, w, 1)
 
 
 # The trust region of a gating proposal: a bound c on its logit shift, which
@@ -378,14 +379,16 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     """Coordinate (block) gradient ascent on the gating surrogate.
 
     ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
-    selection stays frozen while the blocks move, and ``resp`` must be 0 off
-    it, as the E-step's responsibilities are.  A block proposal moves the
-    logits by delta_i (beta0) or delta_i . x (beta1), at most c = max_i
-    |delta_i| or max_i |delta_i| . max|x| (per axis) in absolute value.  Its
-    step is shortened to c <= ``SHIFT_BOUND``, then halved until the
-    surrogate, scored by :func:`_shifted`, does not decrease; the worst case
-    accepts a zero step, and a surrogate that is not finite counts as a
-    decrease.  Returns the updated beta0, beta1 and the number of halvings.
+    selection stays frozen while the blocks move, and ``resp`` is taken as
+    :func:`gating_surrogate` takes it.  A block proposal moves the logits by
+    delta_i (beta0) or delta_i . x (beta1), at most c = max_i |delta_i| or
+    max_i |delta_i| . max|x| (per axis) in absolute value.  Its step is
+    shortened to c <= ``SHIFT_BOUND``, then halved until the surrogate,
+    scored by :func:`_shifted`, does not decrease; the worst case accepts a
+    zero step, and a surrogate that is not finite counts as a decrease.  A
+    non-finite beta0 or beta1 entry makes the surrogate inf or NaN, so the
+    returned beta0 and beta1 are finite.  Returns them and the number of
+    halvings.
     """
     n = X.shape[0]
     setup = _gating_setup(X, resp)
@@ -396,7 +399,7 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     backtracks = 0
     for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
-            grad = _gradient(setup, w, block)
+            grad = _gradient(X, setup, w, block)
             reach = (np.abs(grad).max() if block == 0 else (np.abs(grad) @ x_max).max()) / n
             step_lr = lr if lr * reach <= SHIFT_BOUND else SHIFT_BOUND / reach
             for _ in range(30):
@@ -409,8 +412,6 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
                     break
                 step_lr *= 0.5
                 backtracks += 1
-    if not (np.isfinite(beta0).all() and np.isfinite(beta1).all()):
-        raise InvalidArgumentError(f"gating step left beta0={beta0}, beta1={beta1}")
     return beta0, beta1, backtracks
 
 

@@ -50,7 +50,7 @@ class SweepConfig:
     max_iters: int = em.FitConfig.max_iters
     gating_lr: float = em.FitConfig.gating_lr
     gating_steps_per_m: int = em.FitConfig.gating_steps_per_m
-    parallelism: int = 1
+    parallelism: int = 1  # not a config key: only the benchmark's pool run and criterion 10 set it
     bounds: np.ndarray = None  # None: the unit box
 
     def __post_init__(self):
@@ -85,6 +85,8 @@ class SweepRow:
     converged: bool
     # the fitted measure itself; kept in memory for re-scoring, never in the CSV
     measure: MixingMeasure = None
+    # why the row failed, the MoeError's message; in memory only, as measure
+    error: str = None
 
 
 @dataclass(frozen=True)
@@ -139,18 +141,19 @@ def _run_one(cfg: SweepConfig, n: int, rep: int, subsets) -> SweepRow:
             iterations=result.iterations, converged=result.converged,
             measure=result.measure,
         )
-    except MoeError:
+    except MoeError as exc:
         return SweepRow(
             n=n, replicate=rep, seed=seed, loss=math.nan, loglik=math.nan,
-            iterations=0, converged=False,
+            iterations=0, converged=False, error=str(exc),
         )
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Fit every (n, replicate) cell and regress log mean loss on log n.
 
-    Individual fit failures are recorded as NaN-loss rows and never abort the
-    sweep.  Deterministic given the config, at any parallelism level.
+    Individual fit failures are recorded as NaN-loss rows carrying their
+    error message and never abort the sweep.  Deterministic given the
+    config, at any parallelism level.
     """
     subsets = _mass_subsets(cfg, cfg.loss)
     tasks = [(n, rep) for n in cfg.sample_sizes for rep in range(cfg.replicates)]
@@ -422,7 +425,6 @@ _KEYS = (
     ("max_iters", SweepConfig, "max_iters", _INT),
     ("gating_lr", SweepConfig, "gating_lr", _FLOAT),
     ("gating_steps_per_m", SweepConfig, "gating_steps_per_m", _INT),
-    ("parallelism", SweepConfig, "parallelism", _INT),
     ("bounds", SweepConfig, "bounds", _BOX),
     ("loss_terms", LossSpec, "terms", _WORDS),
 )

@@ -253,6 +253,8 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
     extreme means of both measures.  A Gaussian expert keeps 1.2e-15 of its
     mass beyond 8 scales of its mean.
     """
+    if G_a.d != G_b.d:
+        raise InvalidArgumentError(f"dimension mismatch: G_a d={G_a.d}, G_b d={G_b.d}")
     if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
         raise InvalidArgumentError(f"a y grid needs an integer n_points >= 2, got {n_points!r}")
     bounds = _checked_box(bounds, G_a.d)

@@ -101,11 +101,11 @@ class MixingMeasure:
                 raise InvalidArgumentError(f"{name} of shape {arr.shape} does not fit k={k}, d={d}")
             arr = arr.reshape(shape)
             if not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError(f"{name} must be finite, got {arr}")
+                raise InvalidArgumentError(f"{name} must be finite, got {arr.tolist()}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not np.all(self.sigma > 0.0):
-            raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma}")
+            raise InvalidArgumentError(f"sigma must be > 0, got {self.sigma.tolist()}")
 
     @property
     def k(self) -> int:

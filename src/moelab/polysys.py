@@ -32,7 +32,6 @@ from itertools import chain, product
 from math import factorial, prod
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import InvalidArgumentError, UnsupportedValueError
 
@@ -264,6 +263,10 @@ def search_nontrivial(inst: PolySystemInstance, restarts: int, seed):
     the floor, or None.  Absence of a returned candidate is NOT a proof that
     the system is unsolvable.
     """
+    # imported here, not at module level: scipy.optimize takes most of the
+    # time of `import moelab`, and only a search needs it
+    from scipy.optimize import least_squares
+
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
     m, n_gate = inst.m, inst.m * inst.d

@@ -199,24 +199,32 @@ class TestSweepAndPlot:
 
     def test_failed_fit_exits_2(self, tmp_path, monkeypatch, capsys):
         # every fit fails (a NaN expert step): the rows are still written,
-        # as NaN rows, and the exit code says they failed
+        # as NaN rows, each failure is named on one line, and the exit code
+        # says they failed
         monkeypatch.setattr(ml.em, "_wls_solve", lambda A, rhs: np.full(rhs.shape, np.nan))
         out_csv = tmp_path / "o.csv"
         code, out, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", out_csv, "--seed", 1], capsys)
-        assert (code, err) == (2, "2 fit(s) failed\n")
+        reason = "expert step left a=[[nan], [nan]], b=[nan, nan], sigma=[nan, nan]"
+        assert code == 2
+        assert err.splitlines() == [f"n=50 replicate=0: {reason}", f"n=100 replicate=0: {reason}",
+                                    "2 fit(s) failed"]
         assert "wrote 2 rows" in out
         assert all(np.isnan(r.loss) and r.iterations == 0 for r in ml.parse_csv(out_csv))
 
-    def test_byte_identical_across_jobs(self, tmp_path, truth_file, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "data_k = 2\nfit_k = 2\nfit_big_k = 2\nsample_sizes = 50,100\n"
-            "replicates = 2\nmax_iters = 10\n\n[truth]\n" + BENCH_TEXT
-        )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["sweep", "--config", cfg, "--out", a, "--seed", 9, "--jobs", 1], capsys)
-        run(["sweep", "--config", cfg, "--out", b, "--seed", 9, "--jobs", 8], capsys)
-        assert a.read_bytes() == b.read_bytes()
+    def test_non_finite_loss_is_a_named_failure(self, tmp_path, monkeypatch, capsys):
+        # a fit that succeeds but scores an infinite loss fails its row too
+        monkeypatch.setattr(ml.experiments, "_row_loss", lambda *args: np.inf)
+        code, _, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", tmp_path / "o.csv",
+                            "--seed", 1], capsys)
+        assert code == 2
+        assert err.splitlines() == ["n=50 replicate=0: loss is not finite", "n=100 replicate=0: loss is not finite",
+                                    "2 fit(s) failed"]
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", tmp_path / "o.csv",
+                            "--seed", 1, "--jobs", 2], capsys)
+        assert code == 2 and "unrecognized arguments: --jobs 2" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestFitCommand:
@@ -276,7 +284,8 @@ BAD_SWEEP_LINES = {
     "fit_k = 1\nfit_big_k = 1": "need fit_k >= k*",
     "loss_terms = a,foo": "unknown loss terms",
     "rbar = nope": "unknown rbar policy 'nope'",
-    "parallelism = 0": "parallelism must be >= 1",
+    "parallelism = 0": "unknown config key 'parallelism'",
+    "parallelism = 2": "unknown config key 'parallelism'",
     "loss_k = 1": "unknown config key 'loss_k'",
     "gatinglr = 5": "unknown config key 'gatinglr'",
     "[extra]": "unknown config section [extra]",
@@ -391,7 +400,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("line", [
         "data_k = 3", "data_k = 0", "fit_big_k = 3", "fit_k = 1\nfit_big_k = 1",
-        "loss_terms = a,foo", "rbar = nope", "parallelism = 0",
+        "loss_terms = a,foo", "rbar = nope", "parallelism = 0", "parallelism = 2",
         "loss_k = 1", "gatinglr = 5", "[extra]", "data_k = 1\ndata_k = 2", "base_seed = 5",
         "metric = hellinger\npositive_mass_only = true", "noise_std = -1", "noise_std = nan",
         "noise_std = inf",
@@ -421,12 +430,15 @@ class TestMalformedInput:
             capsys, "degenerate likelihood at sample index 0")
         assert not (tmp_path / "m.txt").exists()
 
-    def test_sweep_zero_jobs(self, tmp_path, capsys):
-        cfg = sweep_config(tmp_path)
+    def test_fit_overflowing_init_jitter(self, tmp_path, truth_file, capsys):
+        # the scale jitter exp(1000 z) overflows: one error line, no NumPy warning
+        data = tmp_path / "d.tsv"
+        assert run(["gen", "--truth", truth_file, "--K", 2, "--n", 50, "--seed", 0, "--out", data], capsys)[0] == 0
         self.assert_clean_error(
-            ["sweep", "--config", cfg, "--out", tmp_path / "o.csv", "--seed", 1, "--jobs", 0], capsys
-        )
-        assert not (tmp_path / "o.csv").exists()
+            ["fit", "--data", data, "--truth", truth_file, "--k", 2, "--K", 2, "--seed", 1,
+             "--noise-std", 1000, "--out-measure", tmp_path / "m.txt"],
+            capsys, "sigma must be finite")
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("args", [["--K", 1, "--etas", "1e-1,x"], ["--K", 0], ["--K", 3]])
     def test_partition_check_bad_setting(self, truth_file, args, capsys):

@@ -189,6 +189,12 @@ class TestInitMeasure:
         with pytest.raises(ml.InvalidArgumentError):
             em.InitSpec(bench_truth, (0, 0, 0), noise_std=0.05)
 
+    def test_overflowing_scale_jitter_rejected_without_warning(self, bench_truth):
+        # exp(1000 z) overflows for the first component at seed 1; tier-1
+        # turns a RuntimeWarning into an error, so none may be emitted
+        with pytest.raises(ml.InvalidArgumentError, match=r"^sigma must be finite, got \[inf, "):
+            em.init_measure(em.InitSpec(bench_truth, (0, 1), noise_std=1000.0), seed=1)
+
     @pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
     def test_bad_noise_rejected(self, bench_truth, noise_std):
         with pytest.raises(ml.InvalidArgumentError, match="noise_std must be >= 0 and finite"):

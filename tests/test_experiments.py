@@ -95,6 +95,21 @@ class TestRunSweep:
         assert [r.loss for r in r1.rows] == [r.loss for r in r8.rows]
         assert r1.slope == r8.slope
 
+    def test_failed_rows_keep_their_reason(self, tiny_cfg, tmp_path):
+        # a jitter of 1000 overflows both rows' scales: NaN rows that name
+        # the cause, with no NumPy warning (tier-1 makes one an error)
+        cfg = replace(tiny_cfg, sample_sizes=(50, 100), replicates=1, base_seed=0, noise_std=1000.0)
+        result = ex.run_sweep(cfg)
+        assert result.n_failures == 2
+        for row in result.rows:
+            assert math.isnan(row.loss) and row.measure is None
+            assert row.error.startswith("sigma must be finite, got [inf, ")
+        # the reason stays out of the CSV
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        ex.emit_csv(result, a)
+        ex.emit_csv(replace(result, rows=tuple(replace(r, error=None) for r in result.rows)), b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_rescore_under_same_loss_reproduces(self, tiny_cfg):
         result = ex.run_sweep(tiny_cfg)
         rescored = ex.rescore_rows(tiny_cfg, result.rows, tiny_cfg.loss)
@@ -266,7 +281,7 @@ def sweep_configs(draw):
         fit_K=draw(st.integers(1, fit_k)), sample_sizes=tuple(sizes),
         replicates=draw(st.integers(1, 50)), loss=loss, noise_std=draw(positive), tol=draw(positive),
         max_iters=draw(st.integers(1, 10**5)), gating_lr=draw(positive),
-        gating_steps_per_m=draw(st.integers(1, 20)), parallelism=draw(st.integers(1, 8)),
+        gating_steps_per_m=draw(st.integers(1, 20)),
         bounds=np.column_stack([lows, lows + draw(arrays(float, truth.d, elements=positive))]),
     )
 
@@ -317,7 +332,7 @@ class TestConfigDocument:
             loss=ex.LossSpec(metric="d1", rbar_policy="conjecture", renormalize=True,
                              terms=("a", "b"), positive_mass_only=True, hellinger_n_mc=17, y_points=33),
             noise_std=0.125, tol=3e-7, max_iters=77, gating_lr=0.3, gating_steps_per_m=2,
-            parallelism=3, bounds=[[-1.0, 1.0]], base_seed=ex.SweepConfig.base_seed,
+            bounds=[[-1.0, 1.0]], base_seed=ex.SweepConfig.base_seed, parallelism=ex.SweepConfig.parallelism,
         )
         assert_same_config(ex.parse_sweep_config(ex.sweep_config_to_text(cfg)), cfg)
 
@@ -337,11 +352,12 @@ class TestConfigDocument:
     def test_every_written_key_accepted(self, tiny_cfg):
         text = ex.sweep_config_to_text(replace(tiny_cfg, loss=ex.LossSpec(terms=("a",))))
         keys = {line.split("=")[0].strip() for line in text.split("[truth]")[0].splitlines() if line}
-        assert "loss_terms" in keys and len(keys) == 19
+        assert "loss_terms" in keys and len(keys) == 18
         ex.parse_sweep_config(text)
 
     @pytest.mark.parametrize("line, key", [
         ("loss_k = 1", "loss_k"), ("mass_n_mc = 5000", "mass_n_mc"), ("gatinglr = 5", "gatinglr"),
+        ("parallelism = 2", "parallelism"),
         ("[extra]", "extra"),
     ])
     def test_unknown_key_or_section_rejected(self, tiny_cfg, line, key):
@@ -368,7 +384,7 @@ class TestConfigDocument:
         assert keys == [
             "data_k", "fit_k", "fit_big_k", "sample_sizes", "replicates", "metric", "rbar",
             "renormalize", "positive_mass_only", "hellinger_n_mc", "y_points", "noise_std", "tol",
-            "max_iters", "gating_lr", "gating_steps_per_m", "parallelism", "bounds", "loss_terms",
+            "max_iters", "gating_lr", "gating_steps_per_m", "bounds", "loss_terms",
         ]
 
     def test_missing_keys_named(self, bench_truth):

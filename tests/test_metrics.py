@@ -451,6 +451,14 @@ class TestHellinger:
         got = ml.hellinger_pointwise(Ga, 1, Gb, 1, [0.5], grid)
         assert got == pytest.approx(ml.two_gaussian_hellinger(mu1, s1, mu2, s2), abs=1e-6)
 
+    @pytest.mark.parametrize("order", ["2d-1d", "1d-2d"])
+    def test_y_grid_dimension_mismatch(self, bench_truth, order):
+        # the measures are compared before the box: a 2-D G_a is not blamed on
+        # the 1-D box, and a 1-D G_a gets no grid from 2-D slopes
+        G_a, G_b = (ml.true_measure(**TRUTH_2D), bench_truth)[:: 1 if order == "2d-1d" else -1]
+        with pytest.raises(ml.InvalidArgumentError, match=f"^dimension mismatch: G_a d={G_a.d}, G_b d={G_b.d}$"):
+            ml.default_y_grid(G_a, G_b, [[0, 1]])
+
     def test_disjoint_supports_approach_one(self):
         Ga = ml.MixingMeasure.from_arrays([0], [[0]], [[0]], [0.0], [1e-3])
         Gb = ml.MixingMeasure.from_arrays([0], [[0]], [[0]], [50.0], [1e-3])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import product
 from math import factorial, prod
 
@@ -272,6 +275,15 @@ class TestSearchNontrivial:
     def test_needs_a_restart(self, restarts):
         with pytest.raises(ml.InvalidArgumentError, match="restarts must be >= 1"):
             ml.search_nontrivial(ml.PolySystemInstance(m=2, d=1, r=3), restarts=restarts, seed=0)
+
+    def test_import_loads_no_scipy(self):
+        # only a search imports scipy.optimize, most of the time of a bare
+        # `import moelab`; a fresh interpreter shows what the import loads
+        src = os.path.dirname(os.path.dirname(ml.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, moelab, moelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     def test_deterministic(self):
         inst = ml.PolySystemInstance(m=2, d=1, r=3)
