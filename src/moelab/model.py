@@ -19,10 +19,11 @@ Conventions used throughout the library:
   :class:`GatePass` and :func:`_expert_log_densities`, are also EM's gate and
   expert density; EM adds the gate's scores (beta1 . x + beta0) to the
   densities and takes the gate's logsumexp off its log-likelihood, forming
-  no log gate weights.  The kernel computes in one array: the expert
-  densities overwrite their standardized residuals in place and the gate
-  weights are added into them, so a caller that passes ``out=`` (as
-  Hellinger does, block by block) allocates no (k, n, m) temporaries.
+  no log gate weights.  The kernel makes four passes over one array: the
+  residual, its square, the scale -1 / (2 sigma^2), and one constant per
+  component and row, log sigma + log(2 pi) / 2 less the log gate weight.
+  A caller that passes ``out=`` (as Hellinger does, block by block)
+  allocates no (k, n, m) temporaries.
 * Every normalization over the components (the gate's softmax, EM's
   responsibilities, every log-likelihood) is one kernel, :func:`_softmax`.
   An input with no finite score, such as a response no expert gives any
@@ -66,6 +67,7 @@ import numpy as np
 from .errors import AssumptionError, InvalidArgumentError
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_FLOAT_MAX = np.finfo(float).max
 
 
 # eq=False: arrays have no single truth value, so measures compare by identity
@@ -316,26 +318,41 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
 
 
-def _expert_log_densities(X, y, a, b, sigma, out=None) -> np.ndarray:
-    """Gaussian log N(y | a_i.x + b_i, sigma_i^2) at stacked expert arrays, on
-    inputs already checked to be finite (n, d) rows: (k, n) for y (n,),
-    (k, n, m) for y (n, m) or (1, m).
+def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
+    """Gaussian log N(y | a_i.x + b_i, sigma_i^2), plus ``logw`` (k, n) when
+    given, at stacked expert arrays, on inputs already checked to be finite
+    (n, d) rows: (k, n) for y (n,), (k, n, m) for y (n, m) or (1, m).
 
-    Computed in one array, ``out`` when given: the standardized residual z
-    is overwritten step by step by the log density, -inf where z * z
-    overflows.
+    Four passes over one array, ``out`` when given: the residual r = y - mu,
+    r *= r, r *= -1 / (2 sigma^2), and r -= log sigma + log(2 pi) / 2 - logw,
+    one value per component and row.  An entry is -inf where r * r or its
+    scaled value overflows, and wherever logw is -inf, off a top-K
+    selection.  Below sigma ~ 5e-155, 1 / (2 sigma^2) is not a float: the
+    factor is clamped at the largest float, which keeps the density exact at
+    r = 0 and -inf or far below 0 elsewhere.
     """
-    mu, sigma = _project(a, X) + b[:, None], sigma[:, None]
+    mu = _project(a, X) + b[:, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = np.maximum(-0.5 / sigma**2, -_FLOAT_MAX)[:, None]
+    const = (np.log(sigma) + 0.5 * _LOG_2PI)[:, None]
+    if logw is not None:
+        const = const - logw
     if y.ndim == 2:
-        mu, sigma = mu[:, :, None], sigma[:, :, None]
-    z = np.subtract(y, mu, out=out)
+        mu, scale, const = mu[:, :, None], scale[:, :, None], const[:, :, None]
     with np.errstate(over="ignore"):
-        z /= sigma
-        z *= z
-    z *= -0.5  # -0.5 * (z * z) == (-0.5 * z) * z: scaling by 2**-1 is exact
-    z -= np.log(sigma)
-    z -= 0.5 * _LOG_2PI
-    return z
+        r = np.subtract(y, mu, out=out)
+        r *= r
+        r *= scale
+        r -= const
+    return r
+
+
+def _paired(X: np.ndarray, y) -> np.ndarray:
+    """Responses y as (n,), one per row of X, or (n, m) / (1, m), m per row."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
+        raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
+    return y
 
 
 def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
@@ -347,10 +364,7 @@ def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
     result is written into ``out`` when given, a float array of that shape.
     """
     X = _as_rows(X, G.d)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.ndim > 2 or y.shape[0] not in (1, X.shape[0]):
-        raise InvalidArgumentError(f"y of shape {y.shape} does not pair with {X.shape[0]} inputs")
-    return _expert_log_densities(X, y, G.a, G.b, G.sigma, out=out)
+    return _expert_log_densities(X, _paired(X, y), G.a, G.b, G.sigma, out=out)
 
 
 def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
@@ -359,14 +373,13 @@ def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
     components on axis 0: (k, n) for paired y, (k, n, m) for a y grid.
 
     The gate is evaluated once per row of ``X``, so a y grid of shape (1, m)
-    is scored against every row without repeating it.  The expert densities
-    are computed in one array, ``out`` when given, and the log gate weights
-    are added to it in place.
+    is scored against every row without repeating it.  The log gate weights
+    enter the expert densities' per-row constant, so the joint is computed
+    in one array, ``out`` when given, by the densities' four passes.
     """
-    logw = gate_log_weights(G, X, K)
-    logf = expert_log_density_matrix(G, X, y, out=out)
-    logf += logw[:, :, None] if logf.ndim == 3 else logw
-    return logf
+    X = _as_rows(X, G.d)
+    y = _paired(X, y)
+    return _expert_log_densities(X, y, G.a, G.b, G.sigma, out=out, logw=gate_log_weights(G, X, K))
 
 
 def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:

@@ -19,9 +19,12 @@ exists; the numerical searcher here is an empirical aid only and its failure
 to find a solution proves nothing.
 
 The system is held as one coefficient table per (d, r).  The residual vector
-is one array evaluation over it, and the search's least-squares solver gets
-the exact Jacobian, built from the same table with each exponent lowered in
-turn.
+is one array evaluation over it, from a table of every power of the
+candidate's variables, and the search's least-squares solver gets the exact
+Jacobian, built from the same tables with each exponent lowered in turn.
+The solver asks for the residuals and the Jacobian at each point it
+accepts; the two share the point's powers, unpacked from the search vector
+once.
 """
 
 from __future__ import annotations
@@ -168,27 +171,34 @@ def _derivative_table(d: int, r: int):
     return lowered, factors, weights
 
 
-def _powers(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
-    """(r + 1, 2d + 2, m): every power 0..r of each table column, as ``column ** p``."""
-    if cand.m != inst.m or cand.d != inst.d:
-        raise InvalidArgumentError("candidate dimensions do not match the instance")
-    cols = np.column_stack([np.dstack([cand.z1, cand.z2]).reshape(inst.m, -1), cand.z3, cand.z4]).T
-    return np.stack([np.ones_like(cols)] + [cols**p for p in range(1, inst.r + 1)])
+def _powers(cols: np.ndarray, r: int) -> np.ndarray:
+    """(r + 1, 2d + 2, m): every power 0..r of the table columns (2d + 2, m),
+    as ``column ** p``."""
+    return np.stack([np.ones_like(cols)] + [cols**p for p in range(1, r + 1)])
 
 
-def _residuals(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
-    """Every equation's residual, in enumerate_equations order.
+def _residuals(inst: PolySystemInstance, powers: np.ndarray, z5: np.ndarray) -> np.ndarray:
+    """Every equation's residual, in enumerate_equations order, from the
+    :func:`_powers` of the table columns and z5.
 
     Rounds exactly as summing one equation's terms at a time does: each power
     is ``column ** p`` with an int p, a term multiplies z5^2 by its factors in
     table order, sums over components and is divided by alpha!, and an
     equation adds its terms in index-set order.
     """
-    powers = _powers(inst, cand)
     _, exps, denoms, rows = _coefficient_table(inst.d, inst.r)
-    powers[:, 0] *= cand.z5**2  # every product starts with z5^2 times its first factor
-    terms = np.prod(powers[exps, np.arange(powers.shape[1])[:, None]], axis=0)
-    return np.bincount(rows, weights=terms.sum(axis=1) / denoms)
+    factors = powers[exps, np.arange(powers.shape[1])[:, None]]  # (2d + 2, terms, m)
+    factors[0] *= z5**2  # every product starts with z5^2 times its first factor
+    return np.bincount(rows, weights=np.prod(factors, axis=0).sum(axis=1) / denoms)
+
+
+def _candidate_residuals(inst: PolySystemInstance, cand: PolyCandidate) -> np.ndarray:
+    """:func:`_residuals` at a candidate, whose table columns are
+    (z1_1, z2_1, ..., z1_d, z2_d, z3, z4)."""
+    if cand.m != inst.m or cand.d != inst.d:
+        raise InvalidArgumentError("candidate dimensions do not match the instance")
+    cols = np.column_stack([np.dstack([cand.z1, cand.z2]).reshape(inst.m, -1), cand.z3, cand.z4]).T
+    return _residuals(inst, _powers(cols, inst.r), cand.z5)
 
 
 def residual(inst: PolySystemInstance, cand: PolyCandidate, eta1, eta2: int) -> float:
@@ -199,17 +209,17 @@ def residual(inst: PolySystemInstance, cand: PolyCandidate, eta1, eta2: int) -> 
         raise InvalidArgumentError(
             f"(eta1, eta2) = {eq} is not an equation of the order-{inst.r} system in d={inst.d}"
         )
-    return float(_residuals(inst, cand)[index[eq]])
+    return float(_candidate_residuals(inst, cand)[index[eq]])
 
 
 def residual_table(inst, cand):
     """(eta1, eta2, residual) rows in enumeration order."""
-    values = _residuals(inst, cand)
+    values = _candidate_residuals(inst, cand)
     return [(eta1, eta2, float(v)) for (eta1, eta2), v in zip(enumerate_equations(inst), values)]
 
 
 def max_abs_residual(inst, cand) -> float:
-    return float(np.max(np.abs(_residuals(inst, cand))))
+    return float(np.max(np.abs(_candidate_residuals(inst, cand))))
 
 
 def _unpack(inst: PolySystemInstance, vec: np.ndarray) -> PolyCandidate:
@@ -219,32 +229,52 @@ def _unpack(inst: PolySystemInstance, vec: np.ndarray) -> PolyCandidate:
     return PolyCandidate(z1=z1.reshape(m, d), z2=z2.reshape(m, d), z3=z3, z4=z4, z5=np.exp(t))
 
 
-def _objective(vec: np.ndarray, inst: PolySystemInstance, z3_floor: float) -> np.ndarray:
-    """The search's residual vector: every equation, then the z3-floor penalty
-    sqrt(max(z3_floor^2 - ||z3||^2, 0))."""
-    cand = _unpack(inst, vec)
-    slack = z3_floor**2 - float(np.sum(cand.z3**2))
-    return np.append(_residuals(inst, cand), np.sqrt(max(slack, 0.0)))
+def _search_functions(inst: PolySystemInstance, z3_floor: float):
+    """(objective, jacobian) of the search vector (z1, z2, z3, z4, t).
 
+    The objective is every equation's residual, then the z3-floor penalty
+    sqrt(max(z3_floor^2 - ||z3||^2, 0)); the Jacobian is its exact
+    derivative, (equations + 1, search variables).  The solver asks for both
+    at each point it accepts, so the two share the point's table columns,
+    z5 and powers, kept for the last vector by its bytes.  The vector is not
+    checked: the solver's bounds keep it finite.
+    """
+    m, d, n_gate = inst.m, inst.d, inst.m * inst.d
+    lowered, factors, weights = _derivative_table(d, inst.r)
+    n_eqs = weights.shape[0]
+    last = {}
 
-def _jacobian(vec: np.ndarray, inst: PolySystemInstance, z3_floor: float) -> np.ndarray:
-    """Exact Jacobian of _objective: (equations + 1, search variables)."""
-    cand = _unpack(inst, vec)
-    powers = _powers(inst, cand)
-    lowered, factors, weights = _derivative_table(inst.d, inst.r)
-    # slots[s, j, i]: term j's z5-free product, differentiated by slot s, at component i
-    slots = factors[:, :, None] * np.prod(powers[lowered, np.arange(powers.shape[1])[:, None]], axis=1)
-    grad = (weights @ slots) * cand.z5**2  # (slots, equations, m)
-    n_eqs, m, d = weights.shape[0], inst.m, inst.d
-    # slots 0..2d-1 alternate z1_c, z2_c; the search vector holds all of z1,
-    # then all of z2, each (m, d) row-major, then z3, z4 and t
-    gate = grad[: 2 * d].reshape(d, 2, n_eqs, m).transpose(1, 2, 3, 0).reshape(2, n_eqs, m * d)
-    jac = np.zeros((n_eqs + 1, len(vec)))
-    jac[:-1] = np.hstack([gate[0], gate[1], grad[2 * d :].transpose(1, 0, 2).reshape(n_eqs, 3 * m)])
-    slack = z3_floor**2 - float(np.sum(cand.z3**2))
-    if slack > 0.0:
-        jac[-1, 2 * m * d : 2 * m * d + m] = -cand.z3 / np.sqrt(slack)
-    return jac
+    def point(vec):
+        key = vec.tobytes()
+        if key not in last:
+            # the columns z1_1, z2_1, ..., z1_d, z2_d of two (m, d) row-major blocks
+            gate = vec[: 2 * n_gate].reshape(2, m, d).transpose(2, 0, 1).reshape(2 * d, m)
+            cols = np.concatenate([gate, vec[2 * n_gate : 2 * n_gate + 2 * m].reshape(2, m)])
+            z3 = vec[2 * n_gate : 2 * n_gate + m]
+            last.clear()
+            last[key] = (z3, np.exp(vec[2 * n_gate + 2 * m :]), _powers(cols, inst.r),
+                         z3_floor**2 - float(np.sum(z3**2)))
+        return last[key]
+
+    def objective(vec):
+        _, z5, powers, slack = point(vec)
+        return np.append(_residuals(inst, powers, z5), np.sqrt(max(slack, 0.0)))
+
+    def jacobian(vec):
+        z3, z5, powers, slack = point(vec)
+        # slots[s, j, i]: term j's z5-free product, differentiated by slot s, at component i
+        slots = factors[:, :, None] * np.prod(powers[lowered, np.arange(powers.shape[1])[:, None]], axis=1)
+        grad = (weights @ slots) * z5**2  # (slots, equations, m)
+        # slots 0..2d-1 alternate z1_c, z2_c; the search vector holds all of z1,
+        # then all of z2, each (m, d) row-major, then z3, z4 and t
+        gate = grad[: 2 * d].reshape(d, 2, n_eqs, m).transpose(1, 2, 3, 0).reshape(2, n_eqs, n_gate)
+        jac = np.zeros((n_eqs + 1, len(vec)))
+        jac[:-1] = np.hstack([gate[0], gate[1], grad[2 * d :].transpose(1, 0, 2).reshape(n_eqs, 3 * m)])
+        if slack > 0.0:
+            jac[-1, 2 * n_gate : 2 * n_gate + m] = -z3 / np.sqrt(slack)
+        return jac
+
+    return objective, jacobian
 
 
 SEARCH_TOL = 1e-10  # the largest max |residual| the search accepts
@@ -276,6 +306,7 @@ def search_nontrivial(inst: PolySystemInstance, restarts: int, seed):
     lo[2 * n_gate + 2 * m :] = -2.0
     hi[2 * n_gate + 2 * m :] = 2.0
 
+    objective, jacobian = _search_functions(inst, Z3_FLOOR)
     ss = np.random.SeedSequence(seed)
     for child in ss.spawn(restarts):
         rng = np.random.default_rng(child)
@@ -286,10 +317,7 @@ def search_nontrivial(inst: PolySystemInstance, restarts: int, seed):
                 rng.uniform(-1.0, 1.0, size=m),
             ]
         )
-        sol = least_squares(
-            _objective, x0, jac=_jacobian, bounds=(lo, hi), args=(inst, Z3_FLOOR),
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
+        sol = least_squares(objective, x0, jac=jacobian, bounds=(lo, hi), xtol=1e-15, ftol=1e-15, gtol=1e-15)
         cand = _unpack(inst, sol.x)
         if max_abs_residual(inst, cand) <= SEARCH_TOL and cand.is_nontrivial(tol=Z3_FLOOR * 0.5):
             return cand

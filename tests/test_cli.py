@@ -220,6 +220,22 @@ class TestSweepAndPlot:
         assert err.splitlines() == ["n=50 replicate=0: loss is not finite", "n=100 replicate=0: loss is not finite",
                                     "2 fit(s) failed"]
 
+    @pytest.mark.parametrize("lines, seed, want", [
+        # a beta0 near 1e3 overflows exp(beta0) and the norm of its distance
+        ("noise_std = 1000\nmetric = d1", 3, ["n=50 replicate=0: loss is not finite",
+                                              "n=100 replicate=0: sigma must be > 0, got [0.0, 3.745663801012411e+89]",
+                                              "2 fit(s) failed"]),
+        # D3 squares a distance near 1e200, which overflowed a Python float
+        ("noise_std = 300\nfit_k = 3\nmetric = d3", 4, ["n=50 replicate=0: loss is not finite", "1 fit(s) failed"]),
+    ], ids=["d1", "d3"])
+    def test_overflowing_loss_is_a_named_failure(self, tmp_path, capsys, lines, seed, want):
+        # in process, under tier-1's error::RuntimeWarning filter: a NumPy
+        # warning or an OverflowError would escape main as an exception
+        code, out, err = run(["sweep", "--config", sweep_config(tmp_path, lines + "\nmax_iters = 5\n"),
+                              "--out", tmp_path / "o.csv", "--seed", seed], capsys)
+        assert code == 2 and "wrote 2 rows" in out
+        assert err.splitlines() == want
+
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", tmp_path / "o.csv",
                             "--seed", 1, "--jobs", 2], capsys)

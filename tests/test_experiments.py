@@ -110,6 +110,19 @@ class TestRunSweep:
         ex.emit_csv(replace(result, rows=tuple(replace(r, error=None) for r in result.rows)), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("metric, fit_k, noise_std, base_seed", [("d1", 2, 1000.0, 3), ("d3", 3, 300.0, 4)])
+    def test_overflowing_loss_is_a_failed_row(self, tiny_cfg, metric, fit_k, noise_std, base_seed):
+        # the n = 50 fit converges with beta0 near 1e3: exp(beta0) overflows,
+        # and at D3 so does a squared distance.  An infinite loss, a failed
+        # row with no NumPy warning (an error under tier-1's filter) and no
+        # OverflowError
+        cfg = replace(tiny_cfg, sample_sizes=(50, 100), replicates=1, base_seed=base_seed, fit_k=fit_k,
+                      noise_std=noise_std, max_iters=5, loss=ex.LossSpec(metric=metric))
+        result = ex.run_sweep(cfg)
+        row = result.rows[0]
+        assert row.loss == math.inf and row.error is None and row.measure is not None
+        assert result.n_failures >= 1
+
     def test_rescore_under_same_loss_reproduces(self, tiny_cfg):
         result = ex.run_sweep(tiny_cfg)
         rescored = ex.rescore_rows(tiny_cfg, result.rows, tiny_cfg.loss)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,20 +40,21 @@ def reference_log_joint(G, X, y, K):
     return out
 
 
-def out_of_place_log_densities(X, y, a, b, sigma):
-    """The expert log densities as out-of-place expressions, one temporary per
-    operation: the reference the in-place kernel must equal bit for bit."""
+def out_of_place_log_densities(X, y, a, b, sigma, logw=0.0):
+    """The expert log densities plus ``logw`` as out-of-place expressions in
+    the kernel's pass order, one temporary per operation: the reference the
+    in-place kernel must equal bit for bit."""
     mu, sigma = a @ X.T + b[:, None], sigma[:, None]
+    const = np.log(sigma) + 0.5 * math.log(2.0 * math.pi) - logw
     if y.ndim == 2:
-        mu, sigma = mu[:, :, None], sigma[:, :, None]
-    z = (y - mu) / sigma
-    return -0.5 * z * z - np.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+        mu, sigma, const = mu[:, :, None], sigma[:, :, None], const[:, :, None]
+    r = y - mu
+    return r * r * (-0.5 / sigma**2) - const
 
 
 def out_of_place_log_joint(G, X, y, K):
     logw = ml.gate_log_weights(G, X, K)
-    logf = out_of_place_log_densities(np.asarray(X, dtype=float), y, G.a, G.b, G.sigma)
-    return (logw[:, :, None] if logf.ndim == 3 else logw) + logf
+    return out_of_place_log_densities(np.asarray(X, dtype=float), y, G.a, G.b, G.sigma, logw)
 
 
 @st.composite
@@ -426,6 +428,42 @@ class TestInPlaceKernel:
         assert np.shares_memory(got, block)
         assert np.array_equal(got, out_of_place_log_joint(G, X, grid, K))
         assert np.all(np.isnan(block[:, n:]))
+
+    def test_matches_textbook_log_density(self):
+        # log N(y | b, sigma^2) + log w against -(y - b)^2 / (2 sigma^2),
+        # computed exactly in rationals and rounded once, minus math.log's
+        # log sigma + log(2 pi) / 2 and plus log w.  The kernel rounds a few
+        # times per term; allowed: 1e-14 of the terms' magnitudes summed.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            b, sigma = rng.normal(0.0, 5.0), float(np.exp(rng.uniform(math.log(ml.em.SIGMA_FLOOR), 7.0)))
+            y = b + sigma * rng.normal(0.0, 10.0, size=7)
+            G = single_expert([0.0], b, sigma)
+            logw = np.array([[rng.uniform(-50.0, 0.0)]])
+            got = ml.model._expert_log_densities(np.zeros((1, 1)), y[None, :], G.a, G.b, G.sigma, logw=logw)
+            for yv, g in zip(y, got[0, 0]):
+                quad = float(-(Fraction(yv) - Fraction(b)) ** 2 / (2 * Fraction(sigma) ** 2))
+                const = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
+                want = quad - const + logw[0, 0]
+                assert abs(g - want) <= 1e-14 * (abs(quad) + abs(const) + abs(logw[0, 0]))
+
+    @pytest.mark.parametrize("y", [1e152, -1e152, 1e155])
+    def test_overflow_at_the_sigma_floor_is_minus_inf(self, y):
+        # r * r is finite at 1e152, but r^2 / (2 sigma^2) overflows at the
+        # scale floor; at 1e155 r * r itself overflows.  -inf, and no warning:
+        # tier-1 makes a RuntimeWarning an error.
+        G = single_expert([0.0], 0.0, ml.em.SIGMA_FLOOR)
+        assert math.isfinite(y * y) == (abs(y) < 1e153)
+        assert ml.log_joint(G, [[0.5]], [y], 1)[0, 0] == -np.inf
+        assert ml.model.expert_log_density_matrix(G, [[0.5]], [[y, 0.0]])[0, 0, 0] == -np.inf
+
+    def test_tiny_scale_is_exact_at_the_mean(self):
+        # 1 / (2 sigma^2) is no float at sigma = 1e-200: the clamped factor
+        # keeps y = mu exact, and y != mu far below 0 or -inf, never NaN
+        G = single_expert([0.0], 1.0, 1e-200)
+        got = ml.model.expert_log_density_matrix(G, [[0.5]], [[1.0, 1.0 + 1e-15, 2.0, 1e160]])[0, 0]
+        assert got[0] == -(math.log(1e-200) + 0.5 * math.log(2.0 * math.pi))
+        assert np.all(got[1:] < -1e270) and got[-1] == -np.inf
 
 
 class TestConditionalLogDensity:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moelab as ml
-from moelab.polysys import PolyCandidate, _jacobian, _objective, _residuals, residual_table
+from moelab.polysys import PolyCandidate, _candidate_residuals, _search_functions, _unpack, residual_table
 
 
 def reference_residual(cand, eta1, eta2):
@@ -216,7 +216,7 @@ class TestResidual:
     def test_vector_matches_reference_loop_bit_for_bit(self, system):
         inst, cand = system
         want = [reference_residual(cand, eta1, eta2) for eta1, eta2 in ml.enumerate_equations(inst)]
-        assert np.array_equal(_residuals(inst, cand), want)
+        assert np.array_equal(_candidate_residuals(inst, cand), want)
 
 
 class TestJacobian:
@@ -227,15 +227,44 @@ class TestJacobian:
         # the entries' scale, near 1e-10 at h = 1e-6; 1e-7 leaves margin.
         inst, x, inside = point
         h, floor = 1e-6, 0.3
+        objective, jacobian = _search_functions(inst, floor)
         steps = h * np.eye(len(x))
-        want = np.column_stack(
-            [(_objective(x + e, inst, floor) - _objective(x - e, inst, floor)) / (2 * h) for e in steps]
-        )
-        got = _jacobian(x, inst, floor)
+        want = np.column_stack([(objective(x + e) - objective(x - e)) / (2 * h) for e in steps])
+        got = jacobian(x)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
         # the penalty row is live exactly when ||z3|| is inside the floor
         assert np.any(got[-1] != 0.0) == inside
+
+    @settings(max_examples=200)
+    @given(search_points())
+    def test_objective_is_the_candidate_residuals(self, point):
+        # the search scores a vector by the residuals of the candidate it
+        # unpacks to, bit for bit, then the z3-floor penalty
+        inst, x, inside = point
+        objective, _ = _search_functions(inst, 0.3)
+        got, cand = objective(x), _unpack(inst, x)
+        assert np.array_equal(got[:-1], _candidate_residuals(inst, cand))
+        assert got[-1] == np.sqrt(max(0.3**2 - float(np.sum(cand.z3**2)), 0.0))
+        assert (got[-1] > 0.0) == inside
+
+    def test_one_powers_table_per_point(self, monkeypatch):
+        # the solver asks for the objective and the Jacobian at each point it
+        # accepts: the two share one powers table, matched on the vector's bytes
+        tables = []
+        powers = ml.polysys._powers
+        monkeypatch.setattr(ml.polysys, "_powers", lambda *args: tables.append(args) or powers(*args))
+        inst = ml.PolySystemInstance(m=3, d=2, r=4)
+        x = np.random.default_rng(5).normal(0.0, 1.0, size=2 * inst.m * inst.d + 3 * inst.m)
+        objective, jacobian = _search_functions(inst, 0.3)
+        f, J = objective(x), jacobian(x.copy())
+        assert len(tables) == 1
+        # a new point gets its own table, and the old point's values stay the same
+        y = x + 1e-3
+        objective(y), jacobian(y)
+        assert len(tables) == 2
+        assert np.array_equal(objective(x), f) and np.array_equal(jacobian(x), J)
+        assert len(tables) == 3
 
 
 class TestSearchNontrivial:
