@@ -125,6 +125,8 @@ def cmd_partition_check(args):
         etas = [float(tok) for tok in args.etas.split(",")]
     except ValueError as exc:
         raise InvalidArgumentError(f"bad --etas {args.etas!r}: {exc}") from exc
+    if not np.all(np.isfinite(etas)):
+        raise InvalidArgumentError(f"--etas must be finite, got {args.etas!r}")
     rng = np.random.default_rng(args.seed)
     directions = rng.standard_normal((truth.k, truth.d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -229,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     lo.add_argument(
         "--renormalize", action="store_true",
         help="score the fit modulo the common (beta0, beta1) translation the "
-             "likelihood cannot see: rescale the fitted weights to the true total "
-             "mass and shift every fitted gating slope by the difference of the "
-             "exp(beta0)-weighted mean slopes before the Voronoi assignment",
+             "likelihood cannot see: take the fitted weights as the softmax of beta0 "
+             "times the true total mass and shift every fitted gating slope by the "
+             "difference of the softmax-weighted mean slopes before the Voronoi assignment",
     )
     lo.add_argument("--positive-mass-only", action="store_true")
     lo.add_argument("--bounds")

@@ -209,12 +209,14 @@ def _scored(joint, gate_lse=0.0):
     """The responsibilities (k, n) of a log joint (k, n) plus ``gate_lse``,
     its softmax over the components, and the mean of its logsumexp less
     gate_lse, the log-likelihood.  An input whose logsumexp is not finite,
-    one no expert gives any density, is a DegenerateDataError."""
+    one no expert gives any density, is a DegenerateDataError.  A mean below
+    the float range is -inf, without a warning: every ascent test rejects it."""
     lse, resp = _softmax(joint)
     bad = ~np.isfinite(lse)
     if bad.any():
         raise DegenerateDataError(int(np.argmax(bad)))
-    return resp, float((lse - gate_lse).mean())
+    with np.errstate(over="ignore"):
+        return resp, float((lse - gate_lse).mean())
 
 
 def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:

@@ -182,6 +182,8 @@ def rescore_rows(cfg: SweepConfig, rows, loss: LossSpec):
                          _row_loss(cfg, loss, r.measure, r.n, r.replicate, subsets)) for r in rows)
 
 
+# A mean or std past the largest float is inf, without a warning.
+@np.errstate(over="ignore")
 def mean_loss_by_n(rows):
     """Per-n mean of the finite losses, as parallel (n, mean, std) arrays."""
     by_n = {}
@@ -308,13 +310,14 @@ def emit_svg_loglog(rows, path, allow_no_fit: bool = False) -> None:
 
     lx = np.log10(ns.astype(float))
     ly = np.log10(means)
-    lo_y = means - 2 * stds
-    hi_y = means + 2 * stds
+    with np.errstate(over="ignore"):  # a bar end past the largest float is inf
+        lo_y = means - 2 * stds
+        hi_y = means + 2 * stds
     y_low = np.where(lo_y > 0, np.log10(lo_y, where=lo_y > 0, out=np.full_like(lo_y, np.nan)), np.nan)
     y_high = np.log10(hi_y)
 
     x_min, x_max = float(lx.min()), float(lx.max())
-    y_all = np.concatenate([ly, y_high, y_low[np.isfinite(y_low)]])
+    y_all = np.concatenate([ly, y_high[np.isfinite(y_high)], y_low[np.isfinite(y_low)]])
     y_min, y_max = float(np.min(y_all)), float(np.max(y_all))
     if x_max == x_min:
         x_min, x_max = x_min - 0.5, x_max + 0.5
@@ -369,7 +372,8 @@ def emit_svg_loglog(rows, path, allow_no_fit: bool = False) -> None:
         )
     for i in range(ns.size):
         x = sx(lx[i])
-        top = sy(y_high[i])
+        # a bar end off the log axis (inf above, non-positive below) runs to the plot edge
+        top = sy(y_high[i]) if math.isfinite(y_high[i]) else m
         bot = sy(y_low[i]) if math.isfinite(y_low[i]) else (h - m)
         parts.append(
             f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{bot:.2f}" '

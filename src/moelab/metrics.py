@@ -19,8 +19,10 @@ nearest true component.  :func:`assign_voronoi` turns it into cells; the
 losses score every fitted component against its own true component and sum
 each cell with ``np.bincount`` over that index.
 
-The outer maximum over all K-subsets is the sum of the K largest cell terms;
-an explicit list of candidate subsets is searched one by one.
+The outer maximum is one reduction over candidate K-subsets, the K largest
+cell terms or an explicit list: the first largest sum.  A NaN cell term (an
+overflowing weight times a zero distance) ranks first and its sum is the
+max, so the loss is NaN, which a sweep reports as a failed row.
 
 :func:`score` turns a :class:`LossSpec` into one of these losses or the
 expected Hellinger distance; the sweeps and the CLI all score through it.
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import partition
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, _checked_box, _exp, log_joint, uniform_box_sampler
+from .model import MixingMeasure, _check_sparsity, _checked_box, _exp, _softmax, log_joint, uniform_box_sampler
 from .polysys import rbar, rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
@@ -123,32 +125,32 @@ class LossReport:
 
 
 def _scored_fit(G_fit: MixingMeasure, G_true: MixingMeasure, renormalize: bool):
-    """The fitted weights exp(beta0_i) and the fitted measure the losses score.
+    """(weights, fitted measure) the losses score: raw, exp(beta0_i) and the fit.
 
-    The likelihood cannot see a common shift of the gating intercepts, which
-    scales every exp(beta0_i) by one factor, nor a common shift of the gating
-    slopes.  With ``renormalize`` the weights are rescaled to the true total
-    mass and every slope is shifted by t1, the exp(beta0)-weighted mean slope
-    of the fit minus the same mean of the truth.  The fit is then scored
-    modulo the whole common (beta0, beta1) translation: it does not matter
-    which member of its translation class was fitted, and a translated truth
-    maps back onto the truth.  The shift is applied before the Voronoi
-    assignment.  Off by default: the loss definitions compare raw weights.
+    The likelihood cannot see a common shift of the gating intercepts, nor
+    one of the gating slopes.  With ``renormalize`` the weights are the fit's
+    softmax of beta0 (:func:`~moelab.model._softmax`) times the truth's total
+    mass, and every slope is shifted by t1, the fit's softmax-weighted mean
+    slope minus the truth's.  The fit is then scored modulo the whole common
+    (beta0, beta1) translation, of any size: it does not matter which member
+    of its translation class was fitted, and a translated truth maps back
+    onto the truth.  The shift is applied before the Voronoi assignment.  Off
+    by default: the loss definitions compare raw weights.
     """
-    w = np.exp(G_fit.beta0)
     if not renormalize:
-        return w, G_fit
-    w_true = np.exp(G_true.beta0)
-    t1 = w @ G_fit.beta1 / w.sum() - w_true @ G_true.beta1 / w_true.sum()
+        return np.exp(G_fit.beta0), G_fit
+    p, p_true = (_softmax(G.beta0[:, None].copy())[1][:, 0] for G in (G_fit, G_true))
+    t1 = p @ G_fit.beta1 - p_true @ G_true.beta1
     G_fit = MixingMeasure.from_arrays(G_fit.beta0, G_fit.beta1 - t1, G_fit.a, G_fit.b, G_fit.sigma)
-    return w * (w_true.sum() / w.sum()), G_fit
+    return p * np.exp(G_true.beta0).sum(), G_fit
 
 
 # A fit with huge parameters (exp(beta0) or a distance's power overflowing)
 # scores an infinite or NaN loss, without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=None, terms=ALL_TERMS):
-    """Shared evaluator: exponent_fn(cell_size) -> (p_gate, p_expert).
+    """Shared evaluator: exponent_fn(cell_size) -> (p_gate, p_expert) for
+    cells of two or more members; singleton and empty cells take first powers.
 
     p_gate applies to ||d_beta1|| and |d_b|; p_expert to ||d_a|| and |d_sigma|.
     Each fitted component is scored against its nearest true component, and
@@ -158,7 +160,7 @@ def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=
     _check_sparsity(K, k_star)
     w, G_fit = _scored_fit(G_fit, G_true, renormalize)
     near = _nearest(G_fit, G_true)
-    exponents = [exponent_fn(m) for m in np.bincount(near, minlength=k_star).tolist()]
+    exponents = [(1.0, 1.0) if m <= 1 else exponent_fn(m) for m in np.bincount(near, minlength=k_star).tolist()]
     p_gate, p_expert = zip(*(exponents[j] for j in near.tolist()))  # per fitted component
     acc = np.zeros(G_fit.k)
     for name, fit, true, p in (("beta1", G_fit.beta1, G_true.beta1, p_gate), ("b", G_fit.b, G_true.b, p_gate),
@@ -175,26 +177,18 @@ def _loss_skeleton(G_fit, G_true, K, exponent_fn, *, renormalize=False, subsets=
         cell_term += np.abs(np.bincount(near, weights=w, minlength=k_star) - np.exp(G_true.beta0))
 
     if subsets is None:
-        # The K largest terms, the smaller index first on ties: the
-        # lexicographically first maximizer over all K-subsets.
-        subsets = [np.sort(np.argsort(-cell_term, kind="stable")[:K])]
-    best_value = -math.inf
-    best_subset = None
-    for subset in subsets:
-        subset = tuple(sorted(int(j) for j in subset))
+        # The K largest terms, a NaN first and the smaller index first on
+        # ties: the lexicographically first maximizer over all K-subsets.
+        subsets = [np.lexsort((-cell_term, ~np.isnan(cell_term)))[:K]]
+    candidates = [tuple(sorted(int(j) for j in subset)) for subset in subsets]
+    for subset in candidates:
         if len(subset) != K or any(not 0 <= j < k_star for j in subset):
             raise InvalidArgumentError(f"subset {subset} is not a K-subset of the true components")
-        value = float(sum(cell_term[j] for j in subset))
-        if value > best_value:
-            best_value = value
-            best_subset = subset
-    if best_subset is None:
+    if not candidates:
         raise InvalidArgumentError("no candidate subsets supplied")
-    return LossReport(
-        value=best_value,
-        argmax_subset=best_subset,
-        per_cell_terms=tuple(cell_term[j] for j in best_subset),
-    )
+    values = [float(sum(cell_term[j] for j in subset)) for subset in candidates]
+    best = int(np.argmax(values))  # the first maximizer, or the first NaN
+    return LossReport(values[best], candidates[best], tuple(cell_term[j] for j in candidates[best]))
 
 
 def loss_d1(G_fit, G_true, K, *, renormalize=False, subsets=None, terms=ALL_TERMS) -> LossReport:
@@ -204,10 +198,8 @@ def loss_d1(G_fit, G_true, K, *, renormalize=False, subsets=None, terms=ALL_TERM
     {"a", "b", "sigma"}); ``subsets`` restricts the outer max, e.g. to the
     selected sets with positive region mass from
     :func:`moelab.partition.positive_mass_subsets`.  ``renormalize`` scores
-    the fit modulo the common (beta0, beta1) translation: fitted weights are
-    rescaled to the true total mass and fitted gating slopes shifted by the
-    difference of the exp(beta0)-weighted mean slopes, before the Voronoi
-    assignment.  A translated truth then scores 0.
+    the fit modulo the common (beta0, beta1) translation (:func:`_scored_fit`):
+    a translated truth scores 0.
     """
     return _loss_skeleton(
         G_fit, G_true, K, lambda m: (1.0, 1.0),
@@ -218,31 +210,25 @@ def loss_d1(G_fit, G_true, K, *, renormalize=False, subsets=None, terms=ALL_TERM
 def loss_d2(G_fit, G_true, K, rbar_fn, *, renormalize=False, subsets=None) -> LossReport:
     """Over-specified Gaussian loss: slow exponents from the polynomial system.
 
-    Cells of size 1 use first powers; a cell of size m > 1 uses rbar_fn(m) on
-    the gating-slope and intercept differences and rbar_fn(m)/2 on the expert
-    slope and scale differences.  ``renormalize`` and ``subsets`` act as in
-    :func:`loss_d1`.
+    A cell of m >= 2 members uses rbar_fn(m) on the gating-slope and
+    intercept differences and rbar_fn(m)/2 on the expert slope and scale
+    differences; smaller cells use first powers, as in every loss.
+    ``renormalize`` and ``subsets`` act as in :func:`loss_d1`.
     """
-
-    def exponents(m):
-        if m <= 1:
-            return (1.0, 1.0)
-        r = float(rbar_fn(m))
-        return (r, r / 2.0)
-
     return _loss_skeleton(
-        G_fit, G_true, K, exponents, renormalize=renormalize, subsets=subsets
+        G_fit, G_true, K, lambda m: (float(rbar_fn(m)), rbar_fn(m) / 2.0),
+        renormalize=renormalize, subsets=subsets,
     )
 
 
 def loss_d3(G_fit, G_true, K, *, renormalize=False, subsets=None) -> LossReport:
-    """Over-specified loss with squares in multi-member cells, the exponents
-    of strongly identifiable experts.
+    """Over-specified loss with squares in cells of two or more members, the
+    exponents of strongly identifiable experts; smaller cells use first powers.
 
     ``renormalize`` and ``subsets`` act as in :func:`loss_d1`.
     """
     return _loss_skeleton(
-        G_fit, G_true, K, lambda m: (1.0, 1.0) if m <= 1 else (2.0, 2.0),
+        G_fit, G_true, K, lambda m: (2.0, 2.0),
         renormalize=renormalize, subsets=subsets,
     )
 

@@ -25,7 +25,8 @@ Conventions used throughout the library:
   A caller that passes ``out=`` (as Hellinger does, block by block)
   allocates no (k, n, m) temporaries.
 * Every normalization over the components (the gate's softmax, EM's
-  responsibilities, every log-likelihood) is one kernel, :func:`_softmax`.
+  responsibilities, every log-likelihood, the renormalized Voronoi losses'
+  weights) is one kernel, :func:`_softmax`.
   An input with no finite score, such as a response no expert gives any
   density, gets logsumexp -inf, with no warning.
 * Log joints are exponentiated by :func:`_exp`, which clamps arguments at

@@ -142,6 +142,14 @@ class TestPartitionCheck:
         assert rates[-1] >= 0.999
 
 
+    @pytest.mark.parametrize("etas", ["0.1,nan", "inf", "-inf,1e-2"])
+    def test_non_finite_eta_rejected_before_any_output(self, truth_file, etas, capsys):
+        code, out, err = run(["partition-check", "--truth", truth_file, "--K", 1, f"--etas={etas}",
+                              "--n-mc", 100, "--seed", 5], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: --etas must be finite, got {etas!r}\n"
+
+
 class TestPolysys:
     def test_witness_table(self, capsys):
         code, out, _ = run(
@@ -235,6 +243,31 @@ class TestSweepAndPlot:
                               "--out", tmp_path / "o.csv", "--seed", seed], capsys)
         assert code == 2 and "wrote 2 rows" in out
         assert err.splitlines() == want
+
+    def test_nan_loss_is_a_named_failure(self, tmp_path, monkeypatch, capsys, bench_truth):
+        # every fit returns the truth with beta0 = (800, 0): exp(800) overflows
+        # against a zero distance, a NaN cell term, so every row's D1 is NaN
+        t = bench_truth
+        measure = ml.MixingMeasure.from_arrays([800.0, 0.0], t.beta1, t.a, t.b, t.sigma)
+        fitted = ml.em.FitResult(measure, np.array([-1.0]), 1, True, 0, 0, 0, 0.0)
+        monkeypatch.setattr(ml.em, "fit", lambda data, cfg: fitted)
+        code, _, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", tmp_path / "o.csv",
+                            "--seed", 1], capsys)
+        assert code == 2
+        assert err.splitlines() == ["n=50 replicate=0: loss is not finite", "n=100 replicate=0: loss is not finite",
+                                    "2 fit(s) failed"]
+
+    def test_overflowing_losses_plot(self, tmp_path, capsys):
+        # the std of 1e160 and 3e160 overflows: the bar runs to the plot's
+        # top edge, and the y range comes from the finite mean alone
+        csv = tmp_path / "o.csv"
+        csv.write_text(ml.experiments.CSV_HEADER + "\n50,0,1,1e160,-1,3,true\n50,1,2,3e160,-1,3,true\n")
+        code, out, err = run(["plot", "--csv", csv, "--out", tmp_path / "o.svg", "--allow-no-fit"], capsys)
+        assert (code, err) == (0, "")
+        text = (tmp_path / "o.svg").read_text()
+        assert "nan" not in text and "inf" not in text
+        assert 'y1="64.00" x2="320.00" y2="416.00"' in text  # top edge to bottom edge
+        assert 'cy="240.00"' in text
 
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--config", sweep_config(tmp_path), "--out", tmp_path / "o.csv",

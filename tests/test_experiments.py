@@ -66,6 +66,21 @@ class TestFitSlope:
         with pytest.raises(ml.InsufficientDataError):
             ex.fit_slope(synthetic_rows(-0.5, sizes=(100, 1000)))
 
+    def test_overflowing_statistics_are_inf(self):
+        # finite losses whose mean or std passes the largest float: inf, with
+        # no NumPy warning (an error under tier-1's filter), and the slope
+        # drops the infinite mean
+        rows = synthetic_rows(-0.5, sizes=(100, 1000, 10000, 100000))
+        rows += [ex.SweepRow(n=5, replicate=rep, seed=rep, loss=loss, loglik=-1.0, iterations=1, converged=True)
+                 for rep, loss in enumerate((1e308, 1.5e308))]
+        rows += [ex.SweepRow(n=7, replicate=rep, seed=rep, loss=loss, loglik=-1.0, iterations=1, converged=True)
+                 for rep, loss in enumerate((1e160, 3e160))]
+        ns, means, stds = ex.mean_loss_by_n(rows)
+        assert ns.tolist()[:2] == [5, 7]
+        assert means[0] == math.inf and stds[0] == math.inf
+        assert means[1] == pytest.approx(2e160) and stds[1] == math.inf
+        assert ex.fit_slope(rows) == ex.fit_slope([r for r in rows if r.n != 5])
+
 
 class TestRunSweep:
     def test_zero_iteration_truth_init_gives_zero_loss(self, bench_truth):
@@ -241,6 +256,20 @@ class TestSvg:
         text = path.read_text()
         assert "nan" not in text and "inf" not in text
         assert text.count('cy="240.00"') == 3
+
+    def test_infinite_std_bar_runs_to_the_top_edge(self, tmp_path):
+        # n = 1000's std overflows: its bar runs from the bottom edge (a
+        # non-positive lower end) to the top edge, and the y range is taken
+        # from the finite values only
+        rows = synthetic_rows(-0.5, reps=1) + [
+            ex.SweepRow(n=1000, replicate=rep, seed=rep, loss=loss, loglik=-1.0, iterations=1, converged=True)
+            for rep, loss in ((1, 1e160), (2, 3e160))]
+        path = tmp_path / "inf.svg"
+        ex.emit_svg_loglog(rows, path)
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert 'y1="64.00"' in text and text.count('y2="416.00"') == 1
+        assert text.count("<circle") == 3
 
     def test_self_contained(self, tmp_path):
         rows = tuple(synthetic_rows(-1.0))

@@ -2,8 +2,10 @@
 another exception or a warning: derandomized hypothesis fuzzing of the
 measure reader, the sweep-config reader, the sweep-CSV reader and the CLI's
 TSV dataset reader.  Documents are arbitrary text, token soup, or a valid
-document with a few characters inserted, deleted or replaced."""
+document with a few characters inserted, deleted or replaced.  A stress
+sweep whose fits overflow checks the same of ``moelab sweep --plot``."""
 
+import math
 import warnings
 
 import pytest
@@ -102,3 +104,29 @@ def test_valid_bases_parse(doc_path, reader, base):
     read = {"measure": ml.measure_from_text, "sweep": ml.parse_sweep_config,
             "csv": from_file(ml.parse_csv, doc_path), "tsv": from_file(cli._read_dataset, doc_path)}[reader]
     assert read(base) is not None
+
+
+# A jitter of 400 sends fits to parameters near 1e2-1e3: losses past 1e160,
+# whose per-n std overflows, exp(beta0) overflows, degenerate likelihoods and
+# scales outside the floats, depending on the seed.
+OVERFLOW_SWEEP = ("data_k = 1\nfit_k = 2\nfit_big_k = 1\nsample_sizes = 50,100,200\nreplicates = 2\n"
+                  "metric = d1\nnoise_std = 400\nmax_iters = 3\n\n[truth]\n" + MEASURE)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overflowing_sweep_and_plot(tmp_path, capsys, seed):
+    # exit 0 or 2 with one reason line per failed row; a warning would escape
+    # main as an exception
+    cfg, csv = tmp_path / "sweep.cfg", tmp_path / "o.csv"
+    cfg.write_text(OVERFLOW_SWEEP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(csv), "--plot", str(tmp_path / "o.svg"),
+                         "--seed", str(seed)])
+    _, err = capsys.readouterr()
+    failed = [r for r in ml.parse_csv(csv) if not math.isfinite(r.loss)]
+    assert code == (2 if failed else 0)
+    assert "Warning" not in err and "Traceback" not in err
+    lines = err.splitlines()
+    assert [ln.split(": ")[0] for ln in lines[:len(failed)]] == [f"n={r.n} replicate={r.replicate}" for r in failed]
+    assert lines[len(failed):] == ([f"{len(failed)} fit(s) failed"] if failed else [])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -199,6 +200,16 @@ class TestRenormalizedTranslationInvariance:
             for rep in all_losses(G_fit, bench_truth, K, renormalize=True):
                 assert rep.value == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("c0, c1", [(709.0, 3.0), (-709.0, -3.0), (710.0, 3.0), (-710.0, 0.5),
+                                        (760.0, -12.5), (-760.0, 12.5), (1e4, 40.0), (-1e4, -40.0)])
+    def test_shift_past_exp_overflow_scores_zero(self, bench_truth, c0, c1):
+        # exp(beta0) overflows past a common shift of about 709 and
+        # underflows past -745; the softmax of beta0 sees neither
+        G_fit = translated(bench_truth, c0, [c1])
+        for K in (1, 2):
+            for rep in all_losses(G_fit, bench_truth, K, renormalize=True):
+                assert 0.0 <= rep.value <= 1e-12
+
 
 def offset_measures(offsets):
     """A truth with well-separated components and a fit that moves each
@@ -259,6 +270,37 @@ class TestOuterMaxOverSubsets:
         rep = ml.loss_d1(fit, truth, 12)
         assert rep.argmax_subset == (0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 16, 20)
         assert rep.value == 4.5
+
+
+class TestNaNCellTerm:
+    """A fitted weight exp(800) overflows to inf, and its component equals
+    its true one, so that cell's term is inf * 0 = NaN."""
+
+    @pytest.fixture
+    def overflowing_fit(self, bench_truth):
+        t = bench_truth
+        return ml.MixingMeasure.from_arrays([800.0, 0.0], t.beta1, t.a, t.b, t.sigma)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_nan_cell_makes_the_loss_nan(self, bench_truth, overflowing_fit, K):
+        for rep in all_losses(overflowing_fit, bench_truth, K):
+            assert math.isnan(rep.value)
+            assert 0 in rep.argmax_subset and len(rep.argmax_subset) == K
+        rep = ml.loss_d1(overflowing_fit, bench_truth, K, terms=("beta1", "a", "b", "sigma"))
+        assert math.isnan(rep.value) and 0 in rep.argmax_subset
+
+    def test_explicit_subsets_avoiding_the_nan_cell_keep_their_max(self, bench_truth, overflowing_fit):
+        for rep in all_losses(overflowing_fit, bench_truth, 1, subsets=[(1,)]):
+            assert (rep.value, rep.argmax_subset, rep.per_cell_terms) == (0.0, (1,), (0.0,))
+        # a candidate holding the NaN cell makes the max NaN, in either order
+        for subsets in ([(1,), (0,)], [(0,), (1,)]):
+            rep = ml.loss_d1(overflowing_fit, bench_truth, 1, subsets=subsets)
+            assert math.isnan(rep.value) and rep.argmax_subset == (0,)
+
+    def test_renormalized_weights_stay_finite(self, bench_truth, overflowing_fit):
+        for K in (1, 2):
+            for rep in all_losses(overflowing_fit, bench_truth, K, renormalize=True):
+                assert math.isfinite(rep.value)
 
 
 class TestLossD2D3:
