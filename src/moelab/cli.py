@@ -21,6 +21,7 @@ from .errors import InvalidArgumentError, MoeError
 from .experiments import _parse_bounds, _read_text, _write_text
 from .model import (
     Dataset,
+    _check_sparsity,
     _fmt,
     measure_from_text,
     measure_to_text,
@@ -127,6 +128,9 @@ def cmd_partition_check(args):
         raise InvalidArgumentError(f"bad --etas {args.etas!r}: {exc}") from exc
     if not np.all(np.isfinite(etas)):
         raise InvalidArgumentError(f"--etas must be finite, got {args.etas!r}")
+    _check_sparsity(args.K, truth.k)
+    if args.n_mc < 1:
+        raise InvalidArgumentError(f"--n-mc must be >= 1, got {args.n_mc}")
     rng = np.random.default_rng(args.seed)
     directions = rng.standard_normal((truth.k, truth.d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-The rate sweeps dominate the runtime: the module takes 25-40 s on a 2-core
-x86 host, 16-24 s of it in criterion 1's 240-fit sweep.
+The rate sweeps dominate the runtime: the module takes 25-27 s on a shared
+2-core x86 host, 15-16 s of it in criterion 1's 240-fit sweep.
 Set MOELAB_ACCEPTANCE=skip to exclude this module.
 """
 

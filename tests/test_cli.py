@@ -149,6 +149,17 @@ class TestPartitionCheck:
         assert (code, out) == (1, "")
         assert err == f"error: --etas must be finite, got {etas!r}\n"
 
+    @pytest.mark.parametrize("args, reason", [
+        (["--K", 1, "--n-mc", 0], "--n-mc must be >= 1, got 0"),
+        (["--K", 0, "--n-mc", 100], "need 1 <= K <= k, got K=0, k=2"),
+        (["--K", 5, "--n-mc", 100], "need 1 <= K <= k, got K=5, k=2"),
+    ])
+    def test_bad_arguments_rejected_before_any_output(self, truth_file, args, reason, capsys):
+        code, out, err = run(["partition-check", "--truth", truth_file, *args, "--etas", "1e-2",
+                              "--seed", 5], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {reason}\n"
+
 
 class TestPolysys:
     def test_witness_table(self, capsys):
