@@ -289,7 +289,7 @@ def _wls_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array([_ridge_solve(A_i, rhs_i) for A_i, rhs_i in zip(A, rhs)])
 
 
-def m_step_experts(Z, y, products, resp, mass, a, b, sigma):
+def m_step_experts(Z, y, products, resp, a, b, sigma):
     """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
     a weighted least squares per component, then its weighted residual scale,
     floored at ``SIGMA_FLOOR``.
@@ -298,15 +298,14 @@ def m_step_experts(Z, y, products, resp, mass, a, b, sigma):
     ``products``, the design's row products ``_row_products(Z, y)`` that
     :func:`fit` builds once per fit, gives every component's normal
     equations, one batched solve their coefficients, and one pass their
-    residual scales.  ``mass`` is ``resp.sum(axis=1)``, each component's
-    responsibility mass, which :func:`fit` shares with the gating step.
-    Components with zero mass are left unchanged.  Returns new stacked
-    (a (k, d), b (k,), sigma (k,)), and raises :class:`InvalidArgumentError`
-    unless all are finite and sigma > 0.
+    residual scales.  Components with zero responsibility mass are left
+    unchanged.  Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
+    :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
     p = Z.shape[1]
     k = resp.shape[0]
     sums = products @ resp.T  # (p * p + p, k)
+    mass = resp.sum(axis=1)
     live = mass > 0.0
     beta = np.zeros((k, p))
     beta[live] = _wls_solve(sums[: p * p].T.reshape(k, p, p)[live], sums[p * p :].T[live])
@@ -338,17 +337,11 @@ def _gradient(X, setup, w, block: int) -> np.ndarray:
     return colsum - w.sum(axis=1) if block == 0 else rX - w @ X
 
 
-def _term(setup, value, block: int):
-    """The surrogate's linear term in beta0 (block 0) or beta1 (block 1):
-    the component sums . beta0, or (resp @ X) . beta1."""
-    colsum, rX = setup
-    return colsum @ value if block == 0 else (rX * value).sum()
-
-
 def _surrogate(setup, beta0, beta1, lse) -> float:
     """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
     the component sums . beta0, so the surrogate needs only the gate's lse."""
-    return float(_term(setup, beta1, 1) + _term(setup, beta0, 0) - lse.sum())
+    colsum, rX = setup
+    return float((rX * beta1).sum() + colsum @ beta0 - lse.sum())
 
 
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
@@ -382,11 +375,10 @@ def gating_gradients(X, resp, mask, beta0, beta1):
 SHIFT_BOUND = 32.0
 
 
-def _shifted(lse, w, shift, weights=True):
+def _shifted(lse, w, shift):
     """The logsumexp (n,) and weights (k, n) of a gate with logsumexp ``lse``
     and weights ``w`` after its logits move by ``shift``: (k,), the same at
     every input, or (k, n), bounded by ``SHIFT_BOUND`` in absolute value.
-    Without ``weights``, the new weights are None.
 
     By the softmax shift identity, lse' = lse + log s and w' = w exp(shift) / s
     with s = sum_i w_i exp(shift_i): no masked logit is exponentiated, and
@@ -398,56 +390,48 @@ def _shifted(lse, w, shift, weights=True):
     else:
         w = np.multiply(w, e, out=e)
         s = w.sum(axis=0)
-    if not weights:
-        return lse + np.log(s), None
     w /= s
     return lse + np.log(s), w
 
 
-def m_step_gating(X, x_max, resp, mass, gate: GatePass, lr: float, steps: int):
+def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     """Coordinate (block) gradient ascent on the gating surrogate.
 
     ``gate`` is the :class:`GatePass` at the incoming parameters; its top-K
     selection stays frozen while the blocks move, and ``resp`` is taken as
-    :func:`gating_surrogate` takes it.  ``x_max`` is ``np.abs(X).max(axis=0)``
-    and ``mass`` is ``resp.sum(axis=1)``, which :func:`fit` computes once per
-    fit and once per iteration.  A block proposal moves the logits by
+    :func:`gating_surrogate` takes it.  A block proposal moves the logits by
     delta_i (beta0) or delta_i . x (beta1), at most c = max_i |delta_i| or
-    max_i |delta_i| . x_max in absolute value.  Its step is shortened to
-    c <= ``SHIFT_BOUND``, then halved until the surrogate, scored by
-    :func:`_shifted`, does not decrease; the worst case accepts a zero step,
-    and a surrogate that is not finite counts as a decrease.  The surrogate
-    is (resp @ X) . beta1 + mass . beta0 - sum_j lse_j (:func:`_surrogate`):
-    a proposal carries the term of the block it does not move, and the last
-    one forms no weights, which nothing reads.  A non-finite beta0 or beta1
-    entry makes the surrogate inf or NaN, so the returned beta0 and beta1
-    are finite.  Returns them and the number of halvings.
+    max_i |delta_i| . max|x| (per axis) in absolute value.  Its step is
+    shortened to c <= ``SHIFT_BOUND``, then halved until the surrogate,
+    scored by :func:`_shifted`, does not decrease; the worst case accepts a
+    zero step, and a surrogate that is not finite counts as a decrease.  A
+    non-finite beta0 or beta1 entry makes the surrogate inf or NaN, so the
+    returned beta0 and beta1 are finite.  Returns them and the number of
+    halvings.
     """
     n = X.shape[0]
-    setup = mass, resp @ X
-    params, lse, w = [gate.beta0, gate.beta1], gate.lse, gate.w
-    terms = [_term(setup, params[0], 0), _term(setup, params[1], 1)]
-    q = float(terms[1] + terms[0] - lse.sum())
+    setup = _gating_setup(X, resp)
+    x_max = np.abs(X).max(axis=0)
+    beta0, beta1, lse, w = gate.beta0, gate.beta1, gate.lse, gate.w
+    q = _surrogate(setup, beta0, beta1, lse)
     tol = 1e-12 * max(1.0, abs(q))
     backtracks = 0
-    for step in range(steps):
+    for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
             grad = _gradient(X, setup, w, block)
             reach = (np.abs(grad).max() if block == 0 else (np.abs(grad) @ x_max).max()) / n
             step_lr = lr if lr * reach <= SHIFT_BOUND else SHIFT_BOUND / reach
-            weights = block == 0 or step < steps - 1  # the last proposal's weights go unread
             for _ in range(30):
                 delta = step_lr * grad / n
-                cand, moved = params[block] + delta, terms.copy()
-                moved[block] = _term(setup, cand, block)
-                lse_new, w_new = _shifted(lse, w, delta if block == 0 else _project(delta, X), weights)
-                q_new = float(moved[1] + moved[0] - lse_new.sum())
+                cand0, cand1 = (beta0 + delta, beta1) if block == 0 else (beta0, beta1 + delta)
+                lse_new, w_new = _shifted(lse, w, delta if block == 0 else _project(delta, X))
+                q_new = _surrogate(setup, cand0, cand1, lse_new)
                 if np.isfinite(q_new) and q_new >= q - tol:
-                    params[block], terms, lse, w, q = cand, moved, lse_new, w_new, q_new
+                    beta0, beta1, lse, w, q = cand0, cand1, lse_new, w_new, q_new
                     break
                 step_lr *= 0.5
                 backtracks += 1
-    return params[0], params[1], backtracks
+    return beta0, beta1, backtracks
 
 
 def fit(data: Dataset, cfg: FitConfig) -> FitResult:
@@ -466,11 +450,8 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     and the responsibilities and log-likelihood :func:`_scored` from the
     gate's scores plus those densities.  The proposals are scored beside
     the state: a kept one replaces its part, and a rejected one is dropped,
-    so a revert recomputes nothing.  The joint score is the gating half's
-    when the fallback keeps the experts.  The largest |x| on each axis is
-    taken once per fit and the responsibility mass once per iteration, for
-    both M-steps.  An input no expert gives any density raises
-    :class:`DegenerateDataError` naming it, without a NumPy warning.
+    so a revert recomputes nothing.  An input no expert gives any density
+    raises :class:`DegenerateDataError` naming it, without a NumPy warning.
     """
     if data.d != cfg.init.truth.d:
         raise InvalidArgumentError("data dimension does not match the init truth")
@@ -479,7 +460,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     K = cfg.K
     X, y = data.x, data.y
     Z = np.asfortranarray(np.column_stack([X, np.ones(data.n)]))  # column-major, as data.x
-    products, x_max = _row_products(Z, y), np.abs(X).max(axis=0)
+    products = _row_products(Z, y)
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logf = _expert_log_densities(X, y, a, b, sigma)
@@ -489,10 +470,8 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
         # both M-steps propose from the E-step's responsibilities, resp
-        mass = resp.sum(axis=1)
-        experts = m_step_experts(Z, y, products, resp, mass, a, b, sigma)
-        beta0, beta1, halvings = m_step_gating(X, x_max, resp, mass, gate, cfg.gating_lr,
-                                               cfg.gating_steps_per_m)
+        experts = m_step_experts(Z, y, products, resp, a, b, sigma)
+        beta0, beta1, halvings = m_step_gating(X, resp, gate, cfg.gating_lr, cfg.gating_steps_per_m)
         backtracks += halvings
         logf_e = _expert_log_densities(X, y, *experts)
         gate_g = GatePass.at(X, beta0, beta1, K)
@@ -508,10 +487,9 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
                 # a degenerate WLS fallback, or a scale floor above the current
                 # scale, produced a worse point; keep the old experts
                 reverted_experts += 1
-                joint = None  # it scored the new experts
             else:
                 (a, b, sigma), logf, resp, ll = experts, logf_e, resp_e, ll_e
-            resp_g, ll_g = joint if joint is not None else _scored(gate_g.scores + logf, gate_g.lse)
+            resp_g, ll_g = _scored(gate_g.scores + logf, gate_g.lse)
             if ll_g < ll - ASCENT_SLACK:
                 # a selection flip, or a gate fitted to the old experts, hurt
                 # the data likelihood; accept a zero gating step

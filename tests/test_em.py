@@ -29,18 +29,12 @@ def design(x):
 def experts_step(data, resp, G):
     """em.m_step_experts on G's stacked expert arrays: (a, b, sigma)."""
     Z = design(data.x)
-    return em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, resp.sum(axis=1), G.a, G.b, G.sigma)
-
-
-def gating_m_step(X, resp, gate, lr, steps):
-    """em.m_step_gating from ``gate``, with the largest |x| per axis and the
-    responsibility mass it takes from fit: (beta0, beta1, halvings)."""
-    return em.m_step_gating(X, np.abs(X).max(axis=0), resp, resp.sum(axis=1), gate, lr=lr, steps=steps)
+    return em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, G.a, G.b, G.sigma)
 
 
 def gating_step(X, resp, G, K, lr, steps):
     """em.m_step_gating from the gate at G's gating parameters: (beta0, beta1)."""
-    beta0, beta1, _ = gating_m_step(X, resp, ml.model.GatePass.at(X, G.beta0, G.beta1, K), lr, steps)
+    beta0, beta1, _ = em.m_step_gating(X, resp, ml.model.GatePass.at(X, G.beta0, G.beta1, K), lr=lr, steps=steps)
     return beta0, beta1
 
 
@@ -467,16 +461,16 @@ class TestMStepGating:
         G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=12)
         resp = em.e_step(data, G, 2)
         start = ml.model.GatePass.at(data.x, G.beta0, G.beta1, 2)
-        plain0, _, halvings = gating_m_step(data.x, resp, start, lr=0.1, steps=1)
+        plain0, _, halvings = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         shifted, calls = em._shifted, []
 
-        def first_underflows(lse, w, shift, *weights):
+        def first_underflows(lse, w, shift):
             calls.append(shift)
-            lse, w = shifted(lse, w, shift, *weights)
+            lse, w = shifted(lse, w, shift)
             return (np.full_like(lse, -np.inf) if len(calls) == 1 else lse), w
 
         monkeypatch.setattr(em, "_shifted", first_underflows)
-        out0, _, halvings_out = gating_m_step(data.x, resp, start, lr=0.1, steps=1)
+        out0, _, halvings_out = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         assert (halvings, halvings_out) == (0, 1)
         np.testing.assert_array_equal(calls[1], calls[0] / 2)  # the beta0 step, halved
         assert not np.array_equal(out0, plain0)
@@ -674,8 +668,8 @@ class TestFit:
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
         step, calls = em.m_step_gating, []
 
-        def spy(X, x_max, resp, mass, gate, lr, steps):
-            calls.append((gate, step(X, x_max, resp, mass, gate, lr, steps)))
+        def spy(X, resp, gate, lr, steps):
+            calls.append((gate, step(X, resp, gate, lr, steps)))
             return calls[-1][1]
 
         monkeypatch.setattr(em, "m_step_gating", spy)
@@ -857,9 +851,9 @@ def test_huge_gating_steps_stay_in_the_trust_region(bench_truth, monkeypatch):
         gates["softmax"] += 1
         return softmax(*args)
 
-    def spied_shifted(lse, w, shift, *weights):
+    def spied_shifted(lse, w, shift):
         shifts.append(np.abs(shift).max())
-        return shifted(lse, w, shift, *weights)
+        return shifted(lse, w, shift)
 
     def spied_step(*args):
         before = gates["softmax"]
