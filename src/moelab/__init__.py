@@ -13,7 +13,6 @@ from .errors import (
 from .model import (
     Dataset,
     MixingMeasure,
-    conditional_log_density,
     gate_log_weights,
     log_joint,
     measure_from_text,
@@ -49,7 +48,6 @@ from .em import (
     FitConfig,
     FitResult,
     InitSpec,
-    e_step,
     fit,
     init_measure,
     m_step_experts,

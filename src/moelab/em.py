@@ -60,7 +60,6 @@ from .model import (
     _expert_log_densities,
     _project,
     _softmax,
-    log_joint,
 )
 
 # Monotonicity slack per EM step, in mean log-likelihood units.
@@ -234,12 +233,6 @@ def _scored(joint, gate_lse=0.0):
         if bad.any():
             raise DegenerateDataError(int(np.argmax(bad)))
     return resp, float(total / lse.size)
-
-
-def e_step(data: Dataset, G: MixingMeasure, K: int) -> np.ndarray:
-    """Responsibilities r[i, j], shape (k, n): the softmax of the log joint,
-    columns summing to 1, exactly zero outside the top-K selection at x_j."""
-    return _scored(log_joint(G, data.x, data.y, K))[0]
 
 
 def _row_products(Z: np.ndarray, y: np.ndarray) -> np.ndarray:

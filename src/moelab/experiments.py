@@ -313,7 +313,7 @@ def emit_svg_loglog(rows, path, allow_no_fit: bool = False) -> None:
     with np.errstate(over="ignore"):  # a bar end past the largest float is inf
         lo_y = means - 2 * stds
         hi_y = means + 2 * stds
-    y_low = np.where(lo_y > 0, np.log10(lo_y, where=lo_y > 0, out=np.full_like(lo_y, np.nan)), np.nan)
+    y_low = np.log10(lo_y, where=lo_y > 0, out=np.full_like(lo_y, np.nan))
     y_high = np.log10(hi_y)
 
     x_min, x_max = float(lx.min()), float(lx.max())

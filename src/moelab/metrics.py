@@ -255,14 +255,18 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
         raise InvalidArgumentError(f"a y grid needs an integer n_points >= 2, got {n_points!r}")
     bounds = _checked_box(bounds, G_a.d)
     lo, hi = math.inf, -math.inf
-    sig_max = 0.0
-    for G in (G_a, G_b):
-        low_part = np.minimum(G.a * bounds[None, :, 0], G.a * bounds[None, :, 1])
-        high_part = np.maximum(G.a * bounds[None, :, 0], G.a * bounds[None, :, 1])
-        lo = min(lo, float(np.min(low_part.sum(axis=1) + G.b)))
-        hi = max(hi, float(np.max(high_part.sum(axis=1) + G.b)))
-        sig_max = max(sig_max, float(G.sigma.max()))
-    return np.linspace(lo - 8.0 * sig_max, hi + 8.0 * sig_max, n_points)
+    sig_max = max(float(G_a.sigma.max()), float(G_b.sigma.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is rejected below
+        for G in (G_a, G_b):
+            low_part = np.minimum(G.a * bounds[None, :, 0], G.a * bounds[None, :, 1])
+            high_part = np.maximum(G.a * bounds[None, :, 0], G.a * bounds[None, :, 1])
+            lo = np.minimum(lo, np.min(low_part.sum(axis=1) + G.b))  # NaN propagates
+            hi = np.maximum(hi, np.max(high_part.sum(axis=1) + G.b))
+        lo, hi = lo - 8.0 * sig_max, hi + 8.0 * sig_max
+        if not np.isfinite(hi - lo):  # a finite width makes both ends and the step finite
+            raise InvalidArgumentError(f"the y grid [{lo}, {hi}] of these measures on bounds {bounds.tolist()} "
+                                       "overflows")
+    return np.linspace(lo, hi, n_points)
 
 
 # x rows scored per pass of expected_hellinger, into one (k, rows, y points)

@@ -214,8 +214,6 @@ def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
     order of a stable descending sort, ties to the smaller index.
     """
     k = logits.shape[0]
-    if K == k:
-        return np.ones(logits.shape, dtype=bool)
     ahead = np.zeros(logits.shape, dtype=np.intp)
     for j in range(k):
         ahead[:j] += logits[j] > logits[:j]
@@ -303,10 +301,6 @@ class GatePass(NamedTuple):
         lse, w = _softmax(logits.copy(), np.exp if mask is None else _exp)
         return cls(beta0, beta1, logits, lse, w)
 
-    def log_weights(self) -> np.ndarray:
-        """Log gate weights (k, n), -inf off the selection."""
-        return self.scores - self.lse
-
 
 def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     """Log gate weights for a batch of inputs, shape (k, n).
@@ -316,7 +310,8 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     """
     X = _as_rows(X, G.d)
     _check_sparsity(K, G.k)
-    return GatePass.at(X, G.beta0, G.beta1, K).log_weights()
+    gate = GatePass.at(X, G.beta0, G.beta1, K)
+    return gate.scores - gate.lse
 
 
 def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
@@ -356,16 +351,15 @@ def _paired(X: np.ndarray, y) -> np.ndarray:
     return y
 
 
-def expert_log_density_matrix(G: MixingMeasure, X, y, out=None) -> np.ndarray:
+def expert_log_density_matrix(G: MixingMeasure, X, y) -> np.ndarray:
     """Per-expert Gaussian log densities log N(y | a_i.x + b_i, sigma_i^2).
 
     ``y`` is (n,), one response per row of ``X``, giving shape (k, n); or
     (n, m) / (1, m), m responses per row, giving (k, n, m).  Components sit
-    on axis 0 either way, so a reduction over them adds whole slices.  The
-    result is written into ``out`` when given, a float array of that shape.
+    on axis 0 either way, so a reduction over them adds whole slices.
     """
     X = _as_rows(X, G.d)
-    return _expert_log_densities(X, _paired(X, y), G.a, G.b, G.sigma, out=out)
+    return _expert_log_densities(X, _paired(X, y), G.a, G.b, G.sigma)
 
 
 def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
@@ -381,12 +375,6 @@ def log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
     X = _as_rows(X, G.d)
     y = _paired(X, y)
     return _expert_log_densities(X, y, G.a, G.b, G.sigma, out=out, logw=gate_log_weights(G, X, K))
-
-
-def conditional_log_density(G: MixingMeasure, K: int, X, y) -> np.ndarray:
-    """log g_G(y | x) = log sum_i gate_i(x) f(y | expert i), shape (n,) for
-    paired y or (n, m) for m responses per row; -inf where it underflows."""
-    return _softmax(log_joint(G, X, y, K))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,21 @@ MASS_N_MC = 20000
 def _selections(sampler, n_mc: int, seed, *gates):
     """Top-K masks, shape (k, n_mc), of each ``(G, K)`` in ``gates`` at the
     same n_mc inputs drawn by ``sampler`` from a fresh rng seeded ``seed``,
-    which must be finite: a NaN logit would select more than K components."""
+    which must be finite.  So must every logit beta1 . x: overflowed logits
+    would tie, and NaN ones select more than K components."""
     if n_mc < 1:
         raise InvalidArgumentError("n_mc must be >= 1")
     for G, K in gates:
         _check_sparsity(K, G.k)
     X = _as_rows(sampler(np.random.default_rng(seed), n_mc), gates[0][0].d)
-    return [_selection_mask(_project(G.beta1, X), K) for G, K in gates]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed logit is rejected below
+        logits = [_project(G.beta1, X) for G, _ in gates]
+    for L in logits:
+        bad = ~np.isfinite(L).all(axis=0)
+        if bad.any():
+            raise InvalidArgumentError(f"the gating logits beta1 . x overflow at the sampled input "
+                                       f"{X[np.argmax(bad)].tolist()}")
+    return [_selection_mask(L, K) for L, (_, K) in zip(logits, gates)]
 
 
 def positive_mass_subsets(G: MixingMeasure, K: int, sampler, n_mc: int, seed=0):

@@ -247,12 +247,12 @@ class TestEStep:
     def test_single_expert_all_ones(self):
         G = ml.MixingMeasure.from_arrays([0.0], [[1.0]], [[-1.0]], [0.5], [0.8])
         data = ml.Dataset(x=np.linspace(0, 1, 50)[:, None], y=np.zeros(50))
-        resp = em.e_step(data, G, 1)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, 1))[0]
         assert np.all(resp == 1.0)
 
     def test_top1_rows_are_indicators(self, bench_truth):
         data = small_data(bench_truth, K=1)
-        resp = em.e_step(data, bench_truth, 1)
+        resp = em._scored(ml.log_joint(bench_truth, data.x, data.y, 1))[0]
         assert set(np.unique(resp).tolist()) <= {0.0, 1.0}
         np.testing.assert_array_equal(resp.sum(axis=0), 1.0)
 
@@ -261,7 +261,7 @@ class TestEStep:
             [0, 0], [[0], [0]], [[1], [1]], [0, 0], [1, 1]
         )
         data = ml.Dataset(x=np.linspace(0, 1, 20)[:, None], y=np.zeros(20))
-        resp = em.e_step(data, G, 2)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, 2))[0]
         np.testing.assert_allclose(resp, 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -270,7 +270,7 @@ class TestEStep:
         G = random_measure(rng, 4, 1)
         data = small_data(bench_truth, n=200, K=2, seed=seed)
         K = int(rng.integers(1, 5))
-        resp = em.e_step(data, G, K)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, K))[0]
         np.testing.assert_allclose(resp.sum(axis=0), 1.0, atol=1e-12)
         logw = ml.model.gate_log_weights(G, data.x, K)
         assert np.array_equal(resp == 0.0, np.isneginf(logw)) or np.all(
@@ -284,7 +284,7 @@ class TestEStep:
         # (and off the selection), and still sum to 1
         data = small_data(bench_truth, n=1000, seed=8)
         G = em.init_measure(em.InitSpec(bench_truth, (0, 1, 1), 0.3), seed=9)
-        resp = em.e_step(data, G, K)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, K))[0]
         joint = ml.log_joint(G, data.x, data.y, K)
         x = joint - joint.max(axis=0)
         above = x >= ml.model._EXP_FLOOR
@@ -302,7 +302,7 @@ class TestEStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ml.DegenerateDataError) as err:
-                em.e_step(data, bench_truth, 2)
+                em._scored(ml.log_joint(bench_truth, data.x, data.y, 2))[0]
         assert err.value.sample_index == 0
 
 
@@ -358,7 +358,7 @@ class TestMStepExperts:
         if case == "top2-2d":
             data = ml.sample_dataset(truth, 2, 3000, seed=6, bounds=BOX_2D)
             G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=7)
-            resp = em.e_step(data, G, 2)
+            resp = em._scored(ml.log_joint(G, data.x, data.y, 2))[0]
         else:
             x = rng.uniform(-1.0, 1.0, size=(500, 2))
             x[:100] = 0.0
@@ -387,7 +387,7 @@ class TestMStepExperts:
         rng = np.random.default_rng(seed)
         data = small_data(bench_truth, n=300, seed=seed)
         G0 = random_measure(rng, 2, 1)
-        resp = em.e_step(data, G0, 2)
+        resp = em._scored(ml.log_joint(G0, data.x, data.y, 2))[0]
         out = experts_step(data, resp, G0)
 
         def weighted_ll(a, b, sigma):
@@ -409,7 +409,7 @@ class TestMStepExperts:
 class TestMStepGating:
     def test_k1_gradients_zero(self, bench_truth):
         data = small_data(bench_truth, K=1)
-        resp = em.e_step(data, bench_truth, 1)
+        resp = em._scored(ml.log_joint(bench_truth, data.x, data.y, 1))[0]
         beta0, beta1 = gating_step(data.x, resp, bench_truth, 1, lr=0.5, steps=3)
         assert np.array_equal(beta0, bench_truth.beta0)
         assert np.array_equal(beta1, bench_truth.beta1)
@@ -429,7 +429,7 @@ class TestMStepGating:
         rng = np.random.default_rng(1)
         data = small_data(bench_truth, n=300)
         G = random_measure(rng, 3, 1)
-        resp = em.e_step(data, G, 2)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, 2))[0]
         mask = ml.model._selection_mask(G.beta1 @ data.x.T, 2)
         q0 = em.gating_surrogate(data.x, resp, mask, G.beta0, G.beta1)
         q1 = em.gating_surrogate(data.x, resp, mask, *gating_step(data.x, resp, G, 2, lr=2.0, steps=5))
@@ -446,7 +446,7 @@ class TestMStepGating:
             plan, K, lr, steps, bounds = (0, 1, 2), 2, 0.1, 5, BOX_2D
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
         G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
-        resp = em.e_step(data, G, K)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, K))[0]
         got0, got1 = gating_step(data.x, resp, G, K, lr=lr, steps=steps)
         beta0, beta1, _ = reference_block_ascent(data.x, resp, K, G, lr, steps)
         assert not np.allclose(got1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
@@ -459,7 +459,7 @@ class TestMStepGating:
         truth = ml.true_measure(**TRUTH_2D)
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=BOX_2D)
         G = em.init_measure(em.InitSpec(truth, (0, 1, 2), 0.3), seed=12)
-        resp = em.e_step(data, G, 2)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, 2))[0]
         start = ml.model.GatePass.at(data.x, G.beta0, G.beta1, 2)
         plain0, _, halvings = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         shifted, calls = em._shifted, []
@@ -557,8 +557,8 @@ class TestGatePass:
         X = rng.uniform(-1, 1, size=(300, d))
         gate = ml.model.GatePass.at(X, G.beta0, G.beta1, K)
         assert np.isfinite(gate.scores).all() == (K == k)  # -inf off a top-K selection
-        assert np.array_equal(gate.log_weights(), ml.model.gate_log_weights(G, X, K))
-        np.testing.assert_allclose(gate.w, np.exp(gate.log_weights()), rtol=1e-12, atol=1e-300)
+        assert np.array_equal(gate.scores - gate.lse, ml.model.gate_log_weights(G, X, K))
+        np.testing.assert_allclose(gate.w, np.exp(gate.scores - gate.lse), rtol=1e-12, atol=1e-300)
 
 
 BAD_SETTINGS = [

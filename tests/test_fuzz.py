@@ -130,3 +130,37 @@ def test_overflowing_sweep_and_plot(tmp_path, capsys, seed):
     lines = err.splitlines()
     assert [ln.split(": ")[0] for ln in lines[:len(failed)]] == [f"n={r.n} replicate={r.replicate}" for r in failed]
     assert lines[len(failed):] == ([f"{len(failed)} fit(s) failed"] if failed else [])
+
+
+# The README truth, and the same truth with one parameter block at 1e308; the
+# last component stays pinned at beta0 = 0, beta1 = 0.
+EXTREME_MEASURES = {
+    "truth": MEASURE,
+    "a": "family=gaussian d=1 k=2\n-8 25 1e308 15 0.3\n0 0 -1e308 -5 0.4\n",
+    "b-sigma": "family=gaussian d=1 k=2\n-8 25 -20 1e308 1e308\n0 0 20 -5 0.4\n",
+    "beta0": "family=gaussian d=1 k=2\n1e308 25 -20 15 0.3\n0 0 20 -5 0.4\n",
+    "beta1": "family=gaussian d=1 k=2\n-8 1e308 -20 15 0.3\n0 0 20 -5 0.4\n",
+}
+EXTREME_COMMANDS = {
+    "gen": ["gen", "--truth", "{m}", "--K", "1", "--n", "200", "--seed", "1", "--out", "{tmp}/data.tsv"],
+    "loss-d2": ["loss", "--metric", "d2", "--K", "1", "--fit", "{m}", "--true", "{m}"],
+    "loss-d1-mass": ["loss", "--metric", "d1", "--K", "1", "--fit", "{m}", "--true", "{m}",
+                     "--positive-mass-only", "--renormalize"],
+    "hellinger": ["hellinger", "--fit", "{m}", "--K-fit", "1", "--true", "{m}", "--K-true", "1",
+                  "--n-mc", "20", "--y-points", "201", "--seed", "1"],
+    "partition-check": ["partition-check", "--truth", "{m}", "--K", "1", "--n-mc", "1000", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("bounds", [[], ["--bounds=0,1e308"]], ids=["unit-box", "wide-box"])
+@pytest.mark.parametrize("measure", EXTREME_MEASURES)
+@pytest.mark.parametrize("command", EXTREME_COMMANDS)
+def test_extreme_finite_inputs(tmp_path, capsys, command, measure, bounds):
+    # exit 0, or 1 with one error line; a warning would escape main as an exception
+    (tmp_path / "measure.txt").write_text(EXTREME_MEASURES[measure])
+    argv = [arg.format(m=tmp_path / "measure.txt", tmp=tmp_path) for arg in EXTREME_COMMANDS[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + bounds)
+    _, err = capsys.readouterr()
+    assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)

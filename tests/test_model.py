@@ -271,7 +271,7 @@ class TestLogJoint:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, 5.0, -3.0])
         joint = ml.log_joint(bench_truth, X, y, 2)
-        np.testing.assert_allclose(ml.conditional_log_density(bench_truth, 2, X, y),
+        np.testing.assert_allclose(ml.model._softmax(ml.log_joint(bench_truth, X, y, 2))[0],
                                    np.log(np.exp(joint).sum(axis=0)), rtol=1e-12)
 
 
@@ -382,7 +382,7 @@ class TestMaskedLogSumExp:
         assert np.any(np.isfinite(shifted) & (shifted < FLOOR))
         assert np.any(np.isneginf(joint)) == (K == 2)
         assert np.array_equal(softmax_lse(joint), plain_logsumexp(joint))
-        assert np.array_equal(ml.conditional_log_density(G, K, data.x, data.y), plain_logsumexp(joint))
+        assert np.array_equal(ml.model._softmax(ml.log_joint(G, data.x, data.y, K))[0], plain_logsumexp(joint))
 
 
 class TestInPlaceKernel:
@@ -470,14 +470,14 @@ class TestConditionalLogDensity:
     def test_degenerate_single_expert(self):
         G = ml.MixingMeasure.from_arrays([0.3], [[1.0]], [[2.0]], [1.0], [0.5])
         x, y = 0.2, 1.3
-        got = ml.conditional_log_density(G, 1, [[x]], [y])
+        got = ml.model._softmax(ml.log_joint(G, [[x]], [y], 1))[0]
         assert got.shape == (1,)
         assert np.exp(got[0]) == pytest.approx(stats.norm.pdf(y, 2.0 * x + 1.0, 0.5))
 
     def test_top1_equals_leading_expert(self, bench_truth):
         # 25x > 0 on (0, 1], so the first expert is always ranked first
         xs = np.array([[0.05], [0.4], [1.0]])
-        got = ml.conditional_log_density(bench_truth, 1, xs, np.full(3, 2.0))
+        got = ml.model._softmax(ml.log_joint(bench_truth, xs, np.full(3, 2.0), 1))[0]
         expect = stats.norm.logpdf(2.0, -20.0 * xs[:, 0] + 15.0, 0.3)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
@@ -486,14 +486,14 @@ class TestConditionalLogDensity:
         w = gate_probs(bench_truth, [x], 2)
         f1 = stats.norm.pdf(y, -20.0 * x + 15.0, 0.3)
         f2 = stats.norm.pdf(y, 20.0 * x - 5.0, 0.4)
-        got = np.exp(ml.conditional_log_density(bench_truth, 2, [[x]], [y])[0])
+        got = np.exp(ml.model._softmax(ml.log_joint(bench_truth, [[x]], [y], 2))[0][0])
         assert got == pytest.approx(w[0] * f1 + w[1] * f2, rel=1e-12)
 
     def test_no_density_is_minus_inf(self, bench_truth):
         # y = 1e308 overflows every expert's standardized residual: no
         # density at sample 0, and no warning
         X, y = np.array([[0.1], [0.5], [0.9]]), np.array([1e308, 1.0, 2.0])
-        got = ml.conditional_log_density(bench_truth, 2, X, y)
+        got = ml.model._softmax(ml.log_joint(bench_truth, X, y, 2))[0]
         assert got[0] == -np.inf
         assert np.array_equal(got[1:], plain_logsumexp(ml.log_joint(bench_truth, X[1:], y[1:], 2)))
 
@@ -506,7 +506,7 @@ class TestConditionalLogDensity:
         lo = mu.min() - 10 * G.sigma.max()
         hi = mu.max() + 10 * G.sigma.max()
         ys = np.linspace(lo, hi, 4001)
-        dens = np.exp(ml.conditional_log_density(G, 2, [x], ys[None, :])[0])
+        dens = np.exp(ml.model._softmax(ml.log_joint(G, [x], ys[None, :], 2))[0][0])
         assert np.trapezoid(dens, ys) == pytest.approx(1.0, abs=1e-6)
 
 

@@ -28,7 +28,7 @@ def test_sampling_and_density_2d(truth_2d):
     assert abs(w.sum() - 1.0) <= 1e-12
     # density normalizes at a 2d input
     ys = np.linspace(-8, 8, 4001)
-    dens = np.exp(ml.conditional_log_density(truth_2d, 2, [0.3, -0.4], ys[None, :])[0])
+    dens = np.exp(ml.model._softmax(ml.log_joint(truth_2d, [0.3, -0.4], ys[None, :], 2))[0][0])
     assert np.trapezoid(dens, ys) == pytest.approx(1.0, abs=1e-6)
 
 
