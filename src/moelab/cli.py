@@ -133,9 +133,11 @@ def cmd_partition_check(args):
     directions = rng.standard_normal((truth.k, truth.d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     directions /= np.where(norms > 0, norms, 1.0)
+    with np.errstate(over="ignore"):  # an overflowing slope is inf, which the measure rejects
+        slopes = [truth.beta1 + eta * directions for eta in etas]
     # every rate before the header, so a bad argument or box prints no table
-    rates = [partition.partition_match_rate(truth, replace(truth, beta1=truth.beta1 + eta * directions), args.K,
-                                            sampler, args.n_mc, seed=args.seed) for eta in etas]
+    rates = [partition.partition_match_rate(truth, replace(truth, beta1=beta1), args.K, sampler, args.n_mc,
+                                            seed=args.seed) for beta1 in slopes]
     print("eta\tmatch_rate")
     for eta, rate in zip(etas, rates):
         print(f"{eta:g}\t{rate:.6f}")

@@ -31,13 +31,13 @@ density: :func:`fit` works on a measure's stacked arrays, beta0 (k,),
 beta1 (k, d), a (k, d), b (k,) and sigma (k,), from the initialization to
 the returned measure, which it builds once.  Its gate is a
 :class:`~moelab.model.GatePass`, one evaluation of the selected softmax that
-keeps its scores, logsumexp and weights.  The gating step builds none: it
-shortens each proposal to a logit shift within ``SHIFT_BOUND`` and scores it
-from the pass's logsumexp and weights by the softmax shift identity
+keeps its log weights, logsumexp and weights.  The gating step builds
+none: it shortens each proposal to a logit shift within ``SHIFT_BOUND`` and
+scores it from the pass's logsumexp and weights by the softmax shift identity
 (:func:`_shifted`).  Each M-step only proposes parameters: :func:`fit`
 builds an iteration's one exact gate at the gating step's parameters, under
-their own top-K selection, and scores a proposal from a gate's scores and
-logsumexp with :func:`_scored`, whose softmax
+their own top-K selection, and scores a proposal's log joint, the gate's
+log weights plus the expert log densities, with :func:`_scored`, whose softmax
 (:func:`~moelab.model._softmax`, the gate's too) gives the responsibilities
 with the log-likelihood, so a kept proposal carries the next E-step.  An
 iteration whose joint step is kept runs two softmaxes, the gate's and the
@@ -217,17 +217,17 @@ def init_measure(spec: InitSpec, seed) -> MixingMeasure:
     return MixingMeasure(*map(np.array, zip(*rows)))
 
 
-def _scored(joint, gate_lse=0.0):
-    """The responsibilities (k, n) of a log joint (k, n) plus ``gate_lse``,
-    its softmax over the components, and the mean of its logsumexp less
-    gate_lse, the log-likelihood.  An input whose logsumexp is not finite,
-    one no expert gives any density, is a DegenerateDataError; it is looked
-    for only when the summed logsumexp is not finite.  The sum divided by n
+def _scored(joint):
+    """The responsibilities (k, n) of a log joint (k, n), its softmax over
+    the components, and the mean of its logsumexp, the log-likelihood.  An
+    input whose logsumexp is not finite, one no expert gives any density,
+    is a DegenerateDataError; it is looked for only when the summed
+    logsumexp is not finite.  The sum divided by n
     has the bits of ``.mean()``.  A mean below the float range is -inf,
     without a warning: every ascent test rejects it."""
     lse, resp = _softmax(joint)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(lse - gate_lse)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(lse)
     if not np.isfinite(total):
         bad = ~np.isfinite(lse)
         if bad.any():
@@ -282,6 +282,8 @@ def _wls_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array([_ridge_solve(A_i, rhs_i) for A_i, rhs_i in zip(A, rhs)])
 
 
+# An update past the floats is inf or NaN, without a warning: the check at the end rejects it.
+@np.errstate(over="ignore", invalid="ignore")
 def m_step_experts(Z, y, products, resp, a, b, sigma):
     """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
     a weighted least squares per component, then its weighted residual scale,
@@ -400,13 +402,19 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     zero step, and a surrogate that is not finite counts as a decrease.  A
     non-finite beta0 or beta1 entry makes the surrogate inf or NaN, so the
     returned beta0 and beta1 are finite.  Returns them and the number of
-    halvings.
+    halvings.  Incoming parameters whose surrogate is not finite, its sums
+    of scores past the largest float, leave no proposal to compare: an
+    :class:`InvalidArgumentError`.
     """
     n = X.shape[0]
     setup = _gating_setup(X, resp)
     x_max = np.abs(X).max(axis=0)
     beta0, beta1, lse, w = gate.beta0, gate.beta1, gate.lse, gate.w
-    q = _surrogate(setup, beta0, beta1, lse)
+    with np.errstate(over="ignore", invalid="ignore"):  # a surrogate past the floats is rejected below
+        q = _surrogate(setup, beta0, beta1, lse)
+    if not np.isfinite(q):
+        raise InvalidArgumentError(f"the gating surrogate is not finite at beta0={beta0.tolist()}, "
+                                   f"beta1={beta1.tolist()}")
     tol = 1e-12 * max(1.0, abs(q))
     backtracks = 0
     for _ in range(steps):
@@ -441,7 +449,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     The state between iterations is the stacked expert arrays, the
     :class:`GatePass` at the gating parameters, the expert log densities,
     and the responsibilities and log-likelihood :func:`_scored` from the
-    gate's scores plus those densities.  The proposals are scored beside
+    gate's log weights plus those densities.  The proposals are scored beside
     the state: a kept one replaces its part, and a rejected one is dropped,
     so a revert recomputes nothing.  An input no expert gives any density
     raises :class:`DegenerateDataError` naming it, without a NumPy warning.
@@ -457,7 +465,7 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     a, b, sigma = G.a, G.b, G.sigma
     gate = GatePass.at(X, G.beta0, G.beta1, K)
     logf = _expert_log_densities(X, y, a, b, sigma)
-    resp, ll = _scored(gate.scores + logf, gate.lse)
+    resp, ll = _scored(gate.logw + logf)
     trace = [ll]
     converged = False
     iterations = reverted_experts = reverted_gating = backtracks = 0
@@ -469,20 +477,20 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
         logf_e = _expert_log_densities(X, y, *experts)
         gate_g = GatePass.at(X, beta0, beta1, K)
         # while the selection holds, the two proposals are one generalized-EM step
-        held = K == cfg.init.k or np.array_equal(np.isneginf(gate_g.scores), np.isneginf(gate.scores))
-        joint = _scored(gate_g.scores + logf_e, gate_g.lse) if held else None
+        held = K == cfg.init.k or np.array_equal(np.isneginf(gate_g.logw), np.isneginf(gate.logw))
+        joint = _scored(gate_g.logw + logf_e) if held else None
         if held and joint[1] >= ll - ASCENT_SLACK:
             (a, b, sigma), logf, gate, (resp, ll) = experts, logf_e, gate_g, joint
         else:
             # guard each half: the experts under the current gate, then the new gate
-            resp_e, ll_e = _scored(gate.scores + logf_e, gate.lse)
+            resp_e, ll_e = _scored(gate.logw + logf_e)
             if ll_e < ll - ASCENT_SLACK:
                 # a degenerate WLS fallback, or a scale floor above the current
                 # scale, produced a worse point; keep the old experts
                 reverted_experts += 1
             else:
                 (a, b, sigma), logf, resp, ll = experts, logf_e, resp_e, ll_e
-            resp_g, ll_g = _scored(gate_g.scores + logf, gate_g.lse)
+            resp_g, ll_g = _scored(gate_g.logw + logf)
             if ll_g < ll - ASCENT_SLACK:
                 # a selection flip, or a gate fitted to the old experts, hurt
                 # the data likelihood; accept a zero gating step

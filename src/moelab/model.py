@@ -17,10 +17,9 @@ Conventions used throughout the library:
   one kernel, :func:`log_joint`: log gate weight plus expert log density per
   component, -inf outside the top-K selection.  Its two halves, the
   :class:`GatePass` and :func:`_expert_log_densities`, are also EM's gate and
-  expert density; EM adds the gate's scores (beta1 . x + beta0) to the
-  densities and takes the gate's logsumexp off its log-likelihood, forming
-  no log gate weights.  The kernel makes four passes over one array: the
-  residual, its square, the scale -1 / (2 sigma^2), and one constant per
+  expert density, and EM's log joint is the same sum of the gate's log
+  weights and the densities.  The kernel makes four passes over one array:
+  the residual, its square, the scale -1 / (2 sigma^2), and one constant per
   component and row, log sigma + log(2 pi) / 2 less the log gate weight.
   A caller that passes ``out=`` (as Hellinger does, block by block)
   allocates no (k, n, m) temporaries.
@@ -269,14 +268,14 @@ def _softmax(e: np.ndarray, exp=_exp):
 class GatePass(NamedTuple):
     """The top-K softmax gate at fixed (beta0, beta1) on fixed inputs.
 
-    ``scores`` are beta1 . x + beta0 (k, n), -inf off the selection; ``lse``
-    is their logsumexp over components (n,), and ``w`` their softmax weights
-    (k, n), both from :func:`_softmax`.
+    ``logw`` are the log gate weights (k, n), -inf off the selection: the
+    scores beta1 . x + beta0 less ``lse``, their logsumexp over components
+    (n,).  ``w`` are the weights (k, n), the scores' :func:`_softmax`.
     """
 
     beta0: np.ndarray
     beta1: np.ndarray
-    scores: np.ndarray
+    logw: np.ndarray
     lse: np.ndarray
     w: np.ndarray
 
@@ -293,12 +292,14 @@ class GatePass(NamedTuple):
 
     @classmethod
     def _of(cls, beta0, beta1, mask, logits) -> GatePass:
-        """The gate from fresh logits beta1 . x, made its scores in place: -inf
-        off ``mask``, plus beta0.  A masked gate exponentiates by :func:`_exp`."""
+        """The gate from fresh logits beta1 . x, made its log weights in place:
+        -inf off ``mask``, plus beta0, less their logsumexp.  A masked gate
+        exponentiates by :func:`_exp`."""
         if mask is not None:
             logits = np.where(mask, logits, -np.inf)
         logits += beta0[:, None]
         lse, w = _softmax(logits.copy(), np.exp if mask is None else _exp)
+        logits -= lse
         return cls(beta0, beta1, logits, lse, w)
 
 
@@ -310,8 +311,7 @@ def gate_log_weights(G: MixingMeasure, X, K: int) -> np.ndarray:
     """
     X = _as_rows(X, G.d)
     _check_sparsity(K, G.k)
-    gate = GatePass.at(X, G.beta0, G.beta1, K)
-    return gate.scores - gate.lse
+    return GatePass.at(X, G.beta0, G.beta1, K).logw
 
 
 def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
@@ -325,7 +325,8 @@ def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
     scaled value overflows, and wherever logw is -inf, off a top-K
     selection.  Below sigma ~ 5e-155, 1 / (2 sigma^2) is not a float: the
     factor is clamped at the largest float, which keeps the density exact at
-    r = 0 and -inf or far below 0 elsewhere.
+    r = 0 and -inf or far below 0 elsewhere.  Above sigma ~ 1.3e154 the factor
+    is -0, and an entry whose r * r overflows is NaN; none of these warns.
     """
     mu = _project(a, X) + b[:, None]
     with np.errstate(over="ignore", divide="ignore"):
@@ -335,7 +336,7 @@ def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
         const = const - logw
     if y.ndim == 2:
         mu, scale, const = mu[:, :, None], scale[:, :, None], const[:, :, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         r = np.subtract(y, mu, out=out)
         r *= r
         r *= scale

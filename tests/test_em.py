@@ -556,9 +556,44 @@ class TestGatePass:
         G = random_measure(rng, k, d)
         X = rng.uniform(-1, 1, size=(300, d))
         gate = ml.model.GatePass.at(X, G.beta0, G.beta1, K)
-        assert np.isfinite(gate.scores).all() == (K == k)  # -inf off a top-K selection
-        assert np.array_equal(gate.scores - gate.lse, ml.model.gate_log_weights(G, X, K))
-        np.testing.assert_allclose(gate.w, np.exp(gate.scores - gate.lse), rtol=1e-12, atol=1e-300)
+        assert np.isfinite(gate.logw).all() == (K == k)  # -inf off a top-K selection
+        assert np.array_equal(gate.logw, ml.model.gate_log_weights(G, X, K))
+        np.testing.assert_allclose(gate.w, np.exp(gate.logw), rtol=1e-12, atol=1e-300)
+
+
+class TestLogJointForm:
+    """EM scores the log joint as log_joint forms it: log gate weights plus
+    expert log densities, never raw gate scores less their logsumexp."""
+
+    @pytest.mark.parametrize("slope", [1e8, 1e12, 1e16, 1e20])
+    def test_steep_gate_loglik(self, bench_truth, slope):
+        # two components: the log gate weights are -logaddexp(0, -/+delta) in
+        # the score difference delta, which a steep gate keeps exactly while
+        # the scores themselves round by |score| * 2^-53
+        data = ml.sample_dataset(bench_truth, 2, 2000, seed=1)
+        T = bench_truth
+        G = ml.MixingMeasure.from_arrays(T.beta0, [[slope], [0.0]], T.a, T.b, T.sigma)
+        cfg = ml.FitConfig(K=2, init=em.InitSpec(G, (0, 1), noise_std=0.0), max_iters=0)
+        ll = ml.fit(data, cfg).loglik_trace[0]
+        delta = (G.beta1[0] - G.beta1[1]) @ data.x.T + (G.beta0[0] - G.beta0[1])
+        logf = ml.model.expert_log_density_matrix(G, data.x, data.y)
+        want = np.logaddexp(logf[0] - np.logaddexp(0.0, -delta), logf[1] - np.logaddexp(0.0, delta)).mean()
+        assert abs(ll - want) <= 1e-12
+
+    @given(st.data())
+    def test_fit_scoring_equals_log_joint(self, data):
+        k, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+        K, n = data.draw(st.integers(1, k)), data.draw(st.integers(1, 50))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        G = random_measure(rng, k, d)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        y = rng.normal(0.0, 2.0, size=n)
+        gate = ml.model.GatePass.at(X, G.beta0, G.beta1, K)
+        logf = ml.model._expert_log_densities(X, y, G.a, G.b, G.sigma)
+        resp, ll = em._scored(gate.logw + logf)
+        want_resp, want_ll = em._scored(ml.log_joint(G, X, y, K))
+        np.testing.assert_allclose(resp, want_resp, rtol=1e-12, atol=0.0)
+        assert ll == pytest.approx(want_ll, rel=1e-12, abs=0.0)
 
 
 BAD_SETTINGS = [
@@ -679,10 +714,10 @@ class TestFit:
             if nxt is not gate:
                 exact = ml.model.GatePass.at(data.x, beta0, beta1, K)
                 assert all(np.array_equal(got, want) for got, want in zip(nxt, exact))
-                kept.append(not np.array_equal(np.isinf(nxt.scores), np.isinf(gate.scores)))
+                kept.append(not np.array_equal(np.isinf(nxt.logw), np.isinf(gate.logw)))
         assert len(calls) == 10 and kept
         if case == "dense":
-            assert all(np.isfinite(gate.scores).all() for gate, _ in calls)
+            assert all(np.isfinite(gate.logw).all() for gate, _ in calls)
         else:
             assert any(kept) == (case == "top2-flip")
 

@@ -5,6 +5,7 @@ TSV dataset reader.  Documents are arbitrary text, token soup, or a valid
 document with a few characters inserted, deleted or replaced.  A stress
 sweep whose fits overflow checks the same of ``moelab sweep --plot``."""
 
+import json
 import math
 import warnings
 
@@ -149,6 +150,9 @@ EXTREME_COMMANDS = {
     "hellinger": ["hellinger", "--fit", "{m}", "--K-fit", "1", "--true", "{m}", "--K-true", "1",
                   "--n-mc", "20", "--y-points", "201", "--seed", "1"],
     "partition-check": ["partition-check", "--truth", "{m}", "--K", "1", "--n-mc", "1000", "--seed", "1"],
+    # a finite eta that overflows the perturbed slopes of the beta1 measure
+    "partition-check-eta": ["partition-check", "--truth", "{m}", "--K", "1", "--n-mc", "100", "--seed", "1",
+                            "--etas=1.7e308"],
 }
 
 
@@ -164,3 +168,46 @@ def test_extreme_finite_inputs(tmp_path, capsys, command, measure, bounds):
         code = cli.main(argv + bounds)
     _, err = capsys.readouterr()
     assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
+
+
+# fit takes no --bounds, so it runs at K = 1 and K = 2, on data drawn from
+# the README truth; the sweep draws its data from the measure itself
+EXTREME_FIT = ["fit", "--data", "{tmp}/data.tsv", "--truth", "{m}", "--k", "2", "--seed", "1",
+               "--out-measure", "{tmp}/fit.txt", "--out-summary", "{tmp}/fit.json"]
+EXTREME_FITS = {
+    "fit-K1": EXTREME_FIT + ["--K", "1"],
+    "fit-K2": EXTREME_FIT + ["--K", "2"],
+    "sweep": ["sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/o.csv", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("measure", EXTREME_MEASURES)
+@pytest.mark.parametrize("command", EXTREME_FITS)
+def test_extreme_finite_fits(tmp_path, capsys, command, measure):
+    # exit 1 with one error line; or a fit exits 0 with the log-likelihood of
+    # the measure it wrote, and a sweep 0 or 2 with one reason line per failed
+    # row; a warning would escape main as an exception
+    (tmp_path / "measure.txt").write_text(EXTREME_MEASURES[measure])
+    (tmp_path / "sweep.cfg").write_text("data_k = 2\nfit_k = 2\nfit_big_k = 2\nsample_sizes = 50,100,200\n"
+                                        "replicates = 1\nmetric = d1\n\n[truth]\n" + EXTREME_MEASURES[measure])
+    data = ml.sample_dataset(ml.measure_from_text(MEASURE), 2, 200, seed=1)
+    cli._write_dataset(data, tmp_path / "data.tsv")
+    argv = [arg.format(m=tmp_path / "measure.txt", tmp=tmp_path) for arg in EXTREME_FITS[command]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    _, err = capsys.readouterr()
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif command == "sweep":
+        failed = [r for r in ml.parse_csv(tmp_path / "o.csv") if not math.isfinite(r.loss)]
+        assert code == (2 if failed else 0)
+        lines = err.splitlines()
+        assert [ln.split(": ")[0] for ln in lines[:len(failed)]] == [f"n={r.n} replicate={r.replicate}" for r in failed]
+        assert lines[len(failed):] == ([f"{len(failed)} fit(s) failed"] if failed else [])
+    else:
+        assert (code, err) == (0, "")
+        G = ml.measure_from_text((tmp_path / "fit.txt").read_text())
+        K = int(command[-1])  # fit-K1 or fit-K2
+        want = ml.model._softmax(ml.log_joint(G, data.x, data.y, K))[0].mean()
+        assert json.loads((tmp_path / "fit.json").read_text())["loglik"] == pytest.approx(want, rel=1e-12)
