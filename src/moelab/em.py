@@ -4,9 +4,9 @@ The E-step and the expert M-step are closed form; the gating parameters have
 no closed-form update, so the M-step ascends the expected complete-data
 log-likelihood by coordinate (block) gradient steps with backtracking.  It
 works in the E-step's frame: the responsibilities r are 0 off the selection
-and sum to 1 at each input, so the surrogate is sum_j (sum_i r_ij eta_ij -
-lse_j) in the selected logits eta, and its gradient sum_j (r_ij - w_ij)
-(1, x_j) at the gate's weights w (Jordan & Jacobs 1994).
+and sum to 1 at each input, so the surrogate is sum_ij r_ij logw_ij over the
+selection, in the gate's log weights logw, and its gradient sum_j (r_ij -
+w_ij) (1, x_j) at the gate's weights w (Jordan & Jacobs 1994).
 
 The top-K selection at each input is held fixed while the gating blocks move:
 the selection is piecewise constant in the parameters, so its gradient is zero
@@ -33,19 +33,25 @@ the returned measure, which it builds once.  Its gate is a
 :class:`~moelab.model.GatePass`, one evaluation of the selected softmax that
 keeps its log weights, logsumexp and weights.  The gating step builds
 none: it shortens each proposal to a logit shift within ``SHIFT_BOUND`` and
-scores it from the pass's logsumexp and weights by the softmax shift identity
-(:func:`_shifted`).  Each M-step only proposes parameters: :func:`fit`
-builds an iteration's one exact gate at the gating step's parameters, under
-their own top-K selection, and scores a proposal's log joint, the gate's
-log weights plus the expert log densities, with :func:`_scored`, whose softmax
-(:func:`~moelab.model._softmax`, the gate's too) gives the responsibilities
-with the log-likelihood, so a kept proposal carries the next E-step.  An
-iteration whose joint step is kept runs two softmaxes, the gate's and the
-joint step's; the halves are scored only when they are guarded.
+scores it by its increment, the linear term's gain less sum_j log s_j, where
+s_j is the factor by which the softmax shift identity (:func:`_shifted`)
+moves the pass's weights; no sum of raw scores is formed, so a steep gate
+does not overflow it.  The expert step forms its residuals as the density
+kernel does and hands over the new experts' log densities, so EM runs the
+kernel once per fit, at the start.  Each M-step only proposes parameters:
+:func:`fit` builds an iteration's one exact gate at the gating step's
+parameters, under their own top-K selection, and scores a proposal's log
+joint, the gate's log weights plus the expert log densities, with
+:func:`_scored`, whose softmax (:func:`~moelab.model._softmax`, the gate's
+too) gives the responsibilities with the log-likelihood, so a kept proposal
+carries the next E-step.  An iteration whose joint step is kept runs two
+softmaxes, the gate's and the joint step's; the halves are scored only when
+they are guarded.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,13 +59,16 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidArgumentError
 from .model import (
+    _FLOAT_MAX,
     Dataset,
     GatePass,
     MixingMeasure,
     _check_sparsity,
     _expert_log_densities,
     _project,
+    _scaled_densities,
     _softmax,
+    _squared_residuals,
 )
 
 # Monotonicity slack per EM step, in mean log-likelihood units.
@@ -294,69 +303,63 @@ def m_step_experts(Z, y, products, resp, a, b, sigma):
     :func:`fit` builds once per fit, gives every component's normal
     equations, one batched solve their coefficients, and one pass their
     residual scales.  Components with zero responsibility mass are left
-    unchanged.  Returns new stacked (a (k, d), b (k,), sigma (k,)), and raises
+    unchanged.  The squared residuals y - (a_i.x + b_i) of the new experts,
+    the density kernel's first half, give the scales, and its second half
+    turns them into the new experts' log densities, bit for bit
+    ``model._expert_log_densities(X, y, a, b, sigma)``.  Returns new stacked
+    (a (k, d), b (k,), sigma (k,)) and those densities (k, n), and raises
     :class:`InvalidArgumentError` unless all are finite and sigma > 0.
     """
     p = Z.shape[1]
     k = resp.shape[0]
     sums = products @ resp.T  # (p * p + p, k)
+    A, rhs = sums[: p * p].T.reshape(k, p, p), sums[p * p :].T
     mass = resp.sum(axis=1)
     live = mass > 0.0
-    beta = np.zeros((k, p))
-    beta[live] = _wls_solve(sums[: p * p].T.reshape(k, p, p)[live], sums[p * p :].T[live])
-    resid = y - _project(beta, Z)
-    resid *= resid
+    if live.all():
+        live = slice(None)  # every component moves: basic indexing, no mask gathers
+    beta = _wls_solve(A[live], rhs[live])
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
-    a[live], b[live] = beta[live, :-1], beta[live, -1]
-    sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, resid)[live] / mass[live]), SIGMA_FLOOR)
+    a[live], b[live] = beta[:, :-1], beta[:, -1]
+    sq = _squared_residuals(Z[:, :-1], y, a, b)
+    sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, sq)[live] / mass[live]), SIGMA_FLOOR)
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
             and (sigma > 0.0).all()):
         raise InvalidArgumentError(f"expert step left a={a.tolist()}, b={b.tolist()}, sigma={sigma.tolist()}")
-    return a, b, sigma
+    return a, b, sigma, _scaled_densities(sq, sigma)
 
 
 # ---------------------------------------------------------------------------
 # Gating M-step
 # ---------------------------------------------------------------------------
 
-def _gating_setup(X, resp):
-    """The surrogate's constants while the gate moves: resp's sums per
-    component (k,) and resp @ X (k, d)."""
-    return resp.sum(axis=1), resp @ X
-
-
-def _gradient(X, setup, w, block: int) -> np.ndarray:
-    """The surrogate's gradient w.r.t. beta0 (block 0) or beta1 (block 1) at
-    selected softmax weights w: sum_j (r_ij - w_i(x_j)), times x_j for beta1."""
-    colsum, rX = setup
-    return colsum - w.sum(axis=1) if block == 0 else rX - w @ X
-
-
-def _surrogate(setup, beta0, beta1, lse) -> float:
-    """sum_j sum_i r_ij (beta1_i . x_j + beta0_i) is (resp @ X) . beta1 plus
-    the component sums . beta0, so the surrogate needs only the gate's lse."""
-    colsum, rX = setup
-    return float((rX * beta1).sum() + colsum @ beta0 - lse.sum())
+def _surrogate(resp, logw) -> float:
+    """sum_ij r_ij logw_ij over the selection, for responsibilities ``resp``
+    (k, n) that are 0 off it and log gate weights ``logw`` (k, n) that are
+    -inf off it.  Clamping logw at the least float makes each off-selection
+    term 0 * -max = -0, not 0 * -inf = NaN."""
+    return float(np.dot(resp.ravel(), np.maximum(logw, -_FLOAT_MAX).ravel()))
 
 
 def gating_surrogate(X, resp, mask, beta0, beta1) -> float:
     """Expected complete-data gating log-likelihood with the selection fixed,
-    the one :func:`m_step_gating` ascends: sum_j (sum_i r_ij eta_ij - lse_j)
-    in the selected logits eta.  ``resp`` and ``mask`` are (k, n), and
-    ``resp`` must be 0 off the selection and sum to 1 at each input, as the
-    E-step's responsibilities do.
+    the one :func:`m_step_gating` ascends: sum_ij r_ij logw_ij over the
+    selection, at the log gate weights logw.  ``resp`` and ``mask`` are
+    (k, n), and ``resp`` must be 0 off the selection and sum to 1 at each
+    input, as the E-step's responsibilities do; it is then sum_j (sum_i
+    r_ij eta_ij - lse_j) in the selected logits eta.
     """
-    return _surrogate(_gating_setup(X, resp), beta0, beta1, GatePass.under(X, beta0, beta1, mask).lse)
+    return _surrogate(resp, GatePass.under(X, beta0, beta1, mask).logw)
 
 
 def gating_gradients(X, resp, mask, beta0, beta1):
     """Analytic gradients of the surrogate w.r.t. beta0 (k,) and beta1 (k, d),
-    for ``resp`` as :func:`gating_surrogate` takes it.  Both vanish
-    identically when K = 1 (singleton softmax weights are 1).
+    sum_j (r_ij - w_ij) and that times x_j at the gate's weights w, for
+    ``resp`` as :func:`gating_surrogate` takes it.  Both vanish identically
+    when K = 1 (singleton softmax weights are 1).
     """
-    setup = _gating_setup(X, resp)
     w = GatePass.under(X, beta0, beta1, mask).w
-    return _gradient(X, setup, w, 0), _gradient(X, setup, w, 1)
+    return resp.sum(axis=1) - w.sum(axis=1), resp @ X - w @ X
 
 
 # The trust region of a gating proposal: a bound c on its logit shift, which
@@ -364,20 +367,20 @@ def gating_gradients(X, resp, mask, beta0, beta1):
 # and, as the weights sum to 1, their weighted sum lie in [exp(-c), exp(c)]:
 # at c <= 32 (1.3e-14 to 7.9e13) nothing overflows or underflows, every
 # argument of exp stays far above model._EXP_FLOOR, off np.exp's slow path,
-# and lse + log(sum) rounds within about an ulp of |lse| + 32.  The
-# benchmark and acceptance fits stay inside: c <= gating_lr * max(1, sum
-# over axes of max x^2) <= 2 there.
+# and log(sum) stays within 32 nats of 0.  The benchmark and acceptance
+# fits stay inside: c <= gating_lr * max(1, sum over axes of max x^2) <= 2
+# there.
 SHIFT_BOUND = 32.0
 
 
-def _shifted(lse, w, shift):
-    """The logsumexp (n,) and weights (k, n) of a gate with logsumexp ``lse``
-    and weights ``w`` after its logits move by ``shift``: (k,), the same at
-    every input, or (k, n), bounded by ``SHIFT_BOUND`` in absolute value.
+def _shifted(w, shift):
+    """log s (n,) and the weights (k, n) of a gate with weights ``w`` after
+    its logits move by ``shift``: (k,), the same at every input, or (k, n),
+    bounded by ``SHIFT_BOUND`` in absolute value.
 
-    By the softmax shift identity, lse' = lse + log s and w' = w exp(shift) / s
-    with s = sum_i w_i exp(shift_i): no masked logit is exponentiated, and
-    w' is 0 wherever w is, off the selection."""
+    By the softmax shift identity, the logsumexp moves by log s and
+    w' = w exp(shift) / s with s = sum_i w_i exp(shift_i): no masked logit is
+    exponentiated, and w' is 0 wherever w is, off the selection."""
     e = np.exp(shift)
     if e.ndim == 1:
         s = e @ w
@@ -386,7 +389,7 @@ def _shifted(lse, w, shift):
         w = np.multiply(w, e, out=e)
         s = w.sum(axis=0)
     w /= s
-    return lse + np.log(s), w
+    return np.log(s), w
 
 
 def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
@@ -397,38 +400,39 @@ def m_step_gating(X, resp, gate: GatePass, lr: float, steps: int):
     :func:`gating_surrogate` takes it.  A block proposal moves the logits by
     delta_i (beta0) or delta_i . x (beta1), at most c = max_i |delta_i| or
     max_i |delta_i| . max|x| (per axis) in absolute value.  Its step is
-    shortened to c <= ``SHIFT_BOUND``, then halved until the surrogate,
-    scored by :func:`_shifted`, does not decrease; the worst case accepts a
-    zero step, and a surrogate that is not finite counts as a decrease.  A
-    non-finite beta0 or beta1 entry makes the surrogate inf or NaN, so the
-    returned beta0 and beta1 are finite.  Returns them and the number of
-    halvings.  Incoming parameters whose surrogate is not finite, its sums
-    of scores past the largest float, leave no proposal to compare: an
-    :class:`InvalidArgumentError`.
+    shortened to c <= ``SHIFT_BOUND``, then halved until the surrogate does
+    not decrease by more than 1e-12 of its incoming magnitude.  A proposal
+    is scored by its increment: the surrogate is linear in the logits less
+    sum_j lse_j, so the increment is the linear term's gain, resp's sums
+    (beta0) or resp @ X (beta1) dotted with delta, less sum_j log s_j from
+    :func:`_shifted`.  The worst case accepts a zero step, and an increment
+    that is not finite counts as a decrease, so the returned beta0 and beta1
+    are finite.  Returns them and the number of halvings.  Incoming
+    parameters whose surrogate is not finite leave no scale for the slack:
+    an :class:`InvalidArgumentError`.
     """
     n = X.shape[0]
-    setup = _gating_setup(X, resp)
+    q = _surrogate(resp, gate.logw)
+    if not math.isfinite(q):
+        raise InvalidArgumentError(f"the gating surrogate is not finite at beta0={gate.beta0.tolist()}, "
+                                   f"beta1={gate.beta1.tolist()}")
+    floor = -1e-12 * max(1.0, abs(q))  # the least accepted increment
+    colsum, rX = resp.sum(axis=1), resp @ X
     x_max = np.abs(X).max(axis=0)
-    beta0, beta1, lse, w = gate.beta0, gate.beta1, gate.lse, gate.w
-    with np.errstate(over="ignore", invalid="ignore"):  # a surrogate past the floats is rejected below
-        q = _surrogate(setup, beta0, beta1, lse)
-    if not np.isfinite(q):
-        raise InvalidArgumentError(f"the gating surrogate is not finite at beta0={beta0.tolist()}, "
-                                   f"beta1={beta1.tolist()}")
-    tol = 1e-12 * max(1.0, abs(q))
+    beta0, beta1, w = gate.beta0, gate.beta1, gate.w
     backtracks = 0
     for _ in range(steps):
         for block in (0, 1):  # beta0, then beta1
-            grad = _gradient(X, setup, w, block)
-            reach = (np.abs(grad).max() if block == 0 else (np.abs(grad) @ x_max).max()) / n
+            lin, grad = (colsum, colsum - w.sum(axis=1)) if block == 0 else (rX, rX - w @ X)
+            reach = float(np.abs(grad).max() if block == 0 else (np.abs(grad) @ x_max).max()) / n
             step_lr = lr if lr * reach <= SHIFT_BOUND else SHIFT_BOUND / reach
             for _ in range(30):
                 delta = step_lr * grad / n
-                cand0, cand1 = (beta0 + delta, beta1) if block == 0 else (beta0, beta1 + delta)
-                lse_new, w_new = _shifted(lse, w, delta if block == 0 else _project(delta, X))
-                q_new = _surrogate(setup, cand0, cand1, lse_new)
-                if np.isfinite(q_new) and q_new >= q - tol:
-                    beta0, beta1, lse, w, q = cand0, cand1, lse_new, w_new, q_new
+                log_s, w_new = _shifted(w, delta if block == 0 else _project(delta, X))
+                gain = float(np.vdot(lin, delta)) - float(log_s.sum())
+                if floor <= gain < math.inf:  # False at NaN and at +-inf
+                    beta0, beta1 = (beta0 + delta, beta1) if block == 0 else (beta0, beta1 + delta)
+                    w = w_new
                     break
                 step_lr *= 0.5
                 backtracks += 1
@@ -471,10 +475,9 @@ def fit(data: Dataset, cfg: FitConfig) -> FitResult:
     iterations = reverted_experts = reverted_gating = backtracks = 0
     for iterations in range(1, cfg.max_iters + 1):
         # both M-steps propose from the E-step's responsibilities, resp
-        experts = m_step_experts(Z, y, products, resp, a, b, sigma)
+        *experts, logf_e = m_step_experts(Z, y, products, resp, a, b, sigma)
         beta0, beta1, halvings = m_step_gating(X, resp, gate, cfg.gating_lr, cfg.gating_steps_per_m)
         backtracks += halvings
-        logf_e = _expert_log_densities(X, y, *experts)
         gate_g = GatePass.at(X, beta0, beta1, K)
         # while the selection holds, the two proposals are one generalized-EM step
         held = K == cfg.init.k or np.array_equal(np.isneginf(gate_g.logw), np.isneginf(gate.logw))

@@ -320,25 +320,43 @@ def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
     (n, d) rows: (k, n) for y (n,), (k, n, m) for y (n, m) or (1, m).
 
     Four passes over one array, ``out`` when given: the residual r = y - mu,
-    r *= r, r *= -1 / (2 sigma^2), and r -= log sigma + log(2 pi) / 2 - logw,
-    one value per component and row.  An entry is -inf where r * r or its
-    scaled value overflows, and wherever logw is -inf, off a top-K
+    r *= r (:func:`_squared_residuals`), then r *= -1 / (2 sigma^2) and
+    r -= log sigma + log(2 pi) / 2 - logw, one value per component and row
+    (:func:`_scaled_densities`).  EM's expert step runs the two halves apart,
+    as it reads the squares between them.  An entry is -inf where r * r or
+    its scaled value overflows, and wherever logw is -inf, off a top-K
     selection.  Below sigma ~ 5e-155, 1 / (2 sigma^2) is not a float: the
     factor is clamped at the largest float, which keeps the density exact at
     r = 0 and -inf or far below 0 elsewhere.  Above sigma ~ 1.3e154 the factor
     is -0, and an entry whose r * r overflows is NaN; none of these warns.
     """
-    mu = _project(a, X) + b[:, None]
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = np.maximum(-0.5 / sigma**2, -_FLOAT_MAX)[:, None]
-    const = (np.log(sigma) + 0.5 * _LOG_2PI)[:, None]
-    if logw is not None:
-        const = const - logw
+    return _scaled_densities(_squared_residuals(X, y, a, b, out), sigma, logw)
+
+
+def _squared_residuals(X, y, a, b, out=None) -> np.ndarray:
+    """The kernel's first half: (y - (a_i.x + b_i))^2, in ``out`` when given."""
+    mu = _project(a, X)
+    mu += b[:, None]
     if y.ndim == 2:
-        mu, scale, const = mu[:, :, None], scale[:, :, None], const[:, :, None]
+        mu = mu[:, :, None]
+    elif out is None:
+        out = mu  # a fresh array of the result's shape: the residual overwrites it
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.subtract(y, mu, out=out)
         r *= r
+    return r
+
+
+def _scaled_densities(r, sigma, logw=None) -> np.ndarray:
+    """The kernel's second half: the log densities of squared residuals r,
+    written over r."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.maximum(-0.5 / sigma**2, -_FLOAT_MAX)[:, None]
+        const = (np.log(sigma) + 0.5 * _LOG_2PI)[:, None]
+        if logw is not None:
+            const = const - logw
+        if r.ndim == 3:
+            scale, const = scale[:, :, None], const[:, :, None]
         r *= scale
         r -= const
     return r

@@ -27,9 +27,10 @@ def design(x):
 
 
 def experts_step(data, resp, G):
-    """em.m_step_experts on G's stacked expert arrays: (a, b, sigma)."""
+    """em.m_step_experts on G's stacked expert arrays: (a, b, sigma), without
+    the new experts' log densities."""
     Z = design(data.x)
-    return em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, G.a, G.b, G.sigma)
+    return em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, G.a, G.b, G.sigma)[:3]
 
 
 def gating_step(X, resp, G, K, lr, steps):
@@ -381,6 +382,26 @@ class TestMStepExperts:
         if case == "zero-mass":
             assert (got[1][1] == G.b[1]) and (got[2][1] == G.sigma[1]) and np.array_equal(got[0][1], G.a[1])
 
+    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "zero-mass"])
+    def test_returns_the_new_experts_densities(self, case, bench_truth):
+        # the fourth value is the density kernel at the returned experts, bit
+        # for bit, so fit needs no density pass of its own
+        if case == "top2-2d":
+            truth, plan, K, bounds = ml.true_measure(**TRUTH_2D), (0, 1, 2), 2, BOX_2D
+        else:
+            truth, plan, K, bounds = bench_truth, (0, 1, 1), 3, None
+        data = ml.sample_dataset(truth, 2, 1000, seed=21, bounds=bounds)
+        G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=22)
+        resp = em._scored(ml.log_joint(G, data.x, data.y, K))[0]
+        if case == "zero-mass":
+            resp[1] = 0.0
+        Z = design(data.x)
+        a, b, sigma, logf = em.m_step_experts(Z, data.y, em._row_products(Z, data.y), resp, G.a, G.b, G.sigma)
+        if case == "zero-mass":
+            assert (b[1], sigma[1]) == (G.b[1], G.sigma[1]) and np.array_equal(a[1], G.a[1])
+        assert np.isfinite(logf).all()
+        assert np.array_equal(logf, ml.model._expert_log_densities(data.x, data.y, a, b, sigma))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_local_maximum_property(self, seed, bench_truth):
         # perturbing an updated expert never raises the weighted likelihood
@@ -435,26 +456,31 @@ class TestMStepGating:
         q1 = em.gating_surrogate(data.x, resp, mask, *gating_step(data.x, resp, G, 2, lr=2.0, steps=5))
         assert q1 >= q0 - 1e-9
 
-    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d"])
+    @pytest.mark.parametrize("case", ["dense-1d", "top2-2d", "long-step"])
     def test_matches_reference_block_ascent(self, case, bench_truth):
         # m_step_gating runs the first-order block ascent written out below
-        # from the public surrogate and its gradients alone
+        # from the public surrogate and its gradients alone, though it scores
+        # each proposal by its increment; long-step's line search halves
         if case == "dense-1d":
             truth, plan, K, lr, steps, bounds = bench_truth, (0, 1, 1), 3, 2.0, 2, None
+        elif case == "long-step":
+            truth, plan, K, lr, steps, bounds = bench_truth, (1, 0, 0), 2, 50.0, 2, None
         else:
             truth = ml.true_measure(**TRUTH_2D)
             plan, K, lr, steps, bounds = (0, 1, 2), 2, 0.1, 5, BOX_2D
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=bounds)
         G = em.init_measure(em.InitSpec(truth, plan, 0.3), seed=12)
         resp = em._scored(ml.log_joint(G, data.x, data.y, K))[0]
-        got0, got1 = gating_step(data.x, resp, G, K, lr=lr, steps=steps)
-        beta0, beta1, _ = reference_block_ascent(data.x, resp, K, G, lr, steps)
+        gate = ml.model.GatePass.at(data.x, G.beta0, G.beta1, K)
+        got0, got1, got_halvings = em.m_step_gating(data.x, resp, gate, lr=lr, steps=steps)
+        beta0, beta1, halvings = reference_block_ascent(data.x, resp, K, G, lr, steps)
         assert not np.allclose(got1, G.beta1, rtol=0.0, atol=1e-6)  # the gate moved
+        assert got_halvings == halvings and (halvings >= 1) == (case == "long-step")
         np.testing.assert_allclose(got0, beta0, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got1, beta1, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_surrogate_is_a_failed_proposal(self, monkeypatch):
-        # a -inf logsumexp, as an underflowed shift-identity sum would give,
+        # a -inf log s, as an underflowed shift-identity sum would give,
         # scores as a +inf gain; the proposal is halved instead
         truth = ml.true_measure(**TRUTH_2D)
         data = ml.sample_dataset(truth, 2, 2000, seed=11, bounds=BOX_2D)
@@ -464,10 +490,10 @@ class TestMStepGating:
         plain0, _, halvings = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
         shifted, calls = em._shifted, []
 
-        def first_underflows(lse, w, shift):
+        def first_underflows(w, shift):
             calls.append(shift)
-            lse, w = shifted(lse, w, shift)
-            return (np.full_like(lse, -np.inf) if len(calls) == 1 else lse), w
+            log_s, w = shifted(w, shift)
+            return (np.full_like(log_s, -np.inf) if len(calls) == 1 else log_s), w
 
         monkeypatch.setattr(em, "_shifted", first_underflows)
         out0, _, halvings_out = em.m_step_gating(data.x, resp, start, lr=0.1, steps=1)
@@ -538,7 +564,8 @@ class TestShiftIdentity:
             c = (np.abs(delta1) @ np.abs(X).max(axis=0)).max()
             shift, moved = delta1 @ X.T, (beta0, beta1 + delta1)
         assert c <= em.SHIFT_BOUND
-        lse, w = em._shifted(gate.lse, gate.w, shift)
+        log_s, w = em._shifted(gate.w, shift)
+        lse = gate.lse + log_s
         exact = ml.model.GatePass.under(X, *moved, mask)
         # atol: lse may sit at 0, where rounding near c is no relative error
         np.testing.assert_allclose(lse, exact.lse, rtol=1e-12, atol=1e-12)
@@ -738,6 +765,21 @@ class TestFit:
         assert res.iterations > 100 and (res.reverted_experts, res.reverted_gating) == (0, 0)
         assert calls["softmax"] == 2 * (res.iterations + 1)
 
+    def test_one_density_pass_per_fit(self, bench_truth, monkeypatch):
+        # the expert step hands over its new experts' densities, so the
+        # density kernel runs once per fit, at the start
+        data, cfg = reference_case("dense-1d", bench_truth)
+        kernel, calls = ml.model._expert_log_densities, collections.Counter()
+
+        def counted(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(ml.model, "_expert_log_densities", counted)
+        monkeypatch.setattr(em, "_expert_log_densities", counted)
+        res = ml.fit(data, cfg)
+        assert res.iterations > 100 and calls["kernel"] == 1
+
     def test_invalid_expert_step_fails_the_fit(self, bench_truth, monkeypatch):
         # a non-finite expert update is an error, never a silent NaN fit, and
         # a sweep turns it into a failed row
@@ -886,9 +928,9 @@ def test_huge_gating_steps_stay_in_the_trust_region(bench_truth, monkeypatch):
         gates["softmax"] += 1
         return softmax(*args)
 
-    def spied_shifted(lse, w, shift):
+    def spied_shifted(w, shift):
         shifts.append(np.abs(shift).max())
-        return shifted(lse, w, shift)
+        return shifted(w, shift)
 
     def spied_step(*args):
         before = gates["softmax"]

@@ -197,6 +197,10 @@ def test_extreme_finite_fits(tmp_path, capsys, command, measure):
         warnings.simplefilter("error")
         code = cli.main(argv)
     _, err = capsys.readouterr()
+    if measure in ("beta0", "beta1") and command != "sweep":
+        # the gating step scores its proposals by their increments, which a
+        # steep gate's overflowing sums of scores do not reach
+        assert code == 0
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
     elif command == "sweep":
