@@ -316,8 +316,6 @@ def m_step_experts(Z, y, products, resp, a, b, sigma):
     A, rhs = sums[: p * p].T.reshape(k, p, p), sums[p * p :].T
     mass = resp.sum(axis=1)
     live = mass > 0.0
-    if live.all():
-        live = slice(None)  # every component moves: basic indexing, no mask gathers
     beta = _wls_solve(A[live], rhs[live])
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
     a[live], b[live] = beta[:, :-1], beta[:, -1]
