@@ -65,6 +65,7 @@ from .model import (
     MixingMeasure,
     _check_sparsity,
     _expert_log_densities,
+    _means,
     _project,
     _scaled_densities,
     _softmax,
@@ -291,8 +292,9 @@ def _wls_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array([_ridge_solve(A_i, rhs_i) for A_i, rhs_i in zip(A, rhs)])
 
 
-# An update past the floats is inf or NaN, without a warning: the check at the end rejects it.
-@np.errstate(over="ignore", invalid="ignore")
+# An update past the floats is inf or NaN, and a scale <= 0 has no finite
+# log, without a warning: the check at the end rejects them.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def m_step_experts(Z, y, products, resp, a, b, sigma):
     """Closed-form Gaussian expert updates on the design Z = [X, 1] (n, d + 1):
     a weighted least squares per component, then its weighted residual scale,
@@ -319,12 +321,12 @@ def m_step_experts(Z, y, products, resp, a, b, sigma):
     beta = _wls_solve(A[live], rhs[live])
     a, b, sigma = a.copy(), b.copy(), sigma.copy()
     a[live], b[live] = beta[:, :-1], beta[:, -1]
-    sq = _squared_residuals(Z[:, :-1], y, a, b)
+    sq = _squared_residuals(_means(Z[:, :-1], a, b), y)
     sigma[live] = np.maximum(np.sqrt(np.vecdot(resp, sq)[live] / mass[live]), SIGMA_FLOOR)
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(sigma).all()
-            and (sigma > 0.0).all()):
+    # one check of every parameter: log sigma is finite iff 0 < sigma < inf
+    if not np.isfinite(np.concatenate((a.ravel(), b, np.log(sigma)))).all():
         raise InvalidArgumentError(f"expert step left a={a.tolist()}, b={b.tolist()}, sigma={sigma.tolist()}")
-    return a, b, sigma, _scaled_densities(sq, sigma)
+    return a, b, sigma, _scaled_densities(sq, sigma[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ max, so the loss is NaN, which a sweep reports as a failed row.
 
 :func:`score` turns a :class:`LossSpec` into one of these losses or the
 expected Hellinger distance; the sweeps and the CLI all score through it.
+
+The Hellinger estimators integrate each conditional density over a y grid
+from each input's K selected experts only: their (K, n, m) joint is
+``model._selected_log_joint``, the rows of ``log_joint``'s (k, n, m) one
+that are not -inf, so each density sums the same terms in the same order,
+bit for bit, at a K/k share of the exponentials and sums.
 """
 
 from __future__ import annotations
@@ -39,7 +45,16 @@ import numpy as np
 
 from . import partition
 from .errors import InvalidArgumentError
-from .model import MixingMeasure, _check_sparsity, _checked_box, _exp, _softmax, log_joint, uniform_box_sampler
+from .model import (
+    MixingMeasure,
+    _as_rows,
+    _check_sparsity,
+    _checked_box,
+    _exp,
+    _selected_log_joint,
+    _softmax,
+    uniform_box_sampler,
+)
 from .polysys import rbar, rbar_fn
 
 ALL_TERMS = frozenset({"beta1", "a", "b", "sigma", "weight"})
@@ -269,12 +284,13 @@ def default_y_grid(G_a: MixingMeasure, G_b: MixingMeasure, bounds, n_points: int
     return np.linspace(lo, hi, n_points)
 
 
-# x rows scored per pass of expected_hellinger, into one (k, rows, y points)
-# buffer per measure reused for the whole call (0.75 MiB at k = 3 and the
-# default 2001-point grid).  Rows are scored independently, so the block size
-# changes no value beyond the rounding of the matrix products.  At k = 3,
-# 200 x and 2001 y on a 2-core x86 host, the fastest of 12 calls took
-# 14-16 ms at 16 and 32 rows, 16-17 ms at 8 and 23 ms at 200.
+# x rows scored per pass of expected_hellinger, into one (K, rows, y points)
+# buffer per measure reused for the whole call, K its selected components
+# (0.24 MiB per selected component at the default 2001-point grid).  Rows
+# are scored independently, so the block size changes no value beyond the
+# rounding of the matrix products.  At k = 3, 200 x and 2001 y on a 2-core
+# x86 host, the fastest of 12 calls took 14-16 ms at 16 and 32 rows, 16-17 ms
+# at 8 and 23 ms at 200, when every component was scored.
 HELLINGER_BLOCK = 16
 
 
@@ -299,19 +315,22 @@ def _quadrature(y_grid) -> tuple:
 
 def _root_density(G, K, X, y_grid, out) -> np.ndarray:
     """sqrt of the conditional density of G on the y grid at every row of X,
-    (n, m); the (k, n, m) joint is computed in ``out`` when given.  The
-    y grid's tails sit far below every expert, so the joint is exponentiated
-    by :func:`~moelab.model._exp`, clear of np.exp's slow underflow path."""
-    joint = log_joint(G, X, y_grid[None, :], K, out=out)
+    (n, m), summed over each row's K selected components only; their
+    (K, n, m) joint is computed in ``out`` when given.  The y grid's tails
+    sit far below every expert, so the joint is exponentiated by
+    :func:`~moelab.model._exp`, clear of np.exp's slow underflow path.  The
+    components off a selection add exact zeros to the full (k, n, m) sum,
+    so skipping them changes no bit."""
+    joint = _selected_log_joint(G, X, y_grid[None, :], K, out=out)
     _exp(joint, out=joint)
     density = joint.sum(axis=0)
     return np.sqrt(density, out=density)
 
 
 def _hellinger_rows(G_a, K_a, G_b, K_b, X, quadrature, out_a=None, out_b=None) -> np.ndarray:
-    """Pointwise Hellinger distance at every row of X, shape (n,), by a
-    :func:`_quadrature`'s points and weights; the two joints are computed in
-    out_a and out_b when given."""
+    """Pointwise Hellinger distance at every row of X, checked (n, d) rows,
+    shape (n,), by a :func:`_quadrature`'s points and weights; the two
+    joints are computed in out_a and out_b when given."""
     y_grid, weights = quadrature
     gap = _root_density(G_a, K_a, X, y_grid, out_a)
     gap -= _root_density(G_b, K_b, X, y_grid, out_b)
@@ -326,7 +345,9 @@ def hellinger_pointwise(G_a, K_a, G_b, K_b, x, y_grid) -> float:
     square-rooted, clipped to [0, 1].
     """
     _check_same_d(G_a, G_b)
-    X = np.reshape(x, (1, -1))
+    _check_sparsity(K_a, G_a.k)
+    _check_sparsity(K_b, G_b.k)
+    X = _as_rows(np.reshape(x, (1, -1)), G_a.d)
     return float(_hellinger_rows(G_a, K_a, G_b, K_b, X, _quadrature(y_grid))[0])
 
 
@@ -343,16 +364,21 @@ class HellingerEstimate:
 
 def expected_hellinger(G_a, K_a, G_b, K_b, sampler, n_mc: int, y_grid, seed=0) -> HellingerEstimate:
     """Monte-Carlo average over x of the pointwise Hellinger distance, scored
-    HELLINGER_BLOCK draws at a time into two joint buffers allocated once."""
+    HELLINGER_BLOCK draws at a time into two joint buffers allocated once,
+    (K_a, rows, m) and (K_b, rows, m).  The draws must be n_mc finite rows."""
     _check_same_d(G_a, G_b)
+    _check_sparsity(K_a, G_a.k)
+    _check_sparsity(K_b, G_b.k)
     if n_mc < 1:
         raise InvalidArgumentError("n_mc must be >= 1")
     quadrature = _quadrature(y_grid)
     rng = np.random.default_rng(seed)
-    X = np.asarray(sampler(rng, n_mc), dtype=float)
+    X = _as_rows(sampler(rng, n_mc), G_a.d)
+    if X.shape[0] != n_mc:
+        raise InvalidArgumentError(f"the sampler drew {X.shape[0]} inputs, not n_mc={n_mc}")
     rows, m = min(n_mc, HELLINGER_BLOCK), quadrature[0].size
-    buf_a = np.empty((G_a.k, rows, m))
-    buf_b = np.empty((G_b.k, rows, m))
+    buf_a = np.empty((K_a, rows, m))
+    buf_b = np.empty((K_b, rows, m))
     blocks = (X[i : i + rows] for i in range(0, n_mc, rows))
     vals = np.concatenate([
         _hellinger_rows(G_a, K_a, G_b, K_b, Xi, quadrature, buf_a[:, : len(Xi)], buf_b[:, : len(Xi)])

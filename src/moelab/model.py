@@ -21,8 +21,12 @@ Conventions used throughout the library:
   weights and the densities.  The kernel makes four passes over one array:
   the residual, its square, the scale -1 / (2 sigma^2), and one constant per
   component and row, log sigma + log(2 pi) / 2 less the log gate weight.
-  A caller that passes ``out=`` (as Hellinger does, block by block)
-  allocates no (k, n, m) temporaries.
+  Its halves take a mean per component and row, and a scale per component
+  or per component and row, so :func:`_selected_log_joint` runs the same
+  passes on each input's K selected components only, gathered by the
+  gate's top-K mask: Hellinger's (K, n, m) joint, the rows of the (k, n, m)
+  one that are not -inf.  A caller that passes ``out=`` (as Hellinger does,
+  block by block) allocates no (K, n, m) temporaries.
 * Every normalization over the components (the gate's softmax, EM's
   responsibilities, every log-likelihood, the renormalized Voronoi losses'
   weights) is one kernel, :func:`_softmax`.
@@ -59,6 +63,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -200,8 +205,8 @@ def _as_rows(X, d: int) -> np.ndarray:
 
 
 def _check_sparsity(K: int, k: int, name: str = "K") -> None:
-    """The gate selects K of k components, so 1 <= K <= k."""
-    if not 1 <= K <= k:
+    """The gate selects K of k components, so K is an integer 1 <= K <= k."""
+    if not (isinstance(K, numbers.Integral) and 1 <= K <= k):
         raise InvalidArgumentError(f"need 1 <= {name} <= k, got {name}={K}, k={k}")
 
 
@@ -218,6 +223,12 @@ def _selection_mask(logits: np.ndarray, K: int) -> np.ndarray:
         ahead[:j] += logits[j] > logits[:j]
         ahead[j + 1 :] += logits[j] >= logits[j + 1 :]
     return ahead < K
+
+
+def _top_k(logits: np.ndarray, K: int):
+    """The gate's selection on (k, n) logits: the :func:`_selection_mask`,
+    or None at K = k, where every component is selected."""
+    return None if K == logits.shape[0] else _selection_mask(logits, K)
 
 
 def _project(W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -283,7 +294,7 @@ class GatePass(NamedTuple):
     def at(cls, X, beta0, beta1, K: int) -> GatePass:
         """The gate at (beta0, beta1) under the top-K selection of beta1."""
         logits = _project(beta1, X)
-        return cls._of(beta0, beta1, None if K == len(beta0) else _selection_mask(logits, K), logits)
+        return cls._of(beta0, beta1, _top_k(logits, K), logits)
 
     @classmethod
     def under(cls, X, beta0, beta1, mask) -> GatePass:
@@ -323,24 +334,33 @@ def _expert_log_densities(X, y, a, b, sigma, out=None, logw=None) -> np.ndarray:
     r *= r (:func:`_squared_residuals`), then r *= -1 / (2 sigma^2) and
     r -= log sigma + log(2 pi) / 2 - logw, one value per component and row
     (:func:`_scaled_densities`).  EM's expert step runs the two halves apart,
-    as it reads the squares between them.  An entry is -inf where r * r or
-    its scaled value overflows, and wherever logw is -inf, off a top-K
-    selection.  Below sigma ~ 5e-155, 1 / (2 sigma^2) is not a float: the
-    factor is clamped at the largest float, which keeps the density exact at
-    r = 0 and -inf or far below 0 elsewhere.  Above sigma ~ 1.3e154 the factor
-    is -0, and an entry whose r * r overflows is NaN; none of these warns.
+    as it reads the squares between them, and Hellinger runs them on each
+    row's selected components only (:func:`_selected_log_joint`).  An entry
+    is -inf where r * r or its scaled value overflows, and wherever logw is
+    -inf, off a top-K selection.  Below sigma ~ 5e-155, 1 / (2 sigma^2) is
+    not a float: the factor is clamped at the largest float, which keeps the
+    density exact at r = 0 and -inf or far below 0 elsewhere.  Above
+    sigma ~ 1.3e154 the factor is -0, and an entry whose r * r overflows is
+    NaN; none of these warns.
     """
-    return _scaled_densities(_squared_residuals(X, y, a, b, out), sigma, logw)
+    return _scaled_densities(_squared_residuals(_means(X, a, b), y, out), sigma[:, None], logw)
 
 
-def _squared_residuals(X, y, a, b, out=None) -> np.ndarray:
-    """The kernel's first half: (y - (a_i.x + b_i))^2, in ``out`` when given."""
+def _means(X, a, b) -> np.ndarray:
+    """The expert means a_i.x + b_i, (k, n), at every component and row."""
     mu = _project(a, X)
     mu += b[:, None]
+    return mu
+
+
+def _squared_residuals(mu, y, out=None) -> np.ndarray:
+    """The kernel's first half: (y - mu)^2 at means mu (c, n), one per
+    component and row, in ``out`` when given; for paired y and no ``out``,
+    written over mu."""
     if y.ndim == 2:
         mu = mu[:, :, None]
     elif out is None:
-        out = mu  # a fresh array of the result's shape: the residual overwrites it
+        out = mu
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.subtract(y, mu, out=out)
         r *= r
@@ -348,11 +368,13 @@ def _squared_residuals(X, y, a, b, out=None) -> np.ndarray:
 
 
 def _scaled_densities(r, sigma, logw=None) -> np.ndarray:
-    """The kernel's second half: the log densities of squared residuals r,
-    written over r."""
+    """The kernel's second half: the log densities of squared residuals r
+    (c, n) or (c, n, m), written over r, at scales sigma, (c, 1) for one per
+    component or (c, n) for one per component and row, plus ``logw``
+    (c, n) when given."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = np.maximum(-0.5 / sigma**2, -_FLOAT_MAX)[:, None]
-        const = (np.log(sigma) + 0.5 * _LOG_2PI)[:, None]
+        scale = np.maximum(-0.5 / sigma**2, -_FLOAT_MAX)
+        const = np.log(sigma) + 0.5 * _LOG_2PI
         if logw is not None:
             const = const - logw
         if r.ndim == 3:
@@ -360,6 +382,28 @@ def _scaled_densities(r, sigma, logw=None) -> np.ndarray:
         r *= scale
         r -= const
     return r
+
+
+def _selected_log_joint(G: MixingMeasure, X, y, K: int, out=None) -> np.ndarray:
+    """The rows of :func:`log_joint` that the top-K gate selects: at each
+    input, its K components' log gate weights plus expert log densities,
+    (K, n) or (K, n, m), on inputs already checked to be finite (n, d) rows
+    and 1 <= K <= k.  The selected components keep ascending order, so
+    component j's slice holds each input's j-th selected component; at K = k
+    the selection is every component.  Each input's selection is read from
+    the gate's top-K mask, and the gate's log weights and the experts' means
+    and scales are gathered by it before the kernel's four passes, which run
+    on the K selected components only, in ``out`` when given.
+    """
+    logits = _project(G.beta1, X)
+    mask = _top_k(logits, K)
+    logw = GatePass._of(G.beta0, G.beta1, mask, logits).logw
+    # nonzero walks the (n, k) transpose input by input, components ascending
+    inputs, comps = np.nonzero((np.ones(logw.shape, dtype=bool) if mask is None else mask).T)
+    inputs, comps = inputs.reshape(-1, K).T, comps.reshape(-1, K).T  # (K, n)
+    at = comps * X.shape[0] + inputs  # their flat positions in a (k, n) array
+    mu, logw = _means(X, G.a, G.b).take(at), logw.take(at)
+    return _scaled_densities(_squared_residuals(mu, y, out), G.sigma[comps], logw)
 
 
 def _paired(X: np.ndarray, y) -> np.ndarray:

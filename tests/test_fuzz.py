@@ -149,6 +149,9 @@ EXTREME_COMMANDS = {
                      "--positive-mass-only", "--renormalize"],
     "hellinger": ["hellinger", "--fit", "{m}", "--K-fit", "1", "--true", "{m}", "--K-true", "1",
                   "--n-mc", "20", "--y-points", "201", "--seed", "1"],
+    # every component selected: the identity selection at K = k
+    "hellinger-dense": ["hellinger", "--fit", "{m}", "--K-fit", "2", "--true", "{m}", "--K-true", "2",
+                        "--n-mc", "20", "--y-points", "201", "--seed", "1"],
     "partition-check": ["partition-check", "--truth", "{m}", "--K", "1", "--n-mc", "1000", "--seed", "1"],
     # a finite eta that overflows the perturbed slopes of the beta1 measure
     "partition-check-eta": ["partition-check", "--truth", "{m}", "--K", "1", "--n-mc", "100", "--seed", "1",

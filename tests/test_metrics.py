@@ -2,9 +2,12 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import moelab as ml
 from moelab.metrics import score
@@ -664,6 +667,106 @@ class TestHellingerMatchesPlainExp:
             want = plain_exp_expected_hellinger(fit, K_fit, truth, K_true, sampler, 40, grid, seed=5)
             assert (est.mean, est.stderr) == want
             assert est.mean > 0.0
+
+
+@st.composite
+def root_density_cases(draw):
+    """A :func:`random_measure` with k <= 4 components on d <= 2 inputs, some
+    gating slopes copied from an earlier component's so that the ranking
+    ties, every K, up to 6 inputs (the origin ties every slope) and a short
+    y grid."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    G = random_measure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k, d)
+    source = [draw(st.integers(0, i)) for i in range(k)]
+    G = ml.MixingMeasure.from_arrays(G.beta0, G.beta1[source], G.a, G.b, G.sigma)
+    n = draw(st.integers(1, 6))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-2.0, 2.0, (n, d))
+    if draw(st.booleans()):
+        X[0] = 0.0
+    grid = ml.default_y_grid(G, G, [[-2.0, 2.0]] * d, draw(st.integers(2, 9)))
+    return G, draw(st.integers(1, k)), X, grid
+
+
+class TestGatheredRootDensity:
+    """Hellinger's densities sum each input's K selected components only; the
+    full (k, n, m) joint of ``log_joint`` adds exact zeros off the selection,
+    so both give the same bits."""
+
+    @given(root_density_cases())
+    def test_equals_the_full_joint(self, case):
+        G, K, X, grid = case
+        full = ml.log_joint(G, X, grid[None, :], K)
+        # the selected rows of the full joint, each input's in ascending order
+        mask = ml.model._selection_mask(G.beta1 @ X.T, K)
+        rows = full.transpose(1, 0, 2)[mask.T].reshape(len(X), K, grid.size).transpose(1, 0, 2)
+        assert np.array_equal(ml.model._selected_log_joint(G, X, grid[None, :], K), rows)
+        want = np.sqrt(np.sum(ml.model._exp(full), axis=0))
+        assert np.array_equal(ml.metrics._root_density(G, K, X, grid, None), want)
+        buf = np.full((K, len(X) + 1, grid.size), np.nan)  # a refilled, non-contiguous block
+        assert np.array_equal(ml.metrics._root_density(G, K, X, grid, buf[:, : len(X)]), want)
+
+    def test_joints_hold_only_the_selected_components(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        fit, truth = random_measure(rng, 4, 2), random_measure(rng, 3, 2)
+        shapes = []
+        for name in ("_squared_residuals", "_scaled_densities"):
+            def spy(r, *args, _kernel=getattr(ml.model, name), **kwargs):
+                out = _kernel(r, *args, **kwargs)
+                shapes.append(out.shape)
+                return out
+            monkeypatch.setattr(ml.model, name, spy)
+
+        def full_gate(*args):
+            raise AssertionError("Hellinger formed a (k, n) gate")
+        monkeypatch.setattr(ml.model, "gate_log_weights", full_gate)
+        box = [[-1.0, 1.0]] * 2
+        grid = ml.default_y_grid(fit, truth, box, 11)
+        ml.expected_hellinger(fit, 1, truth, 2, ml.uniform_box_sampler(box), 40, grid)
+        ml.hellinger_pointwise(fit, 3, truth, 3, [0.1, 0.2], grid)
+        # two blocks of 16 rows and one of 8 per measure, then one row each
+        rows = [ml.metrics.HELLINGER_BLOCK] * 2 + [40 - 2 * ml.metrics.HELLINGER_BLOCK]
+        want = [s for n in rows for K in (1, 2) for s in [(K, n, 11)] * 2] + [(3, 1, 11)] * 4
+        assert shapes == want
+
+
+def nan_sampler(rng, n):
+    X = rng.random((n, 1))
+    X[n // 2] = np.nan
+    return X
+
+
+class TestHellingerChecksBeforeAllocating:
+    """The buffers are sized by K, so K and the inputs are checked before any
+    exists: a bad one is an InvalidArgumentError, with no NumPy error."""
+
+    @pytest.mark.parametrize("K", [0, -1, 3, 1.5])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_sparsity(self, bench_truth, K, side):
+        Ks = (K, 2) if side == "a" else (2, K)
+        grid = np.linspace(-30.0, 30.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ml.InvalidArgumentError, match=f"^need 1 <= K <= k, got K={K}, k=2$"):
+                ml.expected_hellinger(bench_truth, Ks[0], bench_truth, Ks[1], UNIT, 20, grid)
+            with pytest.raises(ml.InvalidArgumentError, match=f"^need 1 <= K <= k, got K={K}, k=2$"):
+                ml.hellinger_pointwise(bench_truth, Ks[0], bench_truth, Ks[1], [0.5], grid)
+
+    @pytest.mark.parametrize("sampler, message", [
+        (nan_sampler, "^x must be finite$"),
+        (lambda rng, n: rng.random((n, 2)), r"^x must have rows of dimension d=1, got shape \(20, 2\)$"),
+        (lambda rng, n: rng.random((n - 1, 1)), "^the sampler drew 19 inputs, not n_mc=20$"),
+    ], ids=["nan", "wrong-d", "short"])
+    def test_draws(self, bench_truth, sampler, message):
+        grid = np.linspace(-30.0, 30.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ml.InvalidArgumentError, match=message):
+                ml.expected_hellinger(bench_truth, 2, bench_truth, 1, sampler, 20, grid)
+
+    def test_pointwise_input(self, bench_truth):
+        grid = np.linspace(-30.0, 30.0, 11)
+        with pytest.raises(ml.InvalidArgumentError, match="^x must be finite$"):
+            ml.hellinger_pointwise(bench_truth, 2, bench_truth, 1, [np.nan], grid)
 
 
 class TestScore:

@@ -12,6 +12,8 @@ USERS = MODULES + sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.n
 
 TEST_FACING = {
     "model.expert_log_density_matrix": "perfbench/tracer.py reads its span by name until benchmark v2",
+    "model.log_joint": "the documented (k, n[, m]) joint; EM's scoring and Hellinger's gathered form are "
+                       "pinned against it",
     "em.gating_surrogate": "acceptance criterion 9 checks the gating surrogate's gradients",
     "em.gating_gradients": "acceptance criterion 9 checks them against central differences",
     "metrics.two_gaussian_hellinger": "acceptance criterion 9's closed-form Hellinger reference",
